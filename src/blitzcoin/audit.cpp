@@ -28,24 +28,13 @@ ClusterAudit::audit() const
 {
     AuditReport r;
     r.expected = expected_;
-    if (plane_) {
-        // Streaming census over the SoA columns. Rows no unit writes
-        // (unmanaged nodes) stay zeroed and contribute nothing, so the
-        // sum equals the unit walk whenever every tracked unit writes
-        // through — the invariant the soa_plane_test pins.
-        const coin::PlaneCensus c = plane_->census();
-        r.counted = c.counted;
-        r.crashedUnits = c.crashed;
-        r.quarantinedUnits = c.quarantined;
-    } else {
-        for (const BlitzCoinUnit *u : units_) {
-            if (u->quarantined())
-                ++r.quarantinedUnits;
-            else if (u->crashed())
-                ++r.crashedUnits;
-            else
-                r.counted += u->has();
-        }
+    for (const BlitzCoinUnit *u : units_) {
+        if (u->quarantined())
+            ++r.quarantinedUnits;
+        else if (u->crashed())
+            ++r.crashedUnits;
+        else
+            r.counted += u->has();
     }
     r.gap = r.expected - r.counted;
     return r;

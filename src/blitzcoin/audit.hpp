@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "coin/ledger.hpp"
-#include "coin/state_plane.hpp"
 #include "unit.hpp"
 
 namespace blitz::record {
@@ -68,18 +67,6 @@ class ClusterAudit
 
     /** Register a unit in the sweep (not owned; must outlive this). */
     void track(BlitzCoinUnit &unit);
-
-    /**
-     * Census from the SoA state plane (nullptr reverts to the unit
-     * walk). Every tracked unit must write through to @p plane —
-     * attach it to the units first — or the census diverges from the
-     * registers. With the plane attached, audit() is a linear scan of
-     * two packed columns instead of a pointer chase through N
-     * ~500-byte unit objects; at mega-mesh sizes that turns the sweep
-     * from a cache-miss walk into streaming reads. reconcile() still
-     * repairs through the unit registers (the authority) either way.
-     */
-    void attachPlane(const coin::StatePlane *plane) { plane_ = plane; }
 
     coin::Coins expected() const { return expected_; }
 
@@ -149,7 +136,6 @@ class ClusterAudit
   private:
     coin::Coins expected_;
     std::vector<BlitzCoinUnit *> units_;
-    const coin::StatePlane *plane_ = nullptr; ///< census source; may be null
     record::FlightRecorder *recorder_ = nullptr;
     record::ProvenanceLedger *prov_ = nullptr;
     IntegrityGuardian *guardian_ = nullptr;

@@ -55,47 +55,8 @@ BlitzCoinUnit::reconfigure(const UnitConfig &cfg)
     selector_ = coin::PartnerSelector(std::move(neighbors),
                                       std::move(far), cfg_.pairing,
                                       rng_);
-    if (plane_)
-        plane_->writeBackoff(self_, timer_.interval());
     if (running_)
         scheduleNext(timer_.interval());
-}
-
-void
-BlitzCoinUnit::attachPlane(coin::StatePlane *plane)
-{
-    plane_ = plane;
-    planeSyncAll();
-}
-
-coin::TilePhase
-BlitzCoinUnit::planePhase() const
-{
-    if (quarantined_)
-        return coin::TilePhase::Quarantined;
-    if (crashed_)
-        return coin::TilePhase::Crashed;
-    return running_ ? coin::TilePhase::Running
-                    : coin::TilePhase::Idle;
-}
-
-void
-BlitzCoinUnit::planeSyncAll()
-{
-    if (!plane_)
-        return;
-    plane_->writeHas(self_, state_.has);
-    plane_->writeMax(self_, state_.max);
-    plane_->writeBackoff(self_, timer_.interval());
-    plane_->writePhase(self_, planePhase());
-}
-
-void
-BlitzCoinUnit::timerExchanged(bool movedCoins)
-{
-    timer_.onExchange(movedCoins);
-    if (plane_)
-        plane_->writeBackoff(self_, timer_.interval());
 }
 
 void
@@ -113,10 +74,6 @@ BlitzCoinUnit::setMax(coin::Coins max)
     // Activity start/end is the trigger for requesting or relinquishing
     // coins: snap the refresh cadence back and fire right away.
     timer_.resetOnActivity();
-    if (plane_) {
-        plane_->writeMax(self_, state_.max);
-        plane_->writeBackoff(self_, timer_.interval());
-    }
     if (running_)
         scheduleNext(1);
 }
@@ -127,8 +84,6 @@ BlitzCoinUnit::start()
     if (running_ || crashed_ || quarantined_)
         return;
     running_ = true;
-    if (plane_)
-        plane_->writePhase(self_, planePhase());
     scheduleNext(1 + rng_.below(cfg_.backoff.baseInterval));
 }
 
@@ -137,8 +92,6 @@ BlitzCoinUnit::stop()
 {
     running_ = false;
     ++timerGen_; // invalidate any scheduled wakeup
-    if (plane_)
-        plane_->writePhase(self_, planePhase());
 }
 
 void
@@ -180,7 +133,6 @@ BlitzCoinUnit::crash()
     ++snapshotGen_;
     ++fourWayGen_;
     iso_ = coin::IsolationDetector{};
-    planeSyncAll(); // registers cleared, phase Crashed, timer moot
     coinsChanged();
 }
 
@@ -195,7 +147,6 @@ BlitzCoinUnit::restart()
     if (recorder_)
         recorder_->restart(eq_.now(), self_, 0);
     timer_ = coin::BackoffTimer(cfg_.backoff);
-    planeSyncAll(); // back to Idle with empty registers
     // nextXid_ deliberately keeps counting across the crash: a partner
     // still holding pre-crash entries in its served log must never
     // mistake a fresh exchange for a replay of an old one.
@@ -222,8 +173,6 @@ BlitzCoinUnit::quarantine()
     snapshotHeld_ = false;
     ++snapshotGen_;
     ++fourWayGen_;
-    if (plane_)
-        plane_->writePhase(self_, planePhase());
 }
 
 void
@@ -273,10 +222,6 @@ BlitzCoinUnit::resetThrottleWindow()
 void
 BlitzCoinUnit::scheduleNext(sim::Tick delay)
 {
-    // Every initiation lands here right after the timer adapts, so one
-    // write keeps the plane's refresh-interval column current.
-    if (plane_)
-        plane_->writeBackoff(self_, timer_.interval());
     if (adversary_)
         delay = std::max<sim::Tick>(adversary_->adviseInterval(delay),
                                     1);
@@ -346,7 +291,7 @@ BlitzCoinUnit::onExchangeTimeout(std::uint64_t xid)
         recorder_->exchange(eq_.now(), record::kOutcomeTimeout, self_,
                             pending_->partner,
                             static_cast<std::int64_t>(xid), 0);
-    timerExchanged(false); // failures back the cadence off too
+    timer_.onExchange(false); // failures back the cadence off too
     if (unresolved_.size() >= maxUnresolved) {
         // Backlog full (the network is effectively down): the oldest
         // loss is handed to the audit watchdog.
@@ -551,7 +496,7 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
                 sentry_->noteFlow(pkt.src, applied);
             sentry_->noteServed(pkt.src);
         }
-        timerExchanged(applied != 0);
+        timer_.onExchange(applied != 0);
         iso_.onExchange(applied != 0, remote.max);
         // Receiving coins is evidence of a transition in flight: bring
         // the next self-initiated exchange forward so the wave keeps
@@ -610,7 +555,7 @@ BlitzCoinUnit::applyResolvedDelta(coin::Coins delta,
         if (sentry_)
             sentry_->noteFlow(partner, delta);
     }
-    timerExchanged(delta != 0);
+    timer_.onExchange(delta != 0);
     iso_.onExchange(delta != 0, partnerMax);
 }
 
@@ -717,7 +662,7 @@ BlitzCoinUnit::applyGroupUpdate(const noc::Packet &pkt)
                             delta);
     if (prov_ && delta != 0)
         prov_->transfer(pkt.src, self_, delta, tag, eq_.now());
-    timerExchanged(delta != 0);
+    timer_.onExchange(delta != 0);
     iso_.onExchange(delta != 0, pkt.payload[2]);
     if (delta != 0 && running_ && !awaitingUpdate_)
         scheduleNext(timer_.intervalFor(discontent() || isolated()));
@@ -858,13 +803,13 @@ BlitzCoinUnit::completeFourWay()
             ++moved_;
             coinsChanged();
         }
-        timerExchanged(moved);
+        timer_.onExchange(moved);
         for (const auto &[node, tc] : gathered_)
             iso_.onExchange(moved, tc.max);
         gathered_.clear();
     } else {
         gathered_.clear();
-        timerExchanged(false);
+        timer_.onExchange(false);
     }
     if (running_)
         scheduleNext(timer_.intervalFor(discontent() || isolated()));
@@ -873,8 +818,6 @@ BlitzCoinUnit::completeFourWay()
 void
 BlitzCoinUnit::coinsChanged()
 {
-    if (plane_)
-        plane_->writeHas(self_, state_.has);
     if (onCoinsChanged)
         onCoinsChanged(state_.has);
 }

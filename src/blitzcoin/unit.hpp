@@ -39,7 +39,6 @@
 
 #include "coin/backoff.hpp"
 #include "coin/engine.hpp"
-#include "coin/state_plane.hpp"
 #include "coin/exchange.hpp"
 #include "coin/neighborhood.hpp"
 #include "coin/pairing.hpp"
@@ -209,7 +208,7 @@ class BlitzCoinUnit
     coin::Coins has() const { return state_.has; }
     coin::Coins max() const { return state_.max; }
     bool running() const { return running_; }
-    /** Current adaptive refresh interval (test/plane-mirror access). */
+    /** Current adaptive refresh interval (test access). */
     sim::Tick backoffInterval() const { return timer_.interval(); }
     const UnitConfig &config() const { return cfg_; }
 
@@ -311,16 +310,6 @@ class BlitzCoinUnit
 
     /** Install a Byzantine behavior hook (nullptr = honest). */
     void setAdversary(AdversaryHook *a) { adversary_ = a; }
-
-    /**
-     * Attach the SoA state plane (nullptr detaches). The unit
-     * write-through-mirrors its hot scalars — coin count, max target,
-     * lifecycle phase, refresh interval — into its own NodeId row at
-     * every mutation, and never reads the plane back: attachment is a
-     * pure observer, digest-neutral, and shard-safe (a tile writes
-     * only its own row, always at its own locus).
-     */
-    void attachPlane(coin::StatePlane *plane);
 
     /**
      * Attach the guardian's observation tap. Pure observer on the
@@ -432,21 +421,6 @@ class BlitzCoinUnit
         return state_.max > 0 && iso_.isolated();
     }
 
-    /** The plane phase encoding this unit's lifecycle flags. */
-    coin::TilePhase planePhase() const;
-
-    /** Mirror every hot column into the plane row (cold paths). */
-    void planeSyncAll();
-
-    /**
-     * Adapt the refresh timer after an exchange and mirror the new
-     * interval. Every timer_.onExchange goes through here so the
-     * plane's backoff column never lags the timer — some exchange
-     * outcomes (zero-delta, unit not running) schedule no wakeup, so
-     * scheduleNext alone would leave the row stale.
-     */
-    void timerExchanged(bool movedCoins);
-
     void scheduleNext(sim::Tick delay);
     void initiate();
     void initiateFourWay();
@@ -484,7 +458,6 @@ class BlitzCoinUnit
     record::ProvenanceLedger *prov_ = nullptr;
     AdversaryHook *adversary_ = nullptr;
     GuardSentry *sentry_ = nullptr;
-    coin::StatePlane *plane_ = nullptr; ///< SoA mirror; may be null
     noc::NodeId self_;
     UnitConfig cfg_;
     sim::Rng rng_;

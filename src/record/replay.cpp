@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "fault/chaos.hpp"
 #include "fault/fault_plane.hpp"
@@ -111,6 +112,28 @@ appendLine(std::string &s, const char *prefix, const Record &r,
     s += '\n';
 }
 
+/** Why @p h is not a packed ReplayScenario; empty when it is one. */
+std::string
+headerError(const LogHeader &h)
+{
+    const auto isRate = [](std::uint64_t word) {
+        const double v = unpackDouble(word);
+        return v >= 0.0 && v <= 1.0; // false for NaN
+    };
+    if (h[0] < 2 || h[0] > sim::kMaxMeshNodes / h[0])
+        return "mesh side " + std::to_string(h[0]) +
+               ": need d >= 2 and d*d <= " +
+               std::to_string(sim::kMaxMeshNodes);
+    if (!isRate(h[1]) || !isRate(h[2]) || !isRate(h[3]))
+        return "a fault rate is NaN or outside [0, 1]";
+    if ((h[4] & ~std::uint64_t{3}) != 0)
+        return "unknown scenario flag bits";
+    if (h[6] == 0 || h[6] > UINT32_MAX)
+        return "trial count " + std::to_string(h[6]) +
+               " is outside [1, 2^32)";
+    return {};
+}
+
 } // namespace
 
 LogHeader
@@ -129,9 +152,12 @@ ReplayScenario::pack() const
     return h;
 }
 
-ReplayScenario
-ReplayScenario::unpack(const LogHeader &h)
+std::optional<ReplayScenario>
+ReplayScenario::unpack(const LogHeader &h, std::string &error)
 {
+    error = headerError(h);
+    if (!error.empty())
+        return std::nullopt;
     ReplayScenario sc;
     sc.d = static_cast<std::uint32_t>(h[0]);
     sc.drop = unpackDouble(h[1]);

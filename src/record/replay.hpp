@@ -27,6 +27,7 @@
 #define BLITZ_RECORD_REPLAY_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "provenance.hpp"
@@ -56,7 +57,16 @@ struct ReplayScenario
     sim::Tick snapshotEvery = 2'048; ///< 0 disables snapshot epochs
 
     LogHeader pack() const;
-    static ReplayScenario unpack(const LogHeader &h);
+
+    /**
+     * Decode a log header. A header no valid scenario packs to — mesh
+     * side below 2 or past sim::kMaxMeshNodes tiles, a fault rate that
+     * is NaN or outside [0, 1], zero or out-of-range trials, unknown
+     * flag bits — yields std::nullopt with the reason in @p error, so
+     * a crafted log is refused before it reaches the cluster builder.
+     */
+    static std::optional<ReplayScenario> unpack(const LogHeader &h,
+                                                std::string &error);
 
     std::string describe() const;
 };

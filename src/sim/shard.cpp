@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
+#include "env.hpp"
 #include "logging.hpp"
 
 namespace blitz::sim {
@@ -62,12 +62,7 @@ ShardProbe::imbalance() const
 std::uint32_t
 defaultShards()
 {
-    if (const char *env = std::getenv("BLITZ_SHARDS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<std::uint32_t>(v);
-    }
-    return 1;
+    return envCount("BLITZ_SHARDS").value_or(1);
 }
 
 std::vector<std::uint32_t>

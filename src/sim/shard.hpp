@@ -40,8 +40,9 @@ namespace blitz::sim {
 
 /**
  * Shard count to use when a harness knob is 0: the BLITZ_SHARDS
- * environment variable if set and positive, else 1 (sharding stays
- * opt-in — the legacy single-queue path is the default).
+ * environment variable if set and valid (see envCount), else 1
+ * (sharding stays opt-in — the legacy single-queue path is the
+ * default).
  */
 std::uint32_t defaultShards();
 

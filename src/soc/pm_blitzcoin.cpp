@@ -12,7 +12,7 @@
 namespace blitz::soc {
 
 BlitzCoinPm::BlitzCoinPm(const PmContext &ctx, const PmConfig &cfg)
-    : PowerManager(ctx, cfg), plane_(ctx.soc.size())
+    : PowerManager(ctx, cfg)
 {
     const auto managed = ctx_.soc.managedAccelerators();
     std::vector<bool> flags(ctx_.soc.size(), false);
@@ -38,17 +38,10 @@ BlitzCoinPm::BlitzCoinPm(const PmContext &ctx, const PmConfig &cfg)
             tile->setFreqTargetMhz(lut->freqFor(has));
             coinsMoved();
         };
-        // Hot-state mirror: the unit and the tile write their own row
-        // through; the audit census and mega-mesh observers then scan
-        // packed columns instead of chasing unit pointers.
-        unit->attachPlane(&plane_);
-        tile->attachPlane(&plane_);
         units_.emplace(id, std::move(pt));
-        managedIds_.push_back(id);
     }
     for (auto &[id, pt] : units_)
         audit_.track(*pt.unit);
-    audit_.attachPlane(&plane_);
     if (cfg_.guardianEnabled) {
         guardian_ = std::make_unique<blitzcoin::IntegrityGuardian>(
             cfg_.guardian);
@@ -215,22 +208,16 @@ BlitzCoinPm::handlePacket(noc::NodeId at, const noc::Packet &pkt)
 double
 BlitzCoinPm::clusterError() const
 {
-    // Settle probes sample this on a fixed cadence, so it runs off the
-    // SoA plane: three packed columns over the managed id list instead
-    // of a map walk through N unit objects. The plane mirrors the unit
-    // registers exactly (write-through at every mutation), so the
-    // result is bit-identical to the legacy walk.
-    const coin::Coins *has = plane_.hasData();
-    const coin::Coins *max = plane_.maxData();
-    const coin::TilePhase *phase = plane_.phaseData();
+    // units_ is keyed by NodeId, so both passes visit tiles in
+    // ascending id order and the double sum is reproducible.
     coin::Coins total_has = 0;
     coin::Coins total_max = 0;
     std::size_t counted = 0;
-    for (noc::NodeId id : managedIds_) {
-        if (phase[id] == coin::TilePhase::Quarantined)
+    for (const auto &[id, pt] : units_) {
+        if (pt.unit->quarantined())
             continue; // fenced coins are outside the economy
-        total_has += has[id];
-        total_max += max[id];
+        total_has += pt.unit->has();
+        total_max += pt.unit->max();
         ++counted;
     }
     if (total_max == 0 || counted == 0)
@@ -244,12 +231,12 @@ BlitzCoinPm::clusterError() const
     // change nothing physically, so the response metric must not wait
     // for the surplus to reach exact proportionality.
     double sum = 0.0;
-    for (noc::NodeId id : managedIds_) {
-        if (phase[id] == coin::TilePhase::Quarantined)
+    for (const auto &[id, pt] : units_) {
+        if (pt.unit->quarantined())
             continue;
-        const double m = static_cast<double>(max[id]);
+        const double m = static_cast<double>(pt.unit->max());
         const double has_eff =
-            std::clamp(static_cast<double>(has[id]), 0.0, m);
+            std::clamp(static_cast<double>(pt.unit->has()), 0.0, m);
         const double want_eff = std::clamp(alpha * m, 0.0, m);
         sum += std::abs(has_eff - want_eff);
     }
@@ -259,10 +246,9 @@ BlitzCoinPm::clusterError() const
 coin::Coins
 BlitzCoinPm::clusterCoins() const
 {
-    // Whole-plane alive sum: unmanaged rows are zero, crashed rows
-    // hold zero coins (registers cleared at the crash), so this equals
-    // the legacy managed-units walk that skipped only quarantine.
-    return plane_.aliveCoins();
+    // The audit tracks every unit; its census skips crashed and
+    // quarantined tiles, exactly the coins still in the economy.
+    return audit_.audit().counted;
 }
 
 void

@@ -57,14 +57,6 @@ class BlitzCoinPm : public PowerManager
     const blitzcoin::ClusterAudit &audit() const { return audit_; }
     blitzcoin::ClusterAudit &audit() { return audit_; }
 
-    /**
-     * The SoA mirror of the cluster's hot per-tile state (coins, max,
-     * phase, refresh interval, frequency target), indexed by NodeId
-     * over the full mesh. Write-through from every unit and managed
-     * tile; the audit census reads it. Test/metrics access.
-     */
-    const coin::StatePlane &plane() const { return plane_; }
-
     /** Mean coin error over the managed cluster (the Err metric). */
     double clusterError() const;
 
@@ -94,14 +86,6 @@ class BlitzCoinPm : public PowerManager
     };
 
     std::map<noc::NodeId, PerTile> units_;
-    /// Managed node ids in ascending order — the dense iteration set
-    /// for plane scans (units_ is the same set keyed for lookup).
-    std::vector<noc::NodeId> managedIds_;
-    /// SoA hot-state mirror; rows for every mesh node, written through
-    /// by the units and tiles, read by the audit census. Declared
-    /// before audit_ only for clarity — attachment happens in the
-    /// ctor, and units_ (the writers) outlive neither.
-    coin::StatePlane plane_;
     blitzcoin::ClusterAudit audit_{0};
     std::unique_ptr<blitzcoin::IntegrityGuardian> guardian_;
     bool auditArmed_ = false;

@@ -73,8 +73,6 @@ AcceleratorTile::setFreqTargetMhz(double freqMhz)
     // The physics-plane cap clamps after the PM's decision; the
     // journal keeps the uncapped request (the PM's actual output).
     uvfr_.setTargetMhz(std::min(target, capMhz_));
-    if (plane_)
-        plane_->writeFreq(id_, uvfr_.targetMhz());
     if (recorder_)
         recorder_->pmActuation(eq_.now(), id_, target);
     accrualFreqMhz_ = this->freqMhz();
@@ -88,8 +86,6 @@ AcceleratorTile::setThrottleCapMhz(double capMhz)
     accrueProgress();
     capMhz_ = capMhz;
     uvfr_.setTargetMhz(std::min(pmTargetMhz_, capMhz_));
-    if (plane_)
-        plane_->writeFreq(id_, uvfr_.targetMhz());
     accrualFreqMhz_ = this->freqMhz();
     scheduleCompletion();
     kickControlLoop();

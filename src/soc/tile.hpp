@@ -18,7 +18,6 @@
 #include <limits>
 #include <string>
 
-#include "coin/state_plane.hpp"
 #include "noc/topology.hpp"
 #include "power/pf_curve.hpp"
 #include "power/uvfr.hpp"
@@ -86,20 +85,6 @@ class AcceleratorTile
      */
     void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }
 
-    /**
-     * Attach the SoA state plane (nullptr detaches). Every frequency
-     * target programmed through setFreqTargetMhz — the single
-     * actuation funnel — is mirrored into this tile's row of the
-     * plane's frequency column. Pure observer: nothing reads it back.
-     */
-    void
-    attachPlane(coin::StatePlane *plane)
-    {
-        plane_ = plane;
-        if (plane_)
-            plane_->writeFreq(id_, uvfr_.targetMhz());
-    }
-
     /** Present clock frequency (MHz), after regulator dynamics. */
     double freqMhz() const { return uvfr_.freqMhz(); }
 
@@ -150,7 +135,6 @@ class AcceleratorTile
     const power::PfCurve *curve_;
     power::Uvfr uvfr_;
     record::FlightRecorder *recorder_ = nullptr;
-    coin::StatePlane *plane_ = nullptr; ///< SoA mirror; may be null
 
     double pmTargetMhz_ = 0.0;
     double capMhz_ = std::numeric_limits<double>::infinity();

@@ -1,8 +1,8 @@
 #include "sweep.hpp"
 
-#include <cstdlib>
 #include <thread>
 
+#include "sim/env.hpp"
 #include "sim/shard.hpp"
 
 namespace blitz::sweep {
@@ -10,13 +10,8 @@ namespace blitz::sweep {
 std::size_t
 defaultThreads()
 {
-    if (const char *env = std::getenv("BLITZ_SWEEP_THREADS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<std::size_t>(v);
-        sim::warn("ignoring invalid BLITZ_SWEEP_THREADS='", env, "'");
-    }
+    if (const auto v = sim::envCount("BLITZ_SWEEP_THREADS"))
+        return *v;
     unsigned hw = std::thread::hardware_concurrency();
     std::size_t threads = hw > 0 ? hw : 1;
     // Replication-level and shard-level parallelism multiply: when the

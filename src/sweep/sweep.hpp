@@ -71,7 +71,8 @@ streamSeed(std::uint64_t rootSeed, std::uint64_t index)
 
 /**
  * Worker count used when SweepOptions::threads is 0: the
- * BLITZ_SWEEP_THREADS environment variable if set and positive, else
+ * BLITZ_SWEEP_THREADS environment variable if set and valid (see
+ * sim::envCount), else
  * std::thread::hardware_concurrency(), else 1.
  */
 std::size_t defaultThreads();

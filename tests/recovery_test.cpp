@@ -182,6 +182,106 @@ TEST(Recovery, CrashMidExchangeRestoredByAudit)
     EXPECT_EQ(c.totalCoins(), 95);
 }
 
+TEST(Recovery, CrashZeroesRegisters)
+{
+    LossyCluster c(4, 0.0);
+    for (std::size_t i = 0; i < c.c.size(); ++i) {
+        c.unit(i).setMax(16);
+        c.unit(i).setHas(8);
+    }
+    c.startAll();
+    c.eq().runUntil(4096);
+    c.unit(3).crash();
+    EXPECT_TRUE(c.unit(3).crashed());
+    EXPECT_FALSE(c.unit(3).running());
+    EXPECT_EQ(c.unit(3).has(), 0);
+    EXPECT_EQ(c.unit(3).max(), 0);
+
+    // Restart brings the tile back with the registers still empty.
+    c.unit(3).restart();
+    EXPECT_FALSE(c.unit(3).crashed());
+    EXPECT_EQ(c.unit(3).has(), 0);
+    EXPECT_EQ(c.unit(3).max(), 0);
+}
+
+TEST(Recovery, QuarantineSurvivesCrashAndRestart)
+{
+    LossyCluster c(4, 0.0);
+    for (std::size_t i = 0; i < c.c.size(); ++i) {
+        c.unit(i).setMax(16);
+        c.unit(i).setHas(8);
+    }
+    c.startAll();
+    c.eq().runUntil(4096);
+    c.unit(7).quarantine();
+    EXPECT_TRUE(c.unit(7).quarantined());
+    EXPECT_FALSE(c.unit(7).running());
+
+    // Sticky: a later power cycle neither lifts the fence nor lets
+    // the tile resume initiating.
+    c.unit(7).crash();
+    EXPECT_TRUE(c.unit(7).quarantined());
+    c.unit(7).restart();
+    c.unit(7).start();
+    EXPECT_TRUE(c.unit(7).quarantined());
+    EXPECT_FALSE(c.unit(7).running());
+    c.eq().runUntil(16384);
+    EXPECT_TRUE(c.unit(7).quarantined());
+}
+
+TEST(Recovery, AuditCensusMatchesManualWalk)
+{
+    LossyCluster c(4, 0.05);
+    for (std::size_t i = 0; i < c.c.size(); ++i) {
+        c.unit(i).setMax(16);
+        c.unit(i).setHas(8);
+    }
+    c.startAll();
+    c.eq().runUntil(4096);
+    c.unit(1).crash();
+    c.unit(6).quarantine();
+    c.eq().runUntil(8192);
+
+    std::size_t crashed = 0, quarantined = 0;
+    coin::Coins counted = 0;
+    for (std::size_t i = 0; i < c.c.size(); ++i) {
+        const auto &u = c.unit(i);
+        if (u.quarantined())
+            ++quarantined;
+        else if (u.crashed())
+            ++crashed;
+        else
+            counted += u.has();
+    }
+    EXPECT_EQ(crashed, 1u);
+    EXPECT_EQ(quarantined, 1u);
+    const blitzcoin::AuditReport r = c.c.audit().audit();
+    EXPECT_EQ(r.crashedUnits, crashed);
+    EXPECT_EQ(r.quarantinedUnits, quarantined);
+    EXPECT_EQ(r.counted, counted);
+    EXPECT_EQ(r.gap, r.expected - counted);
+}
+
+TEST(Recovery, SocClusterCoinsEqualPoolAfterRun)
+{
+    soc::PmConfig pm;
+    pm.kind = soc::PmKind::BlitzCoin;
+    pm.budgetMw = 60.0;
+    soc::Soc s(soc::make3x3AvSoc(), pm, 31);
+    auto st = s.run(soc::avDependent(s.config(), 2));
+    ASSERT_TRUE(st.completed);
+
+    // Drain in-flight exchanges; with no faults the books close
+    // without any audit correction.
+    auto &bc = dynamic_cast<soc::BlitzCoinPm &>(s.pm());
+    for (noc::NodeId id : s.config().managedAccelerators())
+        bc.unit(id).stop();
+    auto &eq = s.eventQueue();
+    eq.runUntil(eq.now() + 100000);
+    EXPECT_EQ(bc.clusterCoins(), bc.scale().poolCoins);
+    EXPECT_EQ(bc.audit().audit().gap, 0);
+}
+
 TEST(Recovery, SocSurvivesAcceleratorCrashMidWorkload)
 {
     // Full-stack version: the NVDLA tile (node 4 of the 3x3 AV SoC)

@@ -47,8 +47,10 @@ TEST(Replay, ScenarioSurvivesTheLogHeaderRoundTrip)
     sc.duplicate = 0.02;
     sc.corrupt = 0.01;
     sc.deadline = 123'456;
-    const ReplayScenario back =
-        ReplayScenario::unpack(sc.pack());
+    std::string error;
+    const auto unpacked = ReplayScenario::unpack(sc.pack(), error);
+    ASSERT_TRUE(unpacked) << error;
+    const ReplayScenario &back = *unpacked;
     EXPECT_EQ(back.d, sc.d);
     EXPECT_DOUBLE_EQ(back.drop, sc.drop);
     EXPECT_DOUBLE_EQ(back.duplicate, sc.duplicate);

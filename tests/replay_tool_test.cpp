@@ -4,11 +4,16 @@
  * injected at compile time via BLITZ_REPLAY_TOOL): record a chaos
  * scenario to disk, verify it in lockstep, then record a tampered twin
  * and prove `bisect` exits 1 and names the exact divergent record.
+ * Hostile inputs — crafted log headers and out-of-range record flags —
+ * must be refused with exit 2, never reach an internal assert.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -16,6 +21,9 @@
 #include <unistd.h>
 
 #include <gtest/gtest.h>
+
+#include "record/recorder.hpp"
+#include "record/replay.hpp"
 
 namespace {
 
@@ -121,6 +129,71 @@ TEST(ReplayTool, UsageAndIoErrorsExitTwo)
                       &out),
               2)
         << out;
+}
+
+/** Header word holding the bit pattern of @p v. */
+std::uint64_t
+doubleWord(double v)
+{
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+}
+
+TEST(ReplayTool, CraftedHeadersAreRefused)
+{
+    const std::string log = testing::TempDir() + "tool_bad_header.blzr";
+    const blitz::record::LogHeader good =
+        blitz::record::ReplayScenario{}.pack();
+    struct Case
+    {
+        const char *what;
+        std::size_t word;
+        std::uint64_t value;
+    };
+    const Case cases[] = {
+        {"d=0", 0, 0},
+        {"d=1", 0, 1},
+        {"d*d past the mesh ceiling", 0, 1024},
+        {"d near 2^32", 0, (std::uint64_t{1} << 32) + 2},
+        {"NaN drop", 1, doubleWord(std::numeric_limits<double>::quiet_NaN())},
+        {"negative duplicate", 2, doubleWord(-0.1)},
+        {"corrupt above 1", 3, doubleWord(1.5)},
+        {"unknown flag bits", 4, 4},
+        {"zero trials", 6, 0},
+        {"trials past 2^32", 6, std::uint64_t{1} << 32},
+    };
+    for (const Case &c : cases) {
+        blitz::record::LogHeader h = good;
+        h[c.word] = c.value;
+        ASSERT_TRUE(blitz::record::FlightRecorder{}.writeFile(log, h))
+            << c.what;
+        std::string out;
+        EXPECT_EQ(runTool("info " + log, &out), 2) << c.what << "\n" << out;
+        EXPECT_NE(out.find("invalid scenario"), std::string::npos)
+            << c.what << "\n" << out;
+        EXPECT_EQ(runTool("verify " + log, &out), 2)
+            << c.what << "\n" << out;
+        EXPECT_NE(out.find("invalid scenario"), std::string::npos)
+            << c.what << "\n" << out;
+        EXPECT_EQ(out.find("panic"), std::string::npos) << out;
+    }
+    std::remove(log.c_str());
+}
+
+TEST(ReplayTool, RecordRefusesInvalidScenarioFlags)
+{
+    const std::string log = testing::TempDir() + "tool_bad_flags.blzr";
+    for (const char *flags :
+         {"--d 1", "--d 4294967298", "--drop nan", "--dup 2",
+          "--corrupt -1", "--trials 0"}) {
+        std::string out;
+        EXPECT_EQ(runTool("record " + log + " " + flags, &out), 2)
+            << flags << "\n" << out;
+        EXPECT_NE(out.find("invalid scenario"), std::string::npos)
+            << flags << "\n" << out;
+    }
+    std::remove(log.c_str());
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -331,6 +333,34 @@ TEST(ShardedSoc, LegacySocIsUntouchedByDefault)
     EXPECT_EQ(s.shardGroup(), nullptr);
     auto st = s.run(soc::visionParallel(s.config()));
     EXPECT_TRUE(st.completed);
+}
+
+TEST(DefaultShards, ParsesTheWholeValue)
+{
+    ASSERT_EQ(unsetenv("BLITZ_SHARDS"), 0);
+    EXPECT_EQ(sim::defaultShards(), 1u);
+    ASSERT_EQ(setenv("BLITZ_SHARDS", "4", 1), 0);
+    EXPECT_EQ(sim::defaultShards(), 4u);
+    ASSERT_EQ(setenv("BLITZ_SHARDS", "4294967295", 1), 0);
+    EXPECT_EQ(sim::defaultShards(), 4294967295u);
+    ASSERT_EQ(unsetenv("BLITZ_SHARDS"), 0);
+}
+
+TEST(DefaultShards, RejectsMalformedValuesWithAWarning)
+{
+    // Each would once have parsed to a different count ("4abc" as 4,
+    // "4294967296" as 0, which selects the legacy engine); all must
+    // warn and fall back to 1 instead.
+    for (const char *bad : {"4abc", "4294967296", "0", "-2", "", "x"}) {
+        ASSERT_EQ(setenv("BLITZ_SHARDS", bad, 1), 0);
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(sim::defaultShards(), 1u) << "'" << bad << "'";
+        EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                      "invalid BLITZ_SHARDS"),
+                  std::string::npos)
+            << "'" << bad << "'";
+    }
+    ASSERT_EQ(unsetenv("BLITZ_SHARDS"), 0);
 }
 
 TEST(ShardedChaos, LegacyModeIsUntouchedByDefault)

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -165,6 +167,35 @@ TEST(DefaultThreads, HonorsEnvironmentOverride)
     EXPECT_EQ(sweep::defaultThreads(), 3u);
     ASSERT_EQ(unsetenv("BLITZ_SWEEP_THREADS"), 0);
     EXPECT_GE(sweep::defaultThreads(), 1u);
+}
+
+TEST(DefaultThreads, RejectsMalformedValuesWithAWarning)
+{
+    const std::size_t fallback = sweep::defaultThreads();
+    for (const char *bad : {"banana", "0", "-3", "3x", " 3", "4294967296"}) {
+        ASSERT_EQ(setenv("BLITZ_SWEEP_THREADS", bad, 1), 0);
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(sweep::defaultThreads(), fallback) << bad;
+        EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                      "invalid BLITZ_SWEEP_THREADS"),
+                  std::string::npos)
+            << bad;
+    }
+    ASSERT_EQ(unsetenv("BLITZ_SWEEP_THREADS"), 0);
+}
+
+TEST(DefaultThreads, DividesOnlyByAValidShardCount)
+{
+    ASSERT_EQ(unsetenv("BLITZ_SWEEP_THREADS"), 0);
+    const std::size_t hw = sweep::defaultThreads();
+    ASSERT_EQ(setenv("BLITZ_SHARDS", "2", 1), 0);
+    EXPECT_EQ(sweep::defaultThreads(), std::max<std::size_t>(1, hw / 2));
+    // A malformed shard count falls back to 1: no division.
+    ASSERT_EQ(setenv("BLITZ_SHARDS", "2abc", 1), 0);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(sweep::defaultThreads(), hw);
+    (void)::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(unsetenv("BLITZ_SHARDS"), 0);
 }
 
 // ------------------------------------------------ determinism guarantee

@@ -17,12 +17,15 @@
  * its causal context.
  *
  * Exit codes: 0 = ok / identical / lockstep match; 1 = divergence
- * found; 2 = usage or I/O error.
+ * found; 2 = usage or I/O error, or an invalid scenario (in a log
+ * header or on the record command line).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "record/replay.hpp"
@@ -56,6 +59,21 @@ loadLog(const char *path, record::FlightRecorder &rec,
         return true;
     std::fprintf(stderr, "blitz-replay: cannot read log '%s'\n", path);
     return false;
+}
+
+/**
+ * Decode @p header, or report why it is not a scenario and return
+ * std::nullopt (the caller exits 2).
+ */
+std::optional<record::ReplayScenario>
+scenarioOf(const record::LogHeader &header, const char *what)
+{
+    std::string error;
+    auto sc = record::ReplayScenario::unpack(header, error);
+    if (!sc)
+        std::fprintf(stderr, "blitz-replay: invalid scenario in %s: %s\n",
+                     what, error.c_str());
+    return sc;
 }
 
 /** Value of --flag NAME at argv[i]; advances i past the value. */
@@ -94,11 +112,17 @@ cmdRecord(int argc, char **argv)
     record::ReplayScenario sc;
     sweep::SweepOptions opts;
     long long tamper = -1;
+    // Out-of-range counts map to 0, which the scenario check refuses,
+    // instead of wrapping into a valid-looking value.
+    const auto u32 = [](long long x) {
+        return x > 0 && x <= UINT32_MAX ? static_cast<std::uint32_t>(x)
+                                        : 0u;
+    };
     for (int i = 1; i < argc; ++i) {
         long long v = 0;
         double r = 0.0;
         if (numArg(argc, argv, i, "--d", v))
-            sc.d = static_cast<std::uint32_t>(v);
+            sc.d = u32(v);
         else if (realArg(argc, argv, i, "--drop", r))
             sc.drop = r;
         else if (realArg(argc, argv, i, "--dup", r))
@@ -112,7 +136,7 @@ cmdRecord(int argc, char **argv)
         else if (numArg(argc, argv, i, "--seed", v))
             sc.seed = static_cast<std::uint64_t>(v);
         else if (numArg(argc, argv, i, "--trials", v))
-            sc.trials = static_cast<std::uint32_t>(v);
+            sc.trials = u32(v);
         else if (numArg(argc, argv, i, "--threads", v))
             opts.threads = static_cast<std::size_t>(v);
         else if (numArg(argc, argv, i, "--snapshot-every", v))
@@ -124,6 +148,8 @@ cmdRecord(int argc, char **argv)
         else
             return usage();
     }
+    if (!scenarioOf(sc.pack(), "command line"))
+        return 2;
 
     record::FlightRecorder rec = record::recordScenario(sc, opts);
     if (tamper >= 0) {
@@ -157,8 +183,10 @@ cmdInfo(int argc, char **argv)
     record::LogHeader header{};
     if (!loadLog(argv[0], rec, header))
         return 2;
-    const auto sc = record::ReplayScenario::unpack(header);
-    std::printf("%s\n", sc.describe().c_str());
+    const auto sc = scenarioOf(header, argv[0]);
+    if (!sc)
+        return 2;
+    std::printf("%s\n", sc->describe().c_str());
     std::printf("%zu records, digest %016llx\n", rec.size(),
                 static_cast<unsigned long long>(rec.digest()));
     std::size_t perKind[32] = {};
@@ -184,6 +212,9 @@ cmdVerify(int argc, char **argv)
     record::LogHeader header{};
     if (!loadLog(argv[0], ref, header))
         return 2;
+    const auto sc = scenarioOf(header, argv[0]);
+    if (!sc)
+        return 2;
     sweep::SweepOptions opts;
     for (int i = 1; i < argc; ++i) {
         long long v = 0;
@@ -192,9 +223,8 @@ cmdVerify(int argc, char **argv)
         else
             return usage();
     }
-    const auto sc = record::ReplayScenario::unpack(header);
-    std::printf("replaying: %s\n", sc.describe().c_str());
-    const auto res = record::replayVerify(ref, sc, opts);
+    std::printf("replaying: %s\n", sc->describe().c_str());
+    const auto res = record::replayVerify(ref, *sc, opts);
     if (res.match) {
         std::printf("lockstep match: %llu records bit-identical\n",
                     static_cast<unsigned long long>(
