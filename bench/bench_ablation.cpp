@@ -12,41 +12,37 @@
  * 16th, 6-bit coins).
  */
 
+#include <deque>
+#include <string>
+
 #include "bench_common.hpp"
 #include "bench_obs.hpp"
 #include "soc/scenarios.hpp"
 #include "soc/soc.hpp"
 #include "trace/attach.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
 namespace {
 
 /**
- * --metrics/--trace accumulator. All report() rows share one d = 12
- * mesh schema, so every observed replication merges into a single CSV;
- * the trace gets one process lane per observed row.
+ * Print one configuration's row. With --metrics/--trace one observed
+ * replication per row also lands in @p obs: all rows share one d = 12
+ * mesh schema, so the series merge into a single CSV, and the trace
+ * gets one process lane per row (numbered by @p pid).
  */
-struct ObsSink
-{
-    bench::ObsOptions obs;
-    trace::MetricsSeries series;
-    trace::Tracer master;
-    std::uint32_t pid = 0;
-};
-
 void
 report(const char *label, const coin::EngineConfig &cfg,
-       const bench::TrialSetup &setup, ObsSink &sink, int trials = 60)
+       const bench::TrialSetup &setup, bench::ObsSession &obs,
+       std::uint32_t &pid, int trials = 60)
 {
     // Trials fan out over the sweep harness; the fold is in trial
     // order, so the numbers don't depend on the thread count.
     auto s = bench::sweepParallel(setup, cfg, trials);
     std::printf("  %-28s %10.0f cycles %10.0f pkts %4d fail\n", label,
                 s.timeCycles.mean(), s.packets.mean(), s.failures);
-    if (!sink.obs.any())
+    const bench::ObsFlags &flags = obs.flags();
+    if (!flags.any())
         return;
     // One observed replication per row, re-run outside the sweep with
     // the sweep's own first seed, so the printed aggregates above stay
@@ -54,21 +50,23 @@ report(const char *label, const coin::EngineConfig &cfg,
     trace::Registry reg;
     auto r = bench::runTrial(
         setup, cfg, sweep::streamSeed(1, 0), nullptr, nullptr,
-        [&sink, &reg](coin::MeshSim &mesh) {
-            if (sink.obs.metrics)
+        [&flags, &reg](coin::MeshSim &mesh) {
+            if (flags.metrics)
                 trace::attachMeshMetrics(mesh, reg, 2'048);
         });
-    if (sink.obs.metrics)
-        sink.series.merge(reg.takeSeries());
-    if (sink.obs.trace) {
-        trace::Tracer t;
-        t.complete("ablation", label, 0, 0, r.time,
-                   {{"packets",
-                     static_cast<std::int64_t>(r.packets)},
-                    {"converged",
-                     static_cast<std::int64_t>(r.converged)}});
-        sink.master.absorb(t, sink.pid++);
-    }
+    bench::ObsCapture cap;
+    cap.metrics = reg.takeSeries();
+    // The tracer keeps the name pointer until trace.json is written,
+    // and most labels live in the caller's reused snprintf buffer:
+    // keep a copy alive for the whole run (a deque never moves them).
+    static std::deque<std::string> names;
+    if (trace::Tracer *t = cap.openTracer(flags, pid++))
+        t->complete("ablation", names.emplace_back(label).c_str(), 0, 0,
+                    r.time,
+                    {{"packets", static_cast<std::int64_t>(r.packets)},
+                     {"converged",
+                      static_cast<std::int64_t>(r.converged)}});
+    obs.absorb(cap);
 }
 
 } // namespace
@@ -76,8 +74,10 @@ report(const char *label, const coin::EngineConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    ObsSink sink;
-    sink.obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics | bench::kObsTrace),
+        "bench_ablation");
+    std::uint32_t pid = 0;
     bench::banner("Ablation", "sensitivity of the chosen configuration");
 
     bench::TrialSetup setup;
@@ -95,7 +95,7 @@ main(int argc, char **argv)
         cfg.backoff.lambda = lambda;
         char label[64];
         std::snprintf(label, sizeof label, "lambda = %.2f", lambda);
-        report(label, cfg, setup, sink);
+        report(label, cfg, setup, obs, pid);
     }
 
     std::printf("\n(a') back-off shrink k:\n");
@@ -105,7 +105,7 @@ main(int argc, char **argv)
         char label[64];
         std::snprintf(label, sizeof label, "k = %llu",
                       static_cast<unsigned long long>(k));
-        report(label, cfg, setup, sink);
+        report(label, cfg, setup, obs, pid);
     }
 
     std::printf("\n(b) random-pairing period:\n");
@@ -114,12 +114,12 @@ main(int argc, char **argv)
         cfg.pairing.period = period;
         char label[64];
         std::snprintf(label, sizeof label, "period = %u", period);
-        report(label, cfg, setup, sink);
+        report(label, cfg, setup, obs, pid);
     }
     {
         coin::EngineConfig cfg = base;
         cfg.pairing.randomPairing = false;
-        report("random pairing OFF", cfg, setup, sink);
+        report("random pairing OFF", cfg, setup, obs, pid);
     }
 
     std::printf("\n(c) coin precision (pool scales with levels):\n");
@@ -129,16 +129,16 @@ main(int argc, char **argv)
         char label[64];
         std::snprintf(label, sizeof label, "pool = %.0f%% of demand",
                       pool_frac * 100.0);
-        report(label, base, s2, sink);
+        report(label, base, s2, obs, pid);
     }
 
     std::printf("\n(d) wrap-around neighborhoods:\n");
     {
         coin::EngineConfig cfg = base;
         cfg.wrap = true;
-        report("torus (paper)", cfg, setup, sink);
+        report("torus (paper)", cfg, setup, obs, pid);
         cfg.wrap = false;
-        report("plain mesh edges", cfg, setup, sink);
+        report("plain mesh edges", cfg, setup, obs, pid);
     }
 
     std::printf("\n(f) trace-driven DSE: replay the 3x3 AV WL-Dep "
@@ -180,11 +180,8 @@ main(int argc, char **argv)
         char label[64];
         std::snprintf(label, sizeof label, "4-way +%llu cycles",
                       static_cast<unsigned long long>(extra));
-        report(label, cfg, setup, sink);
+        report(label, cfg, setup, obs, pid);
     }
-    if (sink.obs.metrics)
-        bench::writeMetricsCsv(sink.series, sink.obs.metricsPath);
-    if (sink.obs.trace)
-        bench::writeTraceJson(sink.master, sink.obs.tracePath);
+    obs.finish();
     return 0;
 }

@@ -26,20 +26,13 @@
  * printed numbers are byte-identical to a flag-free run.
  */
 
-#include <cstdlib>
-#include <memory>
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "bench_obs.hpp"
 #include "fault/chaos.hpp"
-#include "sim/shard.hpp"
+#include "sim/env.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/flush_guard.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
@@ -61,14 +54,7 @@ struct Row
     sim::Summary detections;    ///< detector strikes journaled
     sim::Summary reclaimed;     ///< coins the audit reminted
     int failures = 0;           ///< trials missing the deadline
-
-    /// --metrics: per-replication snapshot series, folded in order.
-    trace::MetricsSeries metrics;
-    /// --trace: (pid, tracer) per replication, absorbed after the fold.
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<trace::Tracer>>>
-        tracers;
-    /// --health: per-replication outcome counters, folded in order.
-    trace::HealthReport health;
+    bench::ObsCapture obs;
 
     void
     merge(Row &&o)
@@ -80,11 +66,7 @@ struct Row
         detections.merge(o.detections);
         reclaimed.merge(o.reclaimed);
         failures += o.failures;
-        if (!o.metrics.empty())
-            metrics.merge(o.metrics);
-        for (auto &t : o.tracers)
-            tracers.push_back(std::move(t));
-        health.absorb(o.health);
+        obs.merge(std::move(o.obs));
     }
 };
 
@@ -114,7 +96,7 @@ armAttackers(fault::ChaosConfig &cc, int k)
 
 Row
 runTrial(const Scenario &sc, std::uint64_t seed,
-         const bench::ObsOptions &obs, std::uint32_t pid)
+         const bench::ObsFlags &flags, std::uint32_t pid)
 {
     fault::ChaosConfig cc;
     cc.width = 6;
@@ -123,8 +105,8 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     cc.seedBase = seed;
     cc.fault.seed = seed;
     cc.byzantine.seed = seed;
-    if (std::getenv("BLITZ_SHARDS"))
-        cc.shards = sim::defaultShards();
+    if (auto k = sim::envCount("BLITZ_SHARDS"))
+        cc.shards = *k;
     armAttackers(cc, sc.attackers);
     if (sc.guardian) {
         cc.guardianEnabled = true;
@@ -133,15 +115,12 @@ runTrial(const Scenario &sc, std::uint64_t seed,
 
     // Registry/tracer must outlive the cluster (its samplers read
     // cluster state until the cluster's event queue dies).
+    Row r;
     trace::Registry reg;
-    std::shared_ptr<trace::Tracer> tracer;
     fault::ChaosCluster cluster(cc);
-    if (obs.metrics)
+    if (flags.metrics)
         cluster.attachMetrics(&reg, 1'024);
-    if (obs.trace) {
-        tracer = std::make_shared<trace::Tracer>();
-        cluster.attachTrace(tracer.get());
-    }
+    cluster.attachTrace(r.obs.openTracer(flags, pid));
     const auto n = static_cast<std::size_t>(cc.width * cc.height);
     coin::Coins demand = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -164,7 +143,6 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     std::optional<sim::Tick> t =
         cluster.runUntilConverged(convergedTol, 64, deadline);
 
-    Row r;
     if (t)
         r.convergeTicks.add(static_cast<double>(*t));
     else
@@ -196,36 +174,11 @@ runTrial(const Scenario &sc, std::uint64_t seed,
         r.detections.add(0.0);
     }
     r.reclaimed.add(static_cast<double>(cluster.audit().coinsMinted()));
-    if (obs.metrics)
-        r.metrics = reg.takeSeries();
-    if (obs.trace)
-        r.tracers.emplace_back(pid, std::move(tracer));
-    if (obs.health)
-        cluster.fillHealth(r.health);
+    if (flags.metrics)
+        r.obs.metrics = reg.takeSeries();
+    if (flags.health)
+        cluster.fillHealth(r.obs.health);
     return r;
-}
-
-Row
-runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
-            const bench::ObsOptions &obs, std::uint32_t pidBase,
-            sweep::PoolStats *stats)
-{
-    // Pre-size from the replication count: one sample per trial, so
-    // the fold never regrows the accumulator's buffer.
-    Row acc0;
-    acc0.convergeTicks.reserve(static_cast<std::size_t>(trials));
-    if (obs.trace)
-        acc0.tracers.reserve(static_cast<std::size_t>(trials));
-    sweep::SweepOptions opts;
-    opts.stats = stats;
-    return sweep::runSweepFold<Row>(
-        static_cast<std::size_t>(trials), rootSeed,
-        [&sc, &obs, pidBase](std::size_t i, std::uint64_t seed) {
-            return runTrial(sc, seed, obs,
-                            pidBase + static_cast<std::uint32_t>(i));
-        },
-        [](Row &acc, Row &r, std::size_t) { acc.merge(std::move(r)); },
-        std::move(acc0), opts);
 }
 
 } // namespace
@@ -233,7 +186,8 @@ runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(bench::parseObsFlags(argc, argv, bench::kObsAll),
+                          "bench_byzantine");
     bench::banner("Byzantine sweep",
                   "overdraw and starvation vs. attacker count, with "
                   "and without the integrity guardian");
@@ -241,51 +195,27 @@ main(int argc, char **argv)
                 "attackers", "guardian", "conv p50", "missed",
                 "overdraw", "counterf", "reclaim", "quar", "detect");
 
-    constexpr int trials = 8;
+    constexpr std::size_t trials = 8;
     constexpr std::uint64_t rootSeed = 2026;
-
-    trace::Tracer master;
-    trace::HealthReport healthAll;
-    sweep::PoolStats poolAll;
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_byzantine");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
 
     std::uint64_t scenarioIdx = 0;
     for (int attackers : {0, 1, 2, 3}) {
         for (bool guardian : {false, true}) {
             const Scenario sc{attackers, guardian};
-            const auto pidBase =
-                static_cast<std::uint32_t>(scenarioIdx) *
-                static_cast<std::uint32_t>(trials);
-            sweep::PoolStats pool;
-            Row row = runScenario(
-                sc, trials, sweep::streamSeed(rootSeed, scenarioIdx),
-                obs, pidBase, obs.health ? &pool : nullptr);
-            if (obs.metrics && !row.metrics.empty()) {
-                char tag[48];
-                std::snprintf(tag, sizeof tag, "s%02u-k%d-g%d",
-                              static_cast<unsigned>(scenarioIdx),
-                              sc.attackers, sc.guardian ? 1 : 0);
-                bench::writeMetricsCsv(
-                    row.metrics, bench::tagPath(obs.metricsPath, tag));
-            }
-            for (const auto &[pid, t] : row.tracers)
-                if (t)
-                    master.absorb(*t, pid);
-            if (obs.health) {
-                healthAll.absorb(row.health);
-                poolAll.merge(pool);
-            }
+            // Pre-size from the replication count: one sample per
+            // trial, so the fold never regrows the buffer.
+            Row acc;
+            acc.convergeTicks.reserve(trials);
+            Row row = obs.sweepFold(
+                trials, sweep::streamSeed(rootSeed, scenarioIdx),
+                std::move(acc), [&](std::uint64_t seed, std::uint32_t pid) {
+                    return runTrial(sc, seed, obs.flags(), pid);
+                });
+            char tag[48];
+            std::snprintf(tag, sizeof tag, "s%02u-k%d-g%d",
+                          static_cast<unsigned>(scenarioIdx),
+                          sc.attackers, sc.guardian ? 1 : 0);
+            obs.absorb(row.obs, tag);
             ++scenarioIdx;
             const bool any = row.convergeTicks.count() > 0;
             std::printf("%-9d %8s | %10.0f %6d | %9.1f %9.1f %9.1f "
@@ -297,15 +227,7 @@ main(int argc, char **argv)
                         row.quarantines.mean(), row.detections.mean());
         }
     }
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::fillSweepHealth(healthAll, poolAll);
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    obs.finish();
     std::printf("\nGuardian-off rows leave the counterfeit surplus in "
                 "the mesh; guardian-on rows quarantine the attackers "
                 "and the audit watchdog reclaims the fenced coins.\n");

@@ -17,20 +17,13 @@
  * fold over streamSeed-derived trials).
  */
 
-#include <array>
-#include <cstdlib>
-#include <memory>
 #include <optional>
-#include <utility>
 
 #include "bench_common.hpp"
 #include "bench_obs.hpp"
 #include "fault/chaos.hpp"
-#include "sim/shard.hpp"
+#include "sim/env.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/flush_guard.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
@@ -57,14 +50,7 @@ struct Row
     sim::Summary abandoned;           ///< losses left to the audit
     sim::Summary dupesIgnored;        ///< replays the stamps rejected
     int failures = 0;                 ///< trials missing the deadline
-
-    /// --metrics: per-replication snapshot series, folded in order.
-    trace::MetricsSeries metrics;
-    /// --trace: (pid, tracer) per replication, absorbed after the fold.
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<trace::Tracer>>>
-        tracers;
-    /// --health: per-replication outcome counters, folded in order.
-    trace::HealthReport health;
+    bench::ObsCapture obs;
 
     void
     merge(Row &&o)
@@ -76,11 +62,7 @@ struct Row
         abandoned.merge(o.abandoned);
         dupesIgnored.merge(o.dupesIgnored);
         failures += o.failures;
-        if (!o.metrics.empty())
-            metrics.merge(o.metrics);
-        for (auto &t : o.tracers)
-            tracers.push_back(std::move(t));
-        health.absorb(o.health);
+        obs.merge(std::move(o.obs));
     }
 };
 
@@ -90,7 +72,7 @@ constexpr double convergedTol = 2.5;
 
 Row
 runTrial(const Scenario &sc, std::uint64_t seed,
-         const bench::ObsOptions &obs, std::uint32_t pid)
+         const bench::ObsFlags &flags, std::uint32_t pid)
 {
     fault::ChaosConfig cc;
     cc.width = sc.d;
@@ -102,10 +84,10 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     cc.fault.seed = seed;
     // BLITZ_SHARDS=K runs every trial's event kernel BSP-sharded over
     // K column bands (K=1 is the bit-identity baseline; results are
-    // identical for every K by the sharded golden pins). Unset keeps
-    // the legacy single-queue path.
-    if (std::getenv("BLITZ_SHARDS"))
-        cc.shards = sim::defaultShards();
+    // identical for every K by the sharded golden pins). Unset or
+    // invalid keeps the legacy single-queue path.
+    if (auto k = sim::envCount("BLITZ_SHARDS"))
+        cc.shards = *k;
     cc.fault.coinTrafficOnly = true;
     cc.fault.base.drop = sc.drop;
     cc.fault.base.duplicate = sc.duplicate;
@@ -130,15 +112,12 @@ runTrial(const Scenario &sc, std::uint64_t seed,
 
     // Registry/tracer must outlive the cluster (its samplers read
     // cluster state until the cluster's event queue dies).
+    Row r;
     trace::Registry reg;
-    std::shared_ptr<trace::Tracer> tracer;
     fault::ChaosCluster cluster(cc);
-    if (obs.metrics)
+    if (flags.metrics)
         cluster.attachMetrics(&reg, 1'024);
-    if (obs.trace) {
-        tracer = std::make_shared<trace::Tracer>();
-        cluster.attachTrace(tracer.get());
-    }
+    cluster.attachTrace(r.obs.openTracer(flags, pid));
     // Heterogeneous demand; the whole pool starts parked on the first
     // quarter of the mesh so convergence requires long-range transport.
     coin::Coins demand = 0;
@@ -169,7 +148,6 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     std::optional<sim::Tick> t =
         cluster.runUntilConverged(convergedTol, 64, deadline);
 
-    Row r;
     if (t) {
         r.reconvergeTicks.add(static_cast<double>(*t - quiet));
     } else {
@@ -192,36 +170,11 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     r.recovered.add(rec);
     r.abandoned.add(aband);
     r.dupesIgnored.add(dupes);
-    if (obs.metrics)
-        r.metrics = reg.takeSeries();
-    if (obs.trace)
-        r.tracers.emplace_back(pid, std::move(tracer));
-    if (obs.health)
-        cluster.fillHealth(r.health);
+    if (flags.metrics)
+        r.obs.metrics = reg.takeSeries();
+    if (flags.health)
+        cluster.fillHealth(r.obs.health);
     return r;
-}
-
-Row
-runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
-            const bench::ObsOptions &obs, std::uint32_t pidBase,
-            sweep::PoolStats *stats)
-{
-    // Pre-size from the replication count: the sample buffer gains at
-    // most one entry per trial, so the fold never regrows it.
-    Row acc0;
-    acc0.reconvergeTicks.reserve(static_cast<std::size_t>(trials));
-    if (obs.trace)
-        acc0.tracers.reserve(static_cast<std::size_t>(trials));
-    sweep::SweepOptions opts;
-    opts.stats = stats;
-    return sweep::runSweepFold<Row>(
-        static_cast<std::size_t>(trials), rootSeed,
-        [&sc, &obs, pidBase](std::size_t i, std::uint64_t seed) {
-            return runTrial(sc, seed, obs,
-                            pidBase + static_cast<std::uint32_t>(i));
-        },
-        [](Row &acc, Row &r, std::size_t) { acc.merge(std::move(r)); },
-        std::move(acc0), opts);
 }
 
 } // namespace
@@ -229,7 +182,8 @@ runScenario(const Scenario &sc, int trials, std::uint64_t rootSeed,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(bench::parseObsFlags(argc, argv, bench::kObsAll),
+                          "bench_chaos");
     bench::banner("Chaos sweep",
                   "re-convergence and exact coin conservation under "
                   "drops, duplication, corruption, crashes, and "
@@ -238,7 +192,7 @@ main(int argc, char **argv)
                 "scenario", "mesh", "drop", "reconv p50", "reconv p95",
                 "missed", "gap", "drops", "recov", "abandon");
 
-    constexpr int trials = 8;
+    constexpr std::size_t trials = 8;
     constexpr std::uint64_t rootSeed = 2026;
 
     std::vector<Scenario> scenarios;
@@ -255,52 +209,25 @@ main(int argc, char **argv)
     // replication); one metrics CSV per scenario, because the snapshot
     // schema carries per-tile columns (4x4 vs 6x6 differ) and summing
     // across fault configs would make the columns meaningless.
-    trace::Tracer master;
-    trace::HealthReport healthAll;
-    sweep::PoolStats poolAll;
-    // Crash-safe flush: if a conservation assert (or anything else)
-    // kills the bench mid-sweep, the timeline absorbed so far still
-    // lands on disk as valid JSON.
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_chaos");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
     std::uint64_t scenarioIdx = 0;
     for (const Scenario &sc : scenarios) {
-        const auto pidBase =
-            static_cast<std::uint32_t>(scenarioIdx) *
-            static_cast<std::uint32_t>(trials);
-        sweep::PoolStats pool;
-        Row row = runScenario(sc, trials,
-                              sweep::streamSeed(rootSeed, scenarioIdx),
-                              obs, pidBase,
-                              obs.health ? &pool : nullptr);
-        if (obs.health) {
-            healthAll.absorb(row.health);
-            poolAll.merge(pool);
-        }
-        if (obs.metrics && !row.metrics.empty()) {
-            char tag[64];
-            std::snprintf(tag, sizeof tag, "s%02u-%s-%dx%d",
-                          static_cast<unsigned>(scenarioIdx), sc.name,
-                          sc.d, sc.d);
-            for (char *p = tag; *p; ++p)
-                if (*p == '+')
-                    *p = '_';
-            bench::writeMetricsCsv(row.metrics,
-                                   bench::tagPath(obs.metricsPath, tag));
-        }
-        for (const auto &[pid, t] : row.tracers)
-            if (t)
-                master.absorb(*t, pid);
+        // Pre-size from the replication count: the sample buffer gains
+        // at most one entry per trial, so the fold never regrows it.
+        Row acc;
+        acc.reconvergeTicks.reserve(trials);
+        Row row = obs.sweepFold(
+            trials, sweep::streamSeed(rootSeed, scenarioIdx),
+            std::move(acc), [&](std::uint64_t seed, std::uint32_t pid) {
+                return runTrial(sc, seed, obs.flags(), pid);
+            });
+        char tag[64];
+        std::snprintf(tag, sizeof tag, "s%02u-%s-%dx%d",
+                      static_cast<unsigned>(scenarioIdx), sc.name, sc.d,
+                      sc.d);
+        for (char *p = tag; *p; ++p)
+            if (*p == '+')
+                *p = '_';
+        obs.absorb(row.obs, tag);
         ++scenarioIdx;
         const bool any = row.reconvergeTicks.count() > 0;
         std::printf(
@@ -312,15 +239,7 @@ main(int argc, char **argv)
             row.gapClosed.mean(), row.dropsSeen.mean(),
             row.recovered.mean(), row.abandoned.mean());
     }
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::fillSweepHealth(healthAll, poolAll);
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    obs.finish();
     std::printf("\nEvery trial quiesced with the seeded coin total "
                 "exactly restored (asserted).\n");
     return 0;

@@ -17,8 +17,6 @@
 #include "bench_obs.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 #include "workload/phase_gen.hpp"
 
 using namespace blitz;
@@ -90,7 +88,10 @@ churnFraction(int d, sim::Tick twTicks, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics | bench::kObsTrace),
+        "bench_churn");
+    const bench::ObsFlags &flags = obs.flags();
     bench::banner("Churn (extension of Fig. 21 right)",
                   "measured PM-time fraction under per-tile phase "
                   "churn");
@@ -103,7 +104,6 @@ main(int argc, char **argv)
     // each d gets its own tagged CSV); --trace collects the busy-flag
     // tracks in one file, a process lane per point. The sweep itself
     // is untouched, so the printed fractions never change.
-    trace::Tracer master;
     std::uint32_t pid = 0;
 
     for (double tw_us : {250.0, 1000.0}) {
@@ -130,29 +130,21 @@ main(int argc, char **argv)
                 n * (0.08 * std::sqrt(n)) / tw_us;
             std::printf("%4d %6.0f | %11.1f%% | %13.1f%%\n", d, n,
                         frac.mean() * 100.0, analytic * 100.0);
-            if (obs.any()) {
+            if (flags.any()) {
+                bench::ObsCapture cap;
                 trace::Registry reg;
-                trace::Tracer t;
                 churnFraction(d, tw,
                               sweep::streamSeed(tw, k * seedsPerPoint),
-                              obs.metrics ? &reg : nullptr,
-                              obs.trace ? &t : nullptr);
-                if (obs.metrics) {
-                    char tag[32];
-                    std::snprintf(tag, sizeof tag, "tw%.0f-d%d",
-                                  tw_us, d);
-                    bench::writeMetricsCsv(
-                        reg.takeSeries(),
-                        bench::tagPath(obs.metricsPath, tag));
-                }
-                if (obs.trace)
-                    master.absorb(t, pid);
-                ++pid;
+                              flags.metrics ? &reg : nullptr,
+                              cap.openTracer(flags, pid++));
+                cap.metrics = reg.takeSeries();
+                char tag[32];
+                std::snprintf(tag, sizeof tag, "tw%.0f-d%d", tw_us, d);
+                obs.absorb(cap, tag);
             }
         }
     }
-    if (obs.trace)
-        bench::writeTraceJson(master, obs.tracePath);
+    obs.finish();
     std::printf("\nShape check: measured fraction grows ~N^1.5 with "
                 "size and inversely with T_w, tracking the analytic "
                 "model's order of magnitude.\n");

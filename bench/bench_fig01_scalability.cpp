@@ -20,17 +20,16 @@
 #include "bench_obs.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
-#include "trace/metrics.hpp"
 
 using namespace blitz;
 
 namespace {
 
-/** One trial's outcome; the series is empty unless --metrics is on. */
+/** One trial's outcome; the capture is empty unless --metrics is on. */
 struct Trial
 {
     double us = -1.0;
-    trace::MetricsSeries metrics;
+    bench::ObsCapture obs;
 };
 
 /** One behavioral convergence trial for the decentralized fit. */
@@ -53,7 +52,7 @@ convergeUs(int d, std::uint64_t seed, bool metrics)
     Trial t;
     t.us = r.converged ? sim::ticksToUs(r.time) : -1.0;
     if (metrics)
-        t.metrics = reg.takeSeries();
+        t.obs.metrics = reg.takeSeries();
     return t;
 }
 
@@ -66,7 +65,7 @@ convergeUs(int d, std::uint64_t seed, bool metrics)
  * per-tile columns, so sizes cannot share a file).
  */
 analytic::ScalingLaw
-measureDecentralized(const bench::ObsOptions &obs)
+measureDecentralized(bench::ObsSession &obs)
 {
     constexpr std::array<int, 3> ds{4, 6, 8};
     constexpr std::size_t seedsPerPoint = 20;
@@ -74,27 +73,23 @@ measureDecentralized(const bench::ObsOptions &obs)
         ds.size() * seedsPerPoint, /*rootSeed=*/1,
         [&](std::size_t i, std::uint64_t seed) {
             return convergeUs(ds[i / seedsPerPoint], seed,
-                              obs.metrics);
+                              obs.flags().metrics);
         });
     std::vector<std::pair<double, double>> samples;
     for (std::size_t k = 0; k < ds.size(); ++k) {
         sim::Summary s;
-        trace::MetricsSeries merged;
+        bench::ObsCapture merged;
         for (std::size_t i = 0; i < seedsPerPoint; ++i) {
             Trial &t = trials[k * seedsPerPoint + i];
             if (t.us >= 0.0)
                 s.add(t.us);
-            if (!t.metrics.empty())
-                merged.merge(t.metrics);
+            merged.merge(std::move(t.obs));
         }
         samples.emplace_back(
             static_cast<double>(ds[k]) * ds[k], s.mean());
-        if (obs.metrics && !merged.empty()) {
-            char tag[16];
-            std::snprintf(tag, sizeof tag, "%dx%d", ds[k], ds[k]);
-            bench::writeMetricsCsv(merged,
-                                   bench::tagPath(obs.metricsPath, tag));
-        }
+        char tag[16];
+        std::snprintf(tag, sizeof tag, "%dx%d", ds[k], ds[k]);
+        obs.absorb(merged, tag);
     }
     return analytic::fitLaw(analytic::Scheme::BC, samples);
 }
@@ -104,13 +99,13 @@ measureDecentralized(const bench::ObsOptions &obs)
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    // The behavioral MeshSim has no timeline hooks and no health
+    // counters: only --metrics applies.
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics),
+        "bench_fig01_scalability");
     bench::banner("Fig. 1",
                   "response-time scaling vs workload demand curves");
-    if (obs.trace)
-        std::printf("(--trace ignored: the behavioral MeshSim has no "
-                    "timeline hooks; use bench_chaos or the SoC "
-                    "benches)\n");
 
     using analytic::ScalingLaw;
     using analytic::Scheme;
@@ -151,5 +146,6 @@ main(int argc, char **argv)
     std::printf("\nShape check: SW-central cannot reach N=10 at "
                 "T_w <= 20 ms; decentralized handles N >= 100 at "
                 "millisecond phase durations.\n");
+    obs.finish();
     return 0;
 }

@@ -18,8 +18,6 @@
 #include "bench_obs.hpp"
 #include "bench_soc_common.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
@@ -151,7 +149,9 @@ tokenSmartSamples(const std::vector<Measurement> &all)
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics | bench::kObsTrace),
+        "bench_fig21_nmax_scaling");
     bench::banner("Fig. 21 (+Fig. 1)",
                   "fitted scaling laws, N_max(T_w), PM-time fraction");
 
@@ -231,25 +231,20 @@ main(int argc, char **argv)
     // runs bare, so the fitted constants never change). Each point has
     // its own per-tile metric schema, hence one tagged CSV per point;
     // the trace gets one process lane per point.
-    if (obs.any()) {
+    if (obs.flags().any()) {
         static const char *tags[3] = {"av3x3", "silicon6x6",
                                       "vision4x4"};
-        trace::Tracer master;
         for (std::size_t p = 0; p < 3; ++p) {
+            bench::ObsCapture cap;
             trace::Registry reg;
-            trace::Tracer t;
             measurePoint(soc::PmKind::BlitzCoin, p,
-                         obs.metrics ? &reg : nullptr,
-                         obs.trace ? &t : nullptr);
-            if (obs.metrics)
-                bench::writeMetricsCsv(
-                    reg.takeSeries(),
-                    bench::tagPath(obs.metricsPath, tags[p]));
-            if (obs.trace)
-                master.absorb(t, static_cast<std::uint32_t>(p));
+                         obs.flags().metrics ? &reg : nullptr,
+                         cap.openTracer(obs.flags(),
+                                        static_cast<std::uint32_t>(p)));
+            cap.metrics = reg.takeSeries();
+            obs.absorb(cap, tags[p]);
         }
-        if (obs.trace)
-            bench::writeTraceJson(master, obs.tracePath);
     }
+    obs.finish();
     return 0;
 }

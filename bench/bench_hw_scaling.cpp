@@ -12,20 +12,17 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
-
-#include <array>
 
 #include "bench_obs.hpp"
 #include "bench_soc_common.hpp"
 #include "blitzcoin/unit.hpp"
 #include "coin/neighborhood.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
@@ -35,13 +32,16 @@ namespace {
 struct SettleResult
 {
     double us = -1.0;
-    trace::MetricsSeries metrics;
-    std::shared_ptr<trace::Tracer> tracer;
+    bench::ObsCapture obs;
 };
 
-/** Settle time of a demand spike on a d x d all-managed cluster. */
+/**
+ * Settle time of a demand spike on a d x d all-managed cluster;
+ * @p pid is the run's trace process lane.
+ */
 SettleResult
-settleRun(int d, std::uint64_t seed, const bench::ObsOptions &obs,
+settleRun(int d, std::uint64_t seed, const bench::ObsFlags &flags,
+          std::uint32_t pid,
           coin::ExchangeMode mode = coin::ExchangeMode::OneWay)
 {
     sim::EventQueue eq;
@@ -104,7 +104,7 @@ settleRun(int d, std::uint64_t seed, const bench::ObsOptions &obs,
     // scheduled, so the flags cannot change the settle numbers.
     SettleResult res;
     trace::Registry reg;
-    if (obs.metrics) {
+    if (flags.metrics) {
         reg.sampled("imbalance_mean", error);
         reg.sampled("exchanges_moved", [&units] {
             double n = 0.0;
@@ -113,29 +113,27 @@ settleRun(int d, std::uint64_t seed, const bench::ObsOptions &obs,
             return n;
         });
     }
-    if (obs.trace)
-        res.tracer = std::make_shared<trace::Tracer>();
+    trace::Tracer *tracer = res.obs.openTracer(flags, pid);
 
     while (eq.now() < t0 + 4'000'000) {
         eq.runUntil(eq.now() + 100);
-        if (obs.metrics)
+        if (flags.metrics)
             reg.sample(eq.now());
-        if (res.tracer)
-            res.tracer->counter("settle", "imbalance", 0, eq.now(),
-                                error());
+        if (tracer)
+            tracer->counter("settle", "imbalance", 0, eq.now(), error());
         if (error() < 1.5) {
             res.us = sim::ticksToUs(eq.now() - t0);
             break;
         }
     }
-    if (res.tracer)
-        res.tracer->complete(
+    if (tracer)
+        tracer->complete(
             "settle", "settle_run", 0, t0, eq.now(),
             {{"d", static_cast<std::int64_t>(d)},
              {"seed", static_cast<std::int64_t>(seed)},
              {"settled", static_cast<std::int64_t>(res.us >= 0.0)}});
-    if (obs.metrics)
-        res.metrics = reg.takeSeries();
+    if (flags.metrics)
+        res.obs.metrics = reg.takeSeries();
     return res; // us stays -1.0 if the mesh did not settle
 }
 
@@ -144,24 +142,18 @@ settleRun(int d, std::uint64_t seed, const bench::ObsOptions &obs,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics | bench::kObsTrace),
+        "bench_hw_scaling");
     bench::banner("HW-model scaling (extension)",
                   "packet-accurate settle time vs SoC size");
 
     // --metrics/--trace capture rides along per settle run and is
-    // folded in replication order, so the files are bit-identical at
+    // absorbed in replication order, so the files are bit-identical at
     // any BLITZ_SWEEP_THREADS; the printed numbers never change.
-    trace::Tracer master;
-    trace::MetricsSeries masterSeries;
-    auto fold = [&](std::vector<SettleResult> &rs,
-                    std::uint32_t pidBase) {
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-            if (!rs[i].metrics.empty())
-                masterSeries.merge(rs[i].metrics);
-            if (rs[i].tracer)
-                master.absorb(*rs[i].tracer,
-                              pidBase + static_cast<std::uint32_t>(i));
-        }
+    auto fold = [&obs](const std::vector<SettleResult> &rs) {
+        for (const SettleResult &r : rs)
+            obs.absorb(r.obs);
     };
 
     std::printf("\n%4s %6s | %12s | %10s\n", "d", "N", "settle (us)",
@@ -174,9 +166,10 @@ main(int argc, char **argv)
         ds.size() * seedsPerPoint, /*rootSeed=*/1,
         [&](std::size_t i, std::uint64_t) {
             return settleRun(ds[i / seedsPerPoint],
-                             i % seedsPerPoint + 1, obs);
+                             i % seedsPerPoint + 1, obs.flags(),
+                             static_cast<std::uint32_t>(i));
         });
-    fold(settles, 0);
+    fold(settles);
     std::vector<std::pair<double, double>> samples;
     for (std::size_t k = 0; k < ds.size(); ++k) {
         int d = ds[k];
@@ -208,10 +201,11 @@ main(int argc, char **argv)
     auto modeSettles = sweep::runSweep(
         modes.size() * seedsPerPoint, /*rootSeed=*/2,
         [&](std::size_t i, std::uint64_t) {
-            return settleRun(6, i % seedsPerPoint + 1, obs,
+            return settleRun(6, i % seedsPerPoint + 1, obs.flags(),
+                             1'000 + static_cast<std::uint32_t>(i),
                              modes[i / seedsPerPoint]);
         });
-    fold(modeSettles, 1'000);
+    fold(modeSettles);
     for (std::size_t k = 0; k < modes.size(); ++k) {
         sim::Summary s;
         for (std::size_t i = 0; i < seedsPerPoint; ++i) {
@@ -222,9 +216,6 @@ main(int argc, char **argv)
         std::printf("  %-6s settle %.3f us\n",
                     coin::exchangeModeName(modes[k]), s.mean());
     }
-    if (obs.metrics)
-        bench::writeMetricsCsv(masterSeries, obs.metricsPath);
-    if (obs.trace)
-        bench::writeTraceJson(master, obs.tracePath);
+    obs.finish();
     return 0;
 }

@@ -25,10 +25,7 @@
 #include "blitzcoin/unit.hpp"
 #include "coin/neighborhood.hpp"
 #include "sim/rng.hpp"
-#include "trace/flush_guard.hpp"
-#include "trace/metrics.hpp"
 #include "trace/prof.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
@@ -39,11 +36,7 @@ struct Result
     double settleUs = 0.0;
     std::uint64_t negatives = 0;
     bool conserved = false;
-
-    /// --metrics / --trace / --health: per-run observability output.
-    trace::MetricsSeries metrics;
-    std::shared_ptr<trace::Tracer> tracer;
-    trace::HealthReport health;
+    bench::ObsCapture obs;
 };
 
 /**
@@ -52,14 +45,13 @@ struct Result
  */
 Result
 runWithBackground(double injectionRate, std::uint64_t seed,
-                  const bench::ObsOptions &obs)
+                  const bench::ObsFlags &flags, std::uint32_t pid)
 {
     // Registry/tracer outlive the queue: samplers and span-close
     // callbacks read unit state until the last event dies.
+    Result out;
     trace::Registry reg;
-    std::shared_ptr<trace::Tracer> tracer;
-    if (obs.trace)
-        tracer = std::make_shared<trace::Tracer>();
+    trace::Tracer *tracer = out.obs.openTracer(flags, pid);
     sim::EventQueue eq;
     noc::Topology topo(3, 3, false);
     noc::Network net(eq, topo);
@@ -79,13 +71,12 @@ runWithBackground(double injectionRate, std::uint64_t seed,
             if (has < 0)
                 ++negatives;
         };
-        if (obs.trace)
-            units.back()->setTrace(tracer.get());
+        units.back()->setTrace(tracer);
     }
 
     // --metrics: sampled gauges on a fixed cadence (cluster coin
     // total, mean proportional error, negative transients so far).
-    if (obs.metrics) {
+    if (flags.metrics) {
         reg.sampled("coins.total", [&units] {
             coin::Coins total = 0;
             for (auto &u : units)
@@ -160,7 +151,6 @@ runWithBackground(double injectionRate, std::uint64_t seed,
         }
         return sum / 9.0;
     };
-    Result out;
     sim::Tick settle = 0;
     while (eq.now() < t0 + 200'000) {
         eq.runUntil(eq.now() + 50);
@@ -185,18 +175,15 @@ runWithBackground(double injectionRate, std::uint64_t seed,
     for (auto &u : units)
         total += u->has();
     out.conserved = total == 72;
-    if (obs.metrics)
-        out.metrics = reg.takeSeries();
-    if (obs.trace)
-        out.tracer = std::move(tracer);
-    if (obs.health) {
-        out.health.bumpDet("units",
-                           static_cast<double>(units.size()));
-        out.health.bumpDet("coin.total", static_cast<double>(total));
-        out.health.bumpDet("coin.negative_transients",
-                           static_cast<double>(negatives));
-        out.health.bumpDet("coin.conserved",
-                           out.conserved ? 1.0 : 0.0);
+    if (flags.metrics)
+        out.obs.metrics = reg.takeSeries();
+    if (flags.health) {
+        trace::HealthReport &h = out.obs.health;
+        h.bumpDet("units", static_cast<double>(units.size()));
+        h.bumpDet("coin.total", static_cast<double>(total));
+        h.bumpDet("coin.negative_transients",
+                  static_cast<double>(negatives));
+        h.bumpDet("coin.conserved", out.conserved ? 1.0 : 0.0);
         std::uint64_t initiated = 0;
         std::uint64_t moved = 0;
         std::uint64_t timedOut = 0;
@@ -205,19 +192,11 @@ runWithBackground(double injectionRate, std::uint64_t seed,
             moved += u->exchangesMoved();
             timedOut += u->exchangesTimedOut();
         }
-        out.health.bumpDet("exchanges.initiated",
-                           static_cast<double>(initiated));
-        out.health.bumpDet("exchanges.moved",
-                           static_cast<double>(moved));
-        out.health.bumpDet("exchanges.timed_out",
-                           static_cast<double>(timedOut));
-        out.health.bumpDet("noc.sent",
-                           static_cast<double>(net.packetsSent()));
-        out.health.bumpDet("noc.delivered",
-                           static_cast<double>(net.packetsDelivered()));
-        out.health.bumpDet("noc.dropped",
-                           static_cast<double>(net.packetsDropped()));
-        trace::fillQueueHealth(out.health, eq);
+        h.bumpDet("exchanges.initiated", static_cast<double>(initiated));
+        h.bumpDet("exchanges.moved", static_cast<double>(moved));
+        h.bumpDet("exchanges.timed_out", static_cast<double>(timedOut));
+        net.fillHealth(h);
+        trace::fillQueueHealth(h, eq);
     }
     return out;
 }
@@ -227,25 +206,10 @@ runWithBackground(double injectionRate, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(bench::parseObsFlags(argc, argv, bench::kObsAll),
+                          "bench_noc_contention");
     bench::banner("NoC contention (extension)",
                   "coin exchange vs background service-plane traffic");
-
-    trace::Tracer master;
-    trace::MetricsSeries metricsAll;
-    trace::HealthReport healthAll;
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_noc_contention");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
 
     std::printf("\n%12s | %12s | %12s | %s\n", "inject rate",
                 "settle (us)", "neg. events", "conserved");
@@ -255,32 +219,18 @@ main(int argc, char **argv)
         std::uint64_t negatives = 0;
         bool conserved = true;
         for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-            Result r = runWithBackground(rate, seed, obs);
+            Result r = runWithBackground(rate, seed, obs.flags(), pid++);
             settle.add(r.settleUs);
             negatives += r.negatives;
             conserved = conserved && r.conserved;
-            if (!r.metrics.empty())
-                metricsAll.merge(r.metrics);
-            if (r.tracer)
-                master.absorb(*r.tracer, pid);
-            healthAll.absorb(r.health);
-            ++pid;
+            obs.absorb(r.obs);
         }
         std::printf("%12.2f | %12.3f | %12llu | %s\n", rate,
                     settle.mean(),
                     static_cast<unsigned long long>(negatives),
                     conserved ? "yes" : "NO");
     }
-    if (obs.metrics && !metricsAll.empty())
-        bench::writeMetricsCsv(metricsAll, obs.metricsPath);
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    obs.finish();
     std::printf("\nShape check: settle time degrades gracefully with "
                 "congestion; negative transients (absorbed by the "
                 "hardware sign bit) appear under load; coins are "

@@ -27,9 +27,6 @@
  */
 
 #include <cstdio>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "bench_obs.hpp"
@@ -38,9 +35,6 @@
 #include "soc/soc.hpp"
 #include "soc/throttler.hpp"
 #include "sweep/sweep.hpp"
-#include "trace/flush_guard.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
@@ -55,14 +49,7 @@ struct Row
     sim::Summary railPeakMa; ///< peak current on the shared rail
     int failures = 0;        ///< trials missing completion
     int leaks = 0;           ///< coin-conservation violations
-
-    /// --metrics: per-replication snapshot series, folded in order.
-    trace::MetricsSeries metrics;
-    /// --trace: (pid, tracer) per replication, absorbed after the fold.
-    std::vector<std::pair<std::uint32_t, std::shared_ptr<trace::Tracer>>>
-        tracers;
-    /// --health: per-replication outcome counters, folded in order.
-    trace::HealthReport health;
+    bench::ObsCapture obs;
 
     void
     merge(Row &&o)
@@ -73,38 +60,30 @@ struct Row
         railPeakMa.merge(o.railPeakMa);
         failures += o.failures;
         leaks += o.leaks;
-        if (!o.metrics.empty())
-            metrics.merge(o.metrics);
-        for (auto &t : o.tracers)
-            tracers.push_back(std::move(t));
-        health.absorb(o.health);
+        obs.merge(std::move(o.obs));
     }
 };
 
 Row
 runTrial(const soc::PhysicsConfig &phys, std::uint64_t seed,
-         const bench::ObsOptions &obs, std::uint32_t pid)
+         const bench::ObsFlags &flags, std::uint32_t pid)
 {
+    // Registry/tracer must outlive the Soc (samplers read its state
+    // until the event queue dies).
+    Row r;
+    trace::Registry reg;
     soc::PmConfig pm;
     pm.kind = soc::PmKind::BlitzCoin;
     pm.budgetMw = soc::budgets::av30Percent;
     soc::Soc s(soc::make3x3AvSoc(), pm, seed);
     soc::PhysicsPlane plane(phys);
     s.attachPhysics(plane);
-    // Registry/tracer must outlive the Soc (samplers read its state
-    // until the event queue dies).
-    trace::Registry reg;
-    std::shared_ptr<trace::Tracer> tracer;
-    if (obs.metrics)
+    if (flags.metrics)
         s.attachMetrics(&reg);
-    if (obs.trace) {
-        tracer = std::make_shared<trace::Tracer>();
-        s.attachTrace(tracer.get());
-    }
+    s.attachTrace(r.obs.openTracer(flags, pid));
 
     const auto st = s.run(soc::avParallel(s.config()));
 
-    Row r;
     if (st.completed)
         r.execUs.add(st.execTimeUs());
     else
@@ -116,34 +95,11 @@ runTrial(const soc::PhysicsConfig &phys, std::uint64_t seed,
     auto &bc = dynamic_cast<soc::BlitzCoinPm &>(s.pm());
     if (bc.clusterCoins() != bc.scale().poolCoins)
         ++r.leaks;
-    if (obs.metrics)
-        r.metrics = reg.takeSeries();
-    if (obs.trace)
-        r.tracers.emplace_back(pid, std::move(tracer));
-    if (obs.health)
-        s.fillHealth(r.health);
+    if (flags.metrics)
+        r.obs.metrics = reg.takeSeries();
+    if (flags.health)
+        s.fillHealth(r.obs.health);
     return r;
-}
-
-Row
-runScenario(const soc::PhysicsConfig &phys, int trials,
-            std::uint64_t rootSeed, const bench::ObsOptions &obs,
-            std::uint32_t pidBase, sweep::PoolStats *stats)
-{
-    Row acc0;
-    acc0.execUs.reserve(static_cast<std::size_t>(trials));
-    if (obs.trace)
-        acc0.tracers.reserve(static_cast<std::size_t>(trials));
-    sweep::SweepOptions opts;
-    opts.stats = stats;
-    return sweep::runSweepFold<Row>(
-        static_cast<std::size_t>(trials), rootSeed,
-        [&phys, &obs, pidBase](std::size_t i, std::uint64_t seed) {
-            return runTrial(phys, seed, obs,
-                            pidBase + static_cast<std::uint32_t>(i));
-        },
-        [](Row &acc, Row &r, std::size_t) { acc.merge(std::move(r)); },
-        std::move(acc0), opts);
 }
 
 soc::PhysicsConfig
@@ -189,7 +145,8 @@ printRow(const char *kind, double param, bool enforce, Row &row)
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(bench::parseObsFlags(argc, argv, bench::kObsAll),
+                          "bench_thermal");
     bench::banner("Physics sweep",
                   "thermal-emergency and brownout response, throttler "
                   "enforced vs observed");
@@ -197,55 +154,27 @@ main(int argc, char **argv)
                 "param", "throttle", "exec p50", "missed", "peak C",
                 "engages", "rail mA", "leaks");
 
-    constexpr int trials = 6;
+    constexpr std::size_t trials = 6;
     constexpr std::uint64_t rootSeed = 2054;
 
     // One trace / health file for the whole run; metrics CSVs are
     // per scenario (the snapshot schema is shared here, but keeping
     // the bench_chaos convention makes the files self-describing).
-    trace::Tracer master;
-    trace::HealthReport healthAll;
-    sweep::PoolStats poolAll;
-    trace::FlushGuard::Registration crashFlush;
-    trace::FlushGuard::Registration healthFlush;
-    if (obs.any())
-        trace::FlushGuard::installSignalHandlers();
-    if (obs.trace)
-        crashFlush =
-            trace::FlushGuard::guardTracer(master, obs.tracePath);
-    if (obs.health) {
-        healthAll.setRun("bench_thermal");
-        healthFlush = trace::FlushGuard::guardHealth(healthAll,
-                                                     obs.healthPath);
-    }
-
     std::uint64_t scenarioIdx = 0;
-    auto finishRow = [&](const char *kind, Row &row) {
-        if (obs.metrics && !row.metrics.empty()) {
-            char tag[48];
-            std::snprintf(tag, sizeof tag, "s%02u-%s",
-                          static_cast<unsigned>(scenarioIdx), kind);
-            bench::writeMetricsCsv(row.metrics,
-                                   bench::tagPath(obs.metricsPath, tag));
-        }
-        for (const auto &[pid, t] : row.tracers)
-            if (t)
-                master.absorb(*t, pid);
-        healthAll.absorb(row.health);
-    };
     auto runOne = [&](const char *kind, double param, bool enforce,
                       const soc::PhysicsConfig &phys) {
-        const auto pidBase = static_cast<std::uint32_t>(scenarioIdx) *
-                             static_cast<std::uint32_t>(trials);
-        sweep::PoolStats pool;
-        Row row = runScenario(phys, trials,
-                              sweep::streamSeed(rootSeed, scenarioIdx),
-                              obs, pidBase,
-                              obs.health ? &pool : nullptr);
-        if (obs.health)
-            poolAll.merge(pool);
+        Row acc;
+        acc.execUs.reserve(trials);
+        Row row = obs.sweepFold(
+            trials, sweep::streamSeed(rootSeed, scenarioIdx),
+            std::move(acc), [&](std::uint64_t seed, std::uint32_t pid) {
+                return runTrial(phys, seed, obs.flags(), pid);
+            });
         printRow(kind, param, enforce, row);
-        finishRow(kind, row);
+        char tag[48];
+        std::snprintf(tag, sizeof tag, "s%02u-%s",
+                      static_cast<unsigned>(scenarioIdx), kind);
+        obs.absorb(row.obs, tag);
         ++scenarioIdx;
     };
     for (double tripC : {48.0, 50.0, 52.0})
@@ -256,15 +185,7 @@ main(int argc, char **argv)
         for (bool enforce : {false, true})
             runOne("brownout", limitMa, enforce,
                    brownout(limitMa, enforce));
-    if (obs.trace) {
-        crashFlush.release();
-        bench::writeTraceJson(master, obs.tracePath);
-    }
-    if (obs.health) {
-        healthFlush.release();
-        bench::fillSweepHealth(healthAll, poolAll);
-        bench::writeHealthJson(healthAll, obs.healthPath);
-    }
+    obs.finish();
     std::printf("\nObserve rows integrate the same physics without "
                 "actuating, so their peak C column is the uncontrolled "
                 "overshoot; enforce rows hold the peak near the trip "

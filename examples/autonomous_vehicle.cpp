@@ -16,8 +16,6 @@
 #include "bench_obs.hpp"
 #include "soc/scenarios.hpp"
 #include "soc/soc.hpp"
-#include "trace/metrics.hpp"
-#include "trace/tracer.hpp"
 
 using namespace blitz;
 
@@ -31,8 +29,7 @@ namespace {
  * side. The flags never change the printed table.
  */
 soc::SocRunStats
-runWith(soc::PmKind kind, double budgetMw,
-        const bench::ObsOptions &obs, trace::Tracer *master,
+runWith(soc::PmKind kind, double budgetMw, bench::ObsSession &obs,
         std::uint32_t pid)
 {
     soc::PmConfig pm;
@@ -40,21 +37,16 @@ runWith(soc::PmKind kind, double budgetMw,
     pm.alloc = coin::AllocPolicy::RelativeProportional;
     pm.budgetMw = budgetMw;
 
+    bench::ObsCapture cap;
     trace::Registry reg;
-    trace::Tracer tracer;
     soc::Soc s(soc::make3x3AvSoc(), pm, /*seed=*/7);
-    if (obs.metrics)
+    if (obs.flags().metrics)
         s.attachMetrics(&reg, /*interval=*/256);
-    if (obs.trace)
-        s.attachTrace(&tracer);
+    s.attachTrace(cap.openTracer(obs.flags(), pid));
     workload::Dag dag = soc::avDependent(s.config(), /*frames=*/3);
     soc::SocRunStats st = s.run(dag);
-    if (obs.metrics)
-        bench::writeMetricsCsv(
-            reg.series(),
-            bench::tagPath(obs.metricsPath, soc::pmKindName(kind)));
-    if (obs.trace)
-        master->absorb(tracer, pid);
+    cap.metrics = reg.takeSeries();
+    obs.absorb(cap, soc::pmKindName(kind));
     return st;
 }
 
@@ -63,7 +55,9 @@ runWith(soc::PmKind kind, double budgetMw,
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics | bench::kObsTrace),
+        "autonomous_vehicle");
     const double budget = soc::budgets::av15Percent; // 60 mW
 
     std::printf("3x3 AV SoC, WL-Dep (3 frames), budget %.0f mW\n\n",
@@ -71,12 +65,11 @@ main(int argc, char **argv)
     std::printf("%-6s %12s %14s %14s %10s %10s\n", "PM", "exec (us)",
                 "response (us)", "avg pwr (mW)", "util", "packets");
 
-    trace::Tracer master;
     std::uint32_t pid = 0;
     for (soc::PmKind kind : {soc::PmKind::BlitzCoin,
                              soc::PmKind::BlitzCoinCentral,
                              soc::PmKind::CentralRoundRobin}) {
-        soc::SocRunStats st = runWith(kind, budget, obs, &master, pid++);
+        soc::SocRunStats st = runWith(kind, budget, obs, pid++);
         std::printf("%-6s %12.1f %14.3f %14.1f %9.1f%% %10llu%s\n",
                     soc::pmKindName(kind), st.execTimeUs(),
                     st.meanResponseUs(),
@@ -85,7 +78,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(st.nocPackets),
                     st.completed ? "" : "  (INCOMPLETE)");
     }
-    if (obs.trace)
-        bench::writeTraceJson(master, obs.tracePath);
+    obs.finish();
     return 0;
 }

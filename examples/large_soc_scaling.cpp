@@ -21,7 +21,6 @@
 #include "sim/types.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
-#include "trace/metrics.hpp"
 
 using namespace blitz;
 
@@ -32,7 +31,7 @@ namespace {
 struct Trial
 {
     double cycles = -1.0;
-    trace::MetricsSeries metrics;
+    bench::ObsCapture obs;
 };
 
 /** One behavioral convergence trial. */
@@ -55,7 +54,7 @@ convergeCycles(int d, std::uint64_t seed, bool metrics)
     Trial t;
     t.cycles = r.converged ? static_cast<double>(r.time) : -1.0;
     if (metrics)
-        t.metrics = reg.takeSeries();
+        t.obs.metrics = reg.takeSeries();
     return t;
 }
 
@@ -64,11 +63,11 @@ convergeCycles(int d, std::uint64_t seed, bool metrics)
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
-    if (obs.trace)
-        std::printf("(--trace ignored: the behavioral MeshSim has no "
-                    "timeline hooks; try an SoC example or "
-                    "bench_chaos)\n");
+    // The behavioral MeshSim has no timeline hooks and no health
+    // counters: only --metrics applies.
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics),
+        "large_soc_scaling");
     std::printf("Part 1: behavioral convergence sweep "
                 "(1-way, dynamic timing, random pairing)\n\n");
     std::printf("%4s %6s %14s %14s %12s\n", "d", "N", "cycles (mean)",
@@ -85,29 +84,25 @@ main(int argc, char **argv)
         ds.size() * seedsPerPoint, /*rootSeed=*/1,
         [&](std::size_t i, std::uint64_t seed) {
             return convergeCycles(ds[i / seedsPerPoint], seed,
-                                  obs.metrics);
+                                  obs.flags().metrics);
         });
 
     std::vector<std::pair<double, double>> samples;
     for (std::size_t k = 0; k < ds.size(); ++k) {
         int d = ds[k];
         sim::Summary cycles;
-        trace::MetricsSeries merged;
+        bench::ObsCapture merged;
         for (std::size_t i = 0; i < seedsPerPoint; ++i) {
             Trial &t = trials[k * seedsPerPoint + i];
             if (t.cycles >= 0.0)
                 cycles.add(t.cycles);
-            if (!t.metrics.empty())
-                merged.merge(t.metrics);
+            merged.merge(std::move(t.obs));
         }
         // Per-size CSVs: the schema carries one column per tile, so
         // mesh sizes cannot share a file.
-        if (obs.metrics && !merged.empty()) {
-            char tag[16];
-            std::snprintf(tag, sizeof tag, "%dx%d", d, d);
-            bench::writeMetricsCsv(merged,
-                                   bench::tagPath(obs.metricsPath, tag));
-        }
+        char tag[16];
+        std::snprintf(tag, sizeof tag, "%dx%d", d, d);
+        obs.absorb(merged, tag);
         samples.emplace_back(static_cast<double>(d) * d,
                              sim::ticksToUs(static_cast<sim::Tick>(
                                  cycles.mean())));
@@ -131,5 +126,6 @@ main(int argc, char **argv)
                     analytic::ScalingLaw{analytic::Scheme::CRR,
                                          law.tauUs, 1.0}
                         .nMax(7000.0));
+    obs.finish();
     return 0;
 }

@@ -26,11 +26,10 @@ using namespace blitz;
 int
 main(int argc, char **argv)
 {
-    const bench::ObsOptions obs = bench::parseObsFlags(argc, argv);
-    if (obs.trace)
-        std::printf("(--trace ignored: the behavioral MeshSim has no "
-                    "timeline hooks; try an SoC example or "
-                    "bench_chaos)\n");
+    // The behavioral MeshSim has no timeline hooks and no health
+    // counters: only --metrics applies.
+    bench::ObsSession obs(
+        bench::parseObsFlags(argc, argv, bench::kObsMetrics), "quickstart");
     // A 4x4 mesh of tiles. Tile targets (max coins) model a mix of
     // small and large accelerators; two tiles are idle (max = 0).
     const noc::Topology topo = noc::Topology::square(4);
@@ -44,7 +43,7 @@ main(int argc, char **argv)
     trace::Registry reg;
     coin::MeshSim sim(topo, cfg, /*seed=*/42);
     // The 4x4 demo converges in well under 100 cycles — sample densely.
-    if (obs.metrics)
+    if (obs.flags().metrics)
         trace::attachMeshMetrics(sim, reg, /*interval=*/8);
 
     const coin::Coins maxes[16] = {8, 16, 32, 8, 0, 16, 63, 16,
@@ -84,7 +83,9 @@ main(int argc, char **argv)
     }
     std::printf("\ntotal coins: %lld (pool was 140; conserved)\n",
                 static_cast<long long>(sim.ledger().totalHas()));
-    if (obs.metrics)
-        bench::writeMetricsCsv(reg.series(), obs.metricsPath);
+    bench::ObsCapture cap;
+    cap.metrics = reg.takeSeries();
+    obs.absorb(cap);
+    obs.finish();
     return 0;
 }

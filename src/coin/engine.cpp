@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "record/recorder.hpp"
 #include "trace/metrics.hpp"
 
 namespace blitz::coin {
@@ -170,12 +169,8 @@ MeshSim::doPairwise(std::uint32_t i, std::uint32_t j)
 
     Coins delta = pairwiseDelta(ledger_.tile(i), ledger_.tile(j),
                                 effectiveCap(i), effectiveCap(j));
-    if (delta != 0) {
+    if (delta != 0)
         ledger_.transfer(i, j, delta);
-        if (recorder_)
-            recorder_->transfer(now_, i, j, delta,
-                                static_cast<std::int64_t>(exchanges_));
-    }
 
     errSum_ -= err_i + err_j;
     errSum_ += std::abs(static_cast<double>(ledger_.has(i)) -
@@ -212,10 +207,6 @@ MeshSim::doFourWay(std::uint32_t center,
         Coins delta = split[k + 1] - ledger_.has(members[k]);
         if (delta != 0) {
             ledger_.transfer(center, members[k], delta);
-            if (recorder_)
-                recorder_->transfer(
-                    now_, center, members[k], delta,
-                    static_cast<std::int64_t>(exchanges_));
             moved += std::llabs(delta);
         }
     }

@@ -30,10 +30,6 @@ namespace blitz::trace {
 class Registry;
 }
 
-namespace blitz::record {
-class FlightRecorder;
-}
-
 namespace blitz::coin {
 
 /** Which exchange algorithm the engine runs. */
@@ -192,15 +188,6 @@ class MeshSim
         nextSample_ = now_ + interval;
     }
 
-    /**
-     * Attach the flight recorder (nullptr detaches). Every non-zero
-     * coin movement — one Transfer record per pairwise rebalance, one
-     * per group-member delta — is journaled with the running exchange
-     * count as its transaction id. Pure observer: no RNG, no timing,
-     * so seeded trials stay bit-identical.
-     */
-    void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }
-
   private:
     struct Firing
     {
@@ -278,7 +265,6 @@ class MeshSim
                         std::greater<Firing>> heap_;
     sim::Tick now_ = 0;
     trace::Registry *metrics_ = nullptr;
-    record::FlightRecorder *recorder_ = nullptr;
     sim::Tick sampleEvery_ = 0;
     sim::Tick nextSample_ = 0;
     std::uint64_t packets_ = 0;

@@ -25,14 +25,17 @@ ChaosCluster::ChaosCluster(const ChaosConfig &cfg)
         // Bind the shard group before anything schedules: the anchor
         // must be empty, and the network/fault plane must flip to
         // their partition-independent state layouts before the first
-        // packet.
+        // packet. Column bands: more shards than columns would own no
+        // node.
+        const auto width = static_cast<std::uint32_t>(cfg.width);
+        const std::uint32_t shards = std::min(cfg_.shards, width);
         group_ = std::make_unique<sim::ShardGroup>(
-            eq_, cfg_.shards,
-            sim::columnBands(static_cast<std::uint32_t>(cfg.width),
+            eq_, shards,
+            sim::columnBands(width,
                              static_cast<std::uint32_t>(cfg.height),
-                             cfg_.shards));
+                             shards));
         net_.enableSharding(*group_);
-        plane_.enableKeyedStreams(cfg_.shards);
+        plane_.enableKeyedStreams(shards);
     }
     plane_.attach(net_);
     std::vector<bool> managed(topo_.size(), true);
@@ -224,13 +227,8 @@ ChaosCluster::scheduleSample()
 void
 ChaosCluster::attachTrace(trace::Tracer *t)
 {
-    plane_.setTrace(t);
-    for (auto &u : units_)
-        u->setTrace(t);
-    if (byzantine_)
-        byzantine_->setTrace(t);
-    if (guardian_)
-        guardian_->setTrace(t);
+    tracer_ = t;
+    rewire();
 }
 
 void
@@ -244,26 +242,41 @@ ChaosCluster::attachRecorder(record::FlightRecorder *rec,
     BLITZ_ASSERT(!group_ || !prov,
                  "provenance ledger is unsharded-only (order-"
                  "sensitive lineage state)");
-    if (rec && group_)
-        rec->setConcurrent(true);
     recorder_ = rec;
     prov_ = prov;
-    net_.setRecorder(rec);
-    plane_.setRecorder(rec);
-    for (auto &u : units_)
-        u->setRecorder(rec, prov);
-    audit_.setRecorder(rec, prov);
+    rewire();
     audit_.setClock([this] { return eq_.now(); });
-    if (byzantine_)
-        byzantine_->setRecorder(rec);
-    if (guardian_)
-        guardian_->setRecorder(rec, prov);
     if (prov_)
         prov_->reset(units_.size());
     snapshotEvery_ = snapshotEvery;
     if (recorder_ && snapshotEvery_ > 0) {
         BLITZ_ASSERT(snapshotEvery_ >= 1, "snapshot cadence is empty");
         scheduleSnapshot();
+    }
+}
+
+void
+ChaosCluster::rewire()
+{
+    // Sharded deliveries append from parallel phases; flip the
+    // recorder's mutex on before the first concurrent append.
+    if (recorder_ && group_)
+        recorder_->setConcurrent(true);
+    net_.setRecorder(recorder_);
+    plane_.setTrace(tracer_);
+    plane_.setRecorder(recorder_);
+    for (auto &u : units_) {
+        u->setTrace(tracer_);
+        u->setRecorder(recorder_, prov_);
+    }
+    audit_.setRecorder(recorder_, prov_);
+    if (byzantine_) {
+        byzantine_->setTrace(tracer_);
+        byzantine_->setRecorder(recorder_);
+    }
+    if (guardian_) {
+        guardian_->setTrace(tracer_);
+        guardian_->setRecorder(recorder_, prov_);
     }
 }
 
@@ -472,34 +485,11 @@ ChaosCluster::fillHealth(trace::HealthReport &report) const
                        static_cast<double>(guardian_->quarantines()));
     }
 
-    const FaultStats fs = plane_.stats();
-    report.bumpDet("fault.drops", static_cast<double>(fs.drops));
-    report.bumpDet("fault.delays", static_cast<double>(fs.delays));
-    report.bumpDet("fault.duplicates",
-                   static_cast<double>(fs.duplicates));
-    report.bumpDet("fault.corruptions",
-                   static_cast<double>(fs.corruptions));
-    report.bumpDet("fault.outage_drops",
-                   static_cast<double>(fs.outageDrops));
-    report.bumpDet("fault.partition_drops",
-                   static_cast<double>(fs.partitionDrops));
-
-    report.bumpDet("noc.sent", static_cast<double>(net_.packetsSent()));
-    report.bumpDet("noc.delivered",
-                   static_cast<double>(net_.packetsDelivered()));
-    report.bumpDet("noc.dropped",
-                   static_cast<double>(net_.packetsDropped()));
-    report.bumpDet("noc.hops", static_cast<double>(net_.totalHops()));
-
+    plane_.fillHealth(report);
+    net_.fillHealth(report);
     trace::fillQueueHealth(report, eq_);
-    if (group_) {
-        report.bumpDet("shard.count",
-                       static_cast<double>(group_->shards()));
-        report.bumpDet("shard.epochs",
-                       static_cast<double>(group_->epochs()));
-        report.bumpDet("shard.cross_events",
-                       static_cast<double>(group_->crossEvents()));
-    }
+    if (group_)
+        trace::fillShardHealth(report, *group_);
     if (cfg_.arena)
         trace::fillArenaHealth(report, *cfg_.arena);
 }

@@ -168,9 +168,9 @@ class ChaosCluster
     void attachMetrics(trace::Registry *reg, sim::Tick interval);
 
     /**
-     * Wire an event tracer into the fault plane and every unit (spans
-     * for exchanges, instants for injections/crash/recovery). Nullptr
-     * detaches.
+     * Wire an event tracer into the fault plane, every unit, the
+     * Byzantine plan and the guardian (spans for exchanges, instants
+     * for injections/crash/recovery/quarantine). Nullptr detaches.
      */
     void attachTrace(trace::Tracer *t);
 
@@ -220,6 +220,13 @@ class ChaosCluster
     void scheduleAudit();
     void scheduleSample();
     void scheduleSnapshot();
+    /**
+     * The one place that says which component sees the tracer, the
+     * recorder and the provenance ledger. attachTrace/attachRecorder
+     * store their pointers and call this; it only re-stores pointers,
+     * so it is idempotent.
+     */
+    void rewire();
 
     ChaosConfig cfg_;
     sim::EventQueue eq_;
@@ -234,6 +241,7 @@ class ChaosCluster
     std::vector<coin::Coins> maxAtCrash_;
     trace::Registry *metrics_ = nullptr;
     sim::Tick sampleEvery_ = 0;
+    trace::Tracer *tracer_ = nullptr;
     record::FlightRecorder *recorder_ = nullptr;
     record::ProvenanceLedger *prov_ = nullptr;
     sim::Tick snapshotEvery_ = 0;

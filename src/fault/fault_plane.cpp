@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "record/recorder.hpp"
+#include "trace/health.hpp"
 #include "trace/tracer.hpp"
 
 namespace blitz::fault {
@@ -68,8 +69,25 @@ FaultPlane::statsSlot()
 }
 
 void
+FaultPlane::fillHealth(trace::HealthReport &report) const
+{
+    const FaultStats fs = stats();
+    report.bumpDet("fault.drops", static_cast<double>(fs.drops));
+    report.bumpDet("fault.delays", static_cast<double>(fs.delays));
+    report.bumpDet("fault.duplicates", static_cast<double>(fs.duplicates));
+    report.bumpDet("fault.corruptions",
+                   static_cast<double>(fs.corruptions));
+    report.bumpDet("fault.outage_drops",
+                   static_cast<double>(fs.outageDrops));
+    report.bumpDet("fault.partition_drops",
+                   static_cast<double>(fs.partitionDrops));
+}
+
+void
 FaultPlane::setTrace(trace::Tracer *t)
 {
+    if (t == tracer_)
+        return;
     tracer_ = t;
     if (!tracer_)
         return;

@@ -31,6 +31,7 @@
 #include "sim/rng.hpp"
 
 namespace blitz::trace {
+class HealthReport;
 class Tracer;
 }
 
@@ -158,6 +159,9 @@ class FaultPlane : public noc::FaultHook
      */
     FaultStats stats() const;
 
+    /** Injection totals into @p report's deterministic section. */
+    void fillHealth(trace::HealthReport &report) const;
+
     /**
      * Switch from the single sequential RNG stream to stateless keyed
      * streams for sharded runs: every rate decision draws from a
@@ -182,8 +186,9 @@ class FaultPlane : public noc::FaultHook
 
     /**
      * Attach an event tracer (or detach with nullptr). Scheduled
-     * outage and partition windows are emitted immediately as complete
-     * spans (they are known up front); rate-based injections emit one
+     * outage and partition windows are emitted as complete spans when
+     * the tracer changes (they are known up front), so re-setting the
+     * same tracer emits nothing; rate-based injections emit one
      * instant each as they fire. Null by default — the disabled path
      * adds one branch per *injected* fault, never per packet.
      */

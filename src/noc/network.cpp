@@ -4,6 +4,7 @@
 
 #include "record/recorder.hpp"
 #include "sim/shard.hpp"
+#include "trace/health.hpp"
 #include "trace/noc_trace.hpp"
 
 namespace blitz::noc {
@@ -46,6 +47,16 @@ Network::~Network()
     for (Block &b : blocks_)
         for (PacketEvent *block : b.poolBlocks)
             ::operator delete(block);
+}
+
+void
+Network::fillHealth(trace::HealthReport &report) const
+{
+    report.bumpDet("noc.sent", static_cast<double>(packetsSent()));
+    report.bumpDet("noc.delivered",
+                   static_cast<double>(packetsDelivered()));
+    report.bumpDet("noc.dropped", static_cast<double>(packetsDropped()));
+    report.bumpDet("noc.hops", static_cast<double>(totalHops()));
 }
 
 void

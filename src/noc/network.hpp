@@ -40,6 +40,7 @@ class ShardGroup;
 }
 
 namespace blitz::trace {
+class HealthReport;
 class NocTrace;
 }
 
@@ -186,6 +187,9 @@ class Network
             n += b.hops;
         return n;
     }
+
+    /** Packet totals into @p report's deterministic section (noc.*). */
+    void fillHealth(trace::HealthReport &report) const;
 
     /**
      * End-to-end latency distribution (ticks). Unsharded only — the

@@ -94,8 +94,19 @@ ShardGroup::ShardGroup(EventQueue &anchor, std::uint32_t shards,
     BLITZ_ASSERT(nodeCount_ <= kMaxMeshNodes,
                  "mesh exceeds the sharded ordering key's ",
                  kMaxMeshNodes, "-node ceiling");
-    for (std::uint32_t s : shardOfNode_)
+    // Every shard must own a node, checked before anything is sized
+    // by the shard count: an empty shard is a worker with no locus,
+    // and an over-wide count (up to 2^32 - 1) would wrap shards_ + 1.
+    BLITZ_ASSERT(shards_ <= nodeCount_, "a shard group of ", shards_,
+                 " shards over ", nodeCount_,
+                 " nodes leaves some shard without a node");
+    std::vector<bool> owned(shards_, false);
+    for (std::uint32_t s : shardOfNode_) {
         BLITZ_ASSERT(s < shards_, "node mapped to nonexistent shard");
+        owned[s] = true;
+    }
+    for (std::uint32_t s = 0; s < shards_; ++s)
+        BLITZ_ASSERT(owned[s], "shard ", s, " owns no node");
 
     locusCounters_.assign(nodeCount_ + 1, 0);
     arenas_.reserve(shards_ + 1);

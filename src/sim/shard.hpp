@@ -147,7 +147,9 @@ class ShardGroup
      *        be empty and stays empty while bound.
      * @param shards number of parallel leaves. @pre >= 1.
      * @param shardOfNode owning shard per mesh node id; values must
-     *        be < shards (see columnBands()).
+     *        be < shards and every shard must own at least one node
+     *        (PanicError otherwise; columnBands() over a count clamped
+     *        to the mesh width satisfies both).
      */
     ShardGroup(EventQueue &anchor, std::uint32_t shards,
                std::vector<std::uint32_t> shardOfNode);

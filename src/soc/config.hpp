@@ -62,7 +62,8 @@ struct SocConfig
      * BSP shard count for the event kernel. 0 (the default) keeps the
      * legacy single-queue path; >= 1 partitions the mesh into that many
      * contiguous column bands run bulk-synchronously (1 is the
-     * bit-identity baseline). Sharding requires the fully decentralized
+     * bit-identity baseline; counts above the mesh width are clamped
+     * to it). Sharding requires the fully decentralized
      * BlitzCoin manager — the centralized schemes funnel every packet
      * through one controller object and cannot be partitioned. Pass
      * sim::defaultShards() to honor the BLITZ_SHARDS environment knob.

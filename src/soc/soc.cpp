@@ -25,11 +25,14 @@ Soc::Soc(SocConfig config, const PmConfig &pmCfg, std::uint64_t seed)
         // controller object from every node's deliveries.
         BLITZ_ASSERT(pmCfg.kind == PmKind::BlitzCoin,
                      "sharded Soc requires the decentralized BC manager");
+        // Column bands: more shards than columns would own no node.
+        const auto width = static_cast<std::uint32_t>(config_.width);
+        const std::uint32_t shards = std::min(config_.shards, width);
         group_ = std::make_unique<sim::ShardGroup>(
-            eq_, config_.shards,
-            sim::columnBands(static_cast<std::uint32_t>(config_.width),
+            eq_, shards,
+            sim::columnBands(width,
                              static_cast<std::uint32_t>(config_.height),
-                             config_.shards));
+                             shards));
         net_->enableSharding(*group_);
     }
 
@@ -70,12 +73,9 @@ Soc::installFaultPlane(fault::FaultPlane &plane)
     plane.onNodeFrozen = [this](noc::NodeId n) { pm_->onNodeFrozen(n); };
     plane.onNodeThawed = [this](noc::NodeId n) { pm_->onNodeThawed(n); };
     if (group_)
-        plane.enableKeyedStreams(config_.shards);
+        plane.enableKeyedStreams(group_->shards());
     plane.armOutageSchedule(eq_);
-    if (tracer_)
-        plane.setTrace(tracer_);
-    if (recorder_)
-        plane.setRecorder(recorder_);
+    rewire();
 }
 
 void
@@ -85,10 +85,7 @@ Soc::installByzantinePlan(fault::ByzantinePlan &plan)
                  "a byzantine plan is already installed");
     byz_ = &plan;
     pm_->installByzantine(plan);
-    if (tracer_)
-        plan.setTrace(tracer_);
-    if (recorder_)
-        plan.setRecorder(recorder_);
+    rewire();
 }
 
 void
@@ -98,8 +95,7 @@ Soc::attachPhysics(PhysicsPlane &plane)
                  "a physics plane is already attached");
     physics_ = &plane;
     plane.bind(config_, tilesByNode_);
-    if (recorder_)
-        plane.setRecorder(recorder_);
+    rewire();
     if (metrics_)
         registerPhysicsMetrics(*metrics_);
 }
@@ -157,30 +153,39 @@ void
 Soc::attachTrace(trace::Tracer *t)
 {
     tracer_ = t;
-    pm_->setTrace(t);
-    if (fault_)
-        fault_->setTrace(t);
-    if (byz_)
-        byz_->setTrace(t);
+    rewire();
 }
 
 void
 Soc::attachRecorder(record::FlightRecorder *rec)
 {
     recorder_ = rec;
+    rewire();
+}
+
+void
+Soc::rewire()
+{
     // Sharded deliveries append from parallel phases; flip the
     // recorder's mutex on before the first concurrent append.
-    if (rec && group_)
-        rec->setConcurrent(true);
-    net_->setRecorder(rec);
+    if (recorder_ && group_)
+        recorder_->setConcurrent(true);
+    // The PM (and, for BC, its coin units) sees the tracer only: the
+    // recorder journals actuations at the tile funnel instead.
+    pm_->setTrace(tracer_);
+    net_->setRecorder(recorder_);
     for (auto &t : tileStore_)
-        t->setRecorder(rec);
-    if (fault_)
-        fault_->setRecorder(rec);
-    if (byz_)
-        byz_->setRecorder(rec);
+        t->setRecorder(recorder_);
+    if (fault_) {
+        fault_->setTrace(tracer_);
+        fault_->setRecorder(recorder_);
+    }
+    if (byz_) {
+        byz_->setTrace(tracer_);
+        byz_->setRecorder(recorder_);
+    }
     if (physics_)
-        physics_->setRecorder(rec);
+        physics_->setRecorder(recorder_);
 }
 
 Soc::~Soc() = default;
@@ -207,37 +212,14 @@ Soc::fillHealth(trace::HealthReport &report) const
 {
     report.bumpDet("soc.tasks_completed",
                    static_cast<double>(tasksCompleted_));
-    report.bumpDet("noc.sent",
-                   static_cast<double>(net_->packetsSent()));
-    report.bumpDet("noc.delivered",
-                   static_cast<double>(net_->packetsDelivered()));
-    report.bumpDet("noc.dropped",
-                   static_cast<double>(net_->packetsDropped()));
-    report.bumpDet("noc.hops", static_cast<double>(net_->totalHops()));
-    if (fault_) {
-        const fault::FaultStats fs = fault_->stats();
-        report.bumpDet("fault.drops", static_cast<double>(fs.drops));
-        report.bumpDet("fault.delays", static_cast<double>(fs.delays));
-        report.bumpDet("fault.duplicates",
-                       static_cast<double>(fs.duplicates));
-        report.bumpDet("fault.corruptions",
-                       static_cast<double>(fs.corruptions));
-        report.bumpDet("fault.outage_drops",
-                       static_cast<double>(fs.outageDrops));
-        report.bumpDet("fault.partition_drops",
-                       static_cast<double>(fs.partitionDrops));
-    }
+    net_->fillHealth(report);
+    if (fault_)
+        fault_->fillHealth(report);
     if (physics_)
         physics_->fillHealth(report);
     trace::fillQueueHealth(report, eq_);
-    if (group_) {
-        report.bumpDet("shard.count",
-                       static_cast<double>(group_->shards()));
-        report.bumpDet("shard.epochs",
-                       static_cast<double>(group_->epochs()));
-        report.bumpDet("shard.cross_events",
-                       static_cast<double>(group_->crossEvents()));
-    }
+    if (group_)
+        trace::fillShardHealth(report, *group_);
 }
 
 void

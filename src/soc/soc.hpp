@@ -158,16 +158,17 @@ class Soc
 
     /**
      * Wire an event tracer into the power manager (and, for BC, every
-     * coin unit) and into any fault plane installed before or after
-     * this call. Nullptr detaches.
+     * coin unit), the fault plane and the Byzantine plan, whether they
+     * are installed before or after this call. Nullptr detaches.
      */
     void attachTrace(trace::Tracer *t);
 
     /**
      * Wire the flight recorder into the NoC (deliveries), every
      * accelerator tile (PM actuations via the setFreqTargetMhz
-     * funnel), and any installed fault plane (injection decisions).
-     * Call before run(); nullptr detaches.
+     * funnel), the fault plane (injection decisions), the Byzantine
+     * plan and the physics plane, in any attach order. Call before
+     * run(); nullptr detaches.
      */
     void attachRecorder(record::FlightRecorder *rec);
 
@@ -191,6 +192,12 @@ class Soc
     void onTaskDone(workload::TaskId id, sim::Tick completedAt);
     void drainCompletions();
     void registerPhysicsMetrics(trace::Registry &reg);
+    /**
+     * The one place that says which component sees the tracer and
+     * the recorder. Every attach/install method stores its pointer
+     * and calls this; it only re-stores pointers, so it is idempotent.
+     */
+    void rewire();
 
     SocConfig config_;
     sim::EventQueue eq_;

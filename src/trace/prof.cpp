@@ -177,4 +177,13 @@ fillArenaHealth(HealthReport &report, const sim::Arena &arena,
                   static_cast<double>(arena.bytesHighWater()));
 }
 
+void
+fillShardHealth(HealthReport &report, const sim::ShardGroup &group)
+{
+    report.bumpDet("shard.count", static_cast<double>(group.shards()));
+    report.bumpDet("shard.epochs", static_cast<double>(group.epochs()));
+    report.bumpDet("shard.cross_events",
+                   static_cast<double>(group.crossEvents()));
+}
+
 } // namespace blitz::trace

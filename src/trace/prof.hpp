@@ -113,6 +113,9 @@ void fillQueueHealth(HealthReport &report, const sim::EventQueue &eq,
 void fillArenaHealth(HealthReport &report, const sim::Arena &arena,
                      std::string_view prefix = "arena");
 
+/** Shard count, epochs and cross-shard events under "shard.". */
+void fillShardHealth(HealthReport &report, const sim::ShardGroup &group);
+
 } // namespace blitz::trace
 
 #endif // BLITZ_TRACE_PROF_HPP

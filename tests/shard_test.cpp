@@ -19,6 +19,7 @@
 #include "record/recorder.hpp"
 #include "sim/digest.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/logging.hpp"
 #include "sim/shard.hpp"
 #include "soc/pm_impl.hpp"
 #include "soc/scenarios.hpp"
@@ -133,6 +134,20 @@ TEST(ShardGroup, CountsEpochsAndCrossEvents)
     EXPECT_EQ(eq.totalExecuted(), 2u);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.now(), 64u);
+}
+
+TEST(ShardGroup, RejectsAShardThatOwnsNoNode)
+{
+    sim::EventQueue eq;
+    // Two nodes, both on shard 0: shard 1 would own nothing.
+    EXPECT_THROW(sim::ShardGroup(eq, 2, {0, 0}), sim::PanicError);
+    // More shards than nodes (including one whose + 1 would wrap).
+    EXPECT_THROW(sim::ShardGroup(eq, 3, {0, 1}), sim::PanicError);
+    EXPECT_THROW(sim::ShardGroup(eq, 0xFFFF'FFFFu, {0, 1}),
+                 sim::PanicError);
+    // A rejected group never bound the anchor.
+    sim::ShardGroup ok(eq, 2, {0, 1});
+    EXPECT_EQ(ok.shards(), 2u);
 }
 
 // ------------------------------------------------------ chaos harness
@@ -309,6 +324,30 @@ socRunDigest(std::uint32_t shards)
     dg.i64(bc.clusterCoins());
     dg.f64(bc.clusterError());
     return dg.value();
+}
+
+TEST(ShardedChaos, ShardCountIsClampedToTheMeshWidth)
+{
+    fault::ChaosConfig cc;
+    cc.width = 4;
+    cc.height = 4;
+    cc.shards = 64;
+    fault::ChaosCluster cluster(cc);
+    ASSERT_NE(cluster.shardGroup(), nullptr);
+    EXPECT_EQ(cluster.shardGroup()->shards(), 4u);
+}
+
+TEST(ShardedSoc, ShardCountIsClampedToTheMeshWidth)
+{
+    soc::SocConfig cfg = soc::make3x3AvSoc();
+    cfg.shards = 0xFFFF'FFFFu;
+    soc::PmConfig pm;
+    pm.kind = soc::PmKind::BlitzCoin;
+    pm.budgetMw = soc::budgets::av30Percent;
+    soc::Soc s(cfg, pm, 23);
+    ASSERT_NE(s.shardGroup(), nullptr);
+    EXPECT_EQ(s.shardGroup()->shards(), 3u);
+    EXPECT_TRUE(s.run(soc::avParallel(s.config())).completed);
 }
 
 TEST(ShardedSoc, ShardCounts124AreBitIdentical)

@@ -2,8 +2,8 @@
  * @file
  * Unit tests of the observability plane itself: registry snapshotting,
  * series merging (the sweep-determinism contract), CSV/JSON export,
- * Chrome-trace emission, the NoC probe, and bit-identical merged
- * metrics across sweep thread counts.
+ * Chrome-trace emission, the NoC probe, bit-identical merged metrics
+ * across sweep thread counts, and the SoC's attach-order independence.
  */
 
 #include <cctype>
@@ -15,8 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "coin/engine.hpp"
+#include "fault/byzantine.hpp"
+#include "fault/fault_plane.hpp"
+#include "record/recorder.hpp"
 #include "soc/scenarios.hpp"
 #include "soc/soc.hpp"
+#include "soc/throttler.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
 #include "trace/metrics.hpp"
@@ -473,6 +477,99 @@ TEST(Metrics, MergedSweepSeriesBitIdenticalAcrossThreadCounts)
     EXPECT_FALSE(one.empty());
     EXPECT_EQ(one, mergedSweepCsv(2));
     EXPECT_EQ(one, mergedSweepCsv(4));
+}
+
+// ------------------------------------------------ SoC attach order
+
+/** Tracer JSON and ring-recorder digest of one fully planed SoC run. */
+struct AttachOrderRun
+{
+    std::string traceJson;
+    std::uint64_t ringDigest = 0;
+};
+
+/**
+ * The 3x3 AV SoC with a fault plane (one crash and one freeze
+ * window), a Byzantine inflator and an enforcing physics plane, with
+ * the tracer and a ring recorder attached before the planes are
+ * installed (@p observersFirst) or after.
+ */
+AttachOrderRun
+observedSocRun(bool observersFirst)
+{
+    const soc::SocConfig cfg = soc::make3x3AvSoc();
+    const auto accels = cfg.managedAccelerators();
+
+    // The planes and observers must outlive the Soc: declared first.
+    fault::FaultConfig fc;
+    fc.seed = 5;
+    fc.base.drop = 0.01;
+    fc.outages.push_back({accels[1], 2'000, 6'000, /*freeze=*/false});
+    fc.outages.push_back({accels[2], 3'000, 5'000, /*freeze=*/true});
+    fault::FaultPlane faults(fc);
+    fault::ByzantineConfig bc;
+    fault::ByzantineSpec inflator;
+    inflator.node = accels[0];
+    inflator.amount = 2;
+    inflator.period = 1'024;
+    bc.specs.push_back(inflator);
+    fault::ByzantinePlan byz(bc);
+    soc::PhysicsConfig phys;
+    phys.thermal.node.cJPerC = 1e-6;
+    phys.trip.tripC = 48.0;
+    phys.trip.releaseC = 47.5;
+    phys.trip.capFraction = 0.4;
+    phys.enforce = true;
+    soc::PhysicsPlane physics(phys);
+    record::RecorderConfig rc;
+    rc.chunkRecords = 256;
+    rc.maxChunks = 4;
+    record::FlightRecorder ring(rc);
+    trace::Tracer tracer;
+
+    soc::PmConfig pm;
+    pm.kind = soc::PmKind::BlitzCoin;
+    pm.budgetMw = soc::budgets::av30Percent;
+    soc::Soc s(cfg, pm, 9);
+    auto observe = [&] {
+        s.attachTrace(&tracer);
+        s.attachRecorder(&ring);
+    };
+    if (observersFirst)
+        observe();
+    s.installFaultPlane(faults);
+    s.installByzantinePlan(byz);
+    s.attachPhysics(physics);
+    if (!observersFirst)
+        observe();
+    s.run(soc::avParallel(s.config()));
+
+    std::ostringstream os;
+    tracer.writeJson(os);
+    return {os.str(), ring.digest()};
+}
+
+std::size_t
+countOf(const std::string &haystack, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = haystack.find(needle); at != std::string::npos;
+         at = haystack.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+TEST(AttachOrder, SocObservesTheSameRunInEitherOrder)
+{
+    const AttachOrderRun before = observedSocRun(true);
+    const AttachOrderRun after = observedSocRun(false);
+    EXPECT_EQ(before.traceJson, after.traceJson);
+    EXPECT_EQ(before.ringDigest, after.ringDigest);
+    // Re-wiring re-stores pointers only: each scheduled outage window
+    // is emitted exactly once however often the harness rewires.
+    EXPECT_EQ(countOf(before.traceJson, "\"crash_window\""), 1u);
+    EXPECT_EQ(countOf(before.traceJson, "\"freeze_window\""), 1u);
+    EXPECT_TRUE(JsonChecker(before.traceJson).valid());
 }
 
 } // namespace
