@@ -44,22 +44,6 @@ BlitzCoinUnit::BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
 }
 
 void
-BlitzCoinUnit::reconfigure(const UnitConfig &cfg)
-{
-    cfg_ = cfg;
-    timer_ = coin::BackoffTimer(cfg_.backoff);
-    // Rebuild the selector with the same logical neighborhood; copies
-    // are taken first because assignment replaces the source lists.
-    std::vector<noc::NodeId> neighbors = selector_.neighbors();
-    std::vector<noc::NodeId> far = selector_.far();
-    selector_ = coin::PartnerSelector(std::move(neighbors),
-                                      std::move(far), cfg_.pairing,
-                                      rng_);
-    if (running_)
-        scheduleNext(timer_.interval());
-}
-
-void
 BlitzCoinUnit::setHas(coin::Coins has)
 {
     state_.has = has;

@@ -210,15 +210,6 @@ class BlitzCoinUnit
     bool running() const { return running_; }
     /** Current adaptive refresh interval (test access). */
     sim::Tick backoffInterval() const { return timer_.interval(); }
-    const UnitConfig &config() const { return cfg_; }
-
-    /**
-     * Apply a new configuration at runtime (CSR writes, Fig. 11).
-     * Protocol parameters (back-off law, pairing period, thermal cap)
-     * take effect from the next exchange; the logical neighborhood is
-     * preserved.
-     */
-    void reconfigure(const UnitConfig &cfg);
 
     /** Initialize holdings (before start(), or when reminting). */
     void setHas(coin::Coins has);

@@ -5,7 +5,6 @@
 #include "record/recorder.hpp"
 #include "sim/shard.hpp"
 #include "trace/health.hpp"
-#include "trace/noc_trace.hpp"
 
 namespace blitz::noc {
 
@@ -63,7 +62,6 @@ void
 Network::enableSharding(sim::ShardGroup &group)
 {
     BLITZ_ASSERT(!sharded_, "network already sharded");
-    BLITZ_ASSERT(!trace_, "NocTrace cannot observe a sharded network");
     BLITZ_ASSERT(packetsSent() == 0,
                  "enableSharding() must precede all traffic");
     sharded_ = true;
@@ -207,9 +205,6 @@ Network::finishDelivery(PacketEvent *pe)
     blk.latMax = std::max(blk.latMax, lat);
     if (!sharded_)
         latency_.add(static_cast<double>(lat));
-    if (trace_)
-        trace_->onDeliver(pe->at, static_cast<int>(pe->pkt.type),
-                          pe->pkt.injectTick, eq_.now());
     if (recorder_)
         recorder_->nocDeliver(eq_.now(), pe->at,
                               static_cast<int>(pe->pkt.plane),
@@ -260,8 +255,6 @@ Network::tryFlatten(PacketEvent *pe, sim::Tick now, Block &blk)
     sim::Tick depart = std::max(now, free);
     free = depart + hopLatency_;
     ++blk.hops;
-    if (trace_)
-        trace_->onHop(link, depart);
     pe->at = pkt.dst;
     eq_.scheduleAtNode(pkt.dst, depart + hopLatency_, Step{this, pe},
                        sim::Priority::NocTransfer);
@@ -280,13 +273,10 @@ Network::hopNode(PacketEvent *pe)
         FaultDecision fd;
         if (fault_)
             fd = fault_->onDeliver(pkt, at, now);
-        if (fd.drop) {
+        if (fd.drop)
             ++blk.dropped;
-            if (trace_)
-                trace_->onDrop(at, static_cast<int>(pkt.type), now);
-        } else {
+        else
             deliverCopies(pkt, at, fd, blk);
-        }
         releaseEvent(pe, blk);
         return;
     }
@@ -306,14 +296,10 @@ Network::hopNode(PacketEvent *pe)
     sim::Tick depart = std::max(now, free);
     free = depart + hopLatency_;
     ++blk.hops;
-    if (trace_)
-        trace_->onHop(link, depart);
     if (fd.drop) {
         // The flit crossed the link (the slot is consumed) but never
         // arrives at the next router.
         ++blk.dropped;
-        if (trace_)
-            trace_->onDrop(at, static_cast<int>(pkt.type), now);
         releaseEvent(pe, blk);
         return;
     }

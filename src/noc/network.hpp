@@ -41,7 +41,6 @@ class ShardGroup;
 
 namespace blitz::trace {
 class HealthReport;
-class NocTrace;
 }
 
 namespace blitz::record {
@@ -96,35 +95,13 @@ class Network
     void setFaultHook(FaultHook *hook) { fault_ = hook; }
 
     /**
-     * Install (or clear, with nullptr) the observability probe. Null
-     * by default; the disabled path costs one branch per hook site,
-     * the same fast-path shape as a cleared fault hook. The probe is
-     * passive — it never schedules events or consults RNG — so
-     * attaching it leaves packet timing and ordering untouched.
-     */
-    void
-    setTrace(trace::NocTrace *probe)
-    {
-        BLITZ_ASSERT(!sharded_ || !probe,
-                     "NocTrace cannot observe a sharded network (its "
-                     "delivery summary is cross-shard shared state)");
-        trace_ = probe;
-    }
-
-    /**
      * Install (or clear, with nullptr) the flight recorder. When set,
      * every endpoint delivery is journaled (dst, plane, type, seq,
-     * inject tick). Passive like the trace probe: one branch per
-     * delivery when detached, never on the per-hop path.
+     * inject tick). Passive — it never schedules events or consults
+     * RNG — and one branch per delivery when detached, never on the
+     * per-hop path.
      */
     void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }
-
-    /** Number of (node, dir, plane) link slots, for probe sizing. */
-    std::size_t
-    linkCount() const
-    {
-        return linkFree_.size();
-    }
 
     /**
      * Switch the network to sharded operation on @p group (which must
@@ -132,11 +109,10 @@ class Network
      * from the group's shard arenas, per-shard traffic counters, and
      * per-source packet sequence numbers — the state layout that lets
      * parallel supersteps run without a single shared mutable word on
-     * the packet path. Call once, before any traffic, with no trace
-     * probe attached (the probe's delivery summary is inherently
-     * cross-shard). Sequence numbers switch from one global counter
-     * to (src + 1) << 40 | per-src counter, which is a pure function
-     * of the sending node — partition-independent by construction.
+     * the packet path. Call once, before any traffic. Sequence
+     * numbers switch from one global counter to (src + 1) << 40 |
+     * per-src counter, which is a pure function of the sending node —
+     * partition-independent by construction.
      */
     void enableSharding(sim::ShardGroup &group);
 
@@ -376,7 +352,6 @@ class Network
      */
     std::vector<std::shared_ptr<const Handler>> handlers_;
     FaultHook *fault_ = nullptr;
-    trace::NocTrace *trace_ = nullptr;
     record::FlightRecorder *recorder_ = nullptr;
     /**
      * Earliest tick each output link is free, per (node, dir, plane).

@@ -9,7 +9,7 @@
  * POD record. Records are plain integers on purpose: blitz_record
  * sits directly above blitz_sim in the link order, so every layer
  * (noc, coin, blitzcoin, fault, soc) can emit records without
- * creating a dependency cycle, mirroring the NocTrace rule.
+ * creating a dependency cycle.
  *
  * The layout is padding-free and trivially copyable, so a record
  * stream can be memcmp-compared, FNV-digested, and written to disk

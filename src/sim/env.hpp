@@ -1,7 +1,7 @@
 /**
  * @file
- * Validated reads of the numeric environment knobs (BLITZ_SHARDS,
- * BLITZ_SWEEP_THREADS).
+ * Validated reads of numeric text: the environment knobs
+ * (BLITZ_SHARDS, BLITZ_SWEEP_THREADS) and the tools' count flags.
  */
 
 #ifndef BLITZ_SIM_ENV_HPP
@@ -13,11 +13,20 @@
 namespace blitz::sim {
 
 /**
- * The positive count held by environment variable @p name. The whole
- * value must be decimal digits naming a number in [1, UINT32_MAX];
- * anything else ("4abc", "0", "-3", "4294967296") is rejected with a
- * warning. Returns std::nullopt when unset or rejected, so the caller
- * falls back to its default.
+ * The count spelled by @p text. The whole string must be decimal
+ * digits naming a number in [@p lo, @p hi]; anything else (a sign,
+ * blanks, "4abc", a value out of range or past UINT64_MAX) yields
+ * std::nullopt.
+ */
+std::optional<std::uint64_t> parseCount(const char *text,
+                                        std::uint64_t lo,
+                                        std::uint64_t hi);
+
+/**
+ * The positive count held by environment variable @p name: a
+ * parseCount() in [1, UINT32_MAX]. A value that fails ("4abc", "0",
+ * "-3", "4294967296") is rejected with a warning. Returns std::nullopt
+ * when unset or rejected, so the caller falls back to its default.
  */
 std::optional<std::uint32_t> envCount(const char *name);
 

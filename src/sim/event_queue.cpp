@@ -6,8 +6,7 @@ namespace blitz::sim {
 
 EventQueue::~EventQueue()
 {
-    // Destroy surviving callbacks (scheduled or tombstoned); the slab
-    // itself is either heap chunks we own or arena memory we don't.
+    // Destroy the callbacks of events that never ran; the slab itself is either heap chunks we own or arena memory we don't.
     for (std::uint32_t slot = 0; slot < slotCount_; ++slot)
         destroyCallback(*node(slot));
     if (!arena_) {
@@ -40,8 +39,6 @@ EventQueue::addChunk()
     const std::uint32_t base = slotCount_;
     for (std::uint32_t i = 0; i < kChunkNodes; ++i) {
         Node &n = *::new (static_cast<void *>(nodes + i)) Node;
-        n.gen = 1;
-        n.state = kFree;
         n.destroy = nullptr;
         n.nextFree =
             i + 1 < kChunkNodes ? base + i + 1 : freeHead_;
@@ -95,8 +92,6 @@ EventQueue::releaseSlot(std::uint32_t slot)
 {
     Node &n = *node(slot);
     destroyCallback(n);
-    ++n.gen; // invalidate any handle still pointing here
-    n.state = kFree;
     n.nextFree = freeHead_;
     freeHead_ = slot;
 }
@@ -259,63 +254,34 @@ EventQueue::refillBatch(Tick limit)
             wheelClear(idx);
             if (!wasSorted)
                 sortBatchByOrd();
-            // Purge leading tombstones without advancing time — the
-            // exact discard the old heap performed at pop, so a
-            // cancelled front never unlocks events beyond the horizon.
-            std::size_t k = 0;
-            while (k < batch_.size() &&
-                   node(batch_[k].slot)->state == kCancelled) {
-                --entryCount_;
-                --pending_;
-                --cancelledTokens_;
-                releaseSlot(batch_[k].slot);
-                ++k;
-            }
-            if (k == batch_.size()) {
-                batch_.clear();
-                continue;
-            }
             if (t > limit) {
-                // Probed a tick past the horizon: re-file the
-                // survivors (already in ord order, so the bucket stays
-                // sorted) and stop without advancing time.
-                for (std::size_t i = k; i < batch_.size(); ++i)
-                    wheelAppend(batch_[i]);
+                // Probed a tick past the horizon: re-file the batch
+                // (already in ord order, so the bucket stays sorted)
+                // and stop without advancing time.
+                for (const HeapEntry &e : batch_)
+                    wheelAppend(e);
                 batch_.clear();
                 return false;
             }
             BLITZ_ASSERT(t >= now_, "event queue went backwards");
             now_ = t;
             batchTick_ = t;
-            batchIdx_ = k;
             // Introspection high-water marks, maintained here (once
             // per drained tick) instead of on the schedule path so the
             // hot enqueue stays untouched. entryCount_ still includes
             // this whole batch at this point.
             if (entryCount_ > depthHighWater_)
                 depthHighWater_ = entryCount_;
-            if (batch_.size() - k > batchHighWater_)
-                batchHighWater_ = batch_.size() - k;
+            if (batch_.size() > batchHighWater_)
+                batchHighWater_ = batch_.size();
             return true;
         }
-        if (far_.empty())
+        if (far_.empty() || far_.front().when > limit)
             return false;
-        const HeapEntry top = far_.front();
-        Node *n = node(top.slot);
-        if (n->state == kCancelled) {
-            heapPopFront();
-            --entryCount_;
-            --pending_;
-            --cancelledTokens_;
-            releaseSlot(top.slot);
-            continue;
-        }
-        if (top.when > limit)
-            return false;
-        // The whole window is empty and the far front is live and
-        // within the horizon: jump the window to it; the next
-        // iteration migrates and drains it.
-        now_ = top.when;
+        // The whole window is empty and the far front is within the
+        // horizon: jump the window to it; the next iteration migrates
+        // and drains it.
+        now_ = far_.front().when;
     }
 }
 
@@ -396,17 +362,6 @@ EventQueue::runOne(Tick limit)
             const HeapEntry e = batch_[batchIdx_++];
             Node *n = node(e.slot);
             --entryCount_;
-            --pending_;
-            if (n->state == kCancelled) {
-                --cancelledTokens_;
-                releaseSlot(e.slot);
-                continue;
-            }
-            // Executing state makes a self-cancel during the callback
-            // a no-op (the node is no longer Scheduled), matching the
-            // pre-slab kernel which dropped the live token before
-            // running.
-            n->state = kExecuting;
             struct SlotGuard
             {
                 EventQueue *eq;
@@ -435,13 +390,11 @@ EventQueue::scheduleRaw(Tick when, std::uint64_t ord,
                  "raw event payload exceeds the inline buffer");
     const std::uint32_t slot = acquireSlot();
     Node &n = *node(slot);
-    n.state = kScheduled;
     n.locus = locus;
     n.invoke = invoke;
     n.destroy = nullptr; // mailbox payloads are trivially copyable
     std::memcpy(n.buf, payload, bytes);
     enqueue({when, ord, slot});
-    ++pending_;
     ++scheduledTotal_;
 }
 
@@ -458,10 +411,8 @@ EventQueue::runUntil(Tick limit)
                 now_ = bind_.leaves[s]->now_;
         return executed;
     }
-    // Drain whole tick batches in a tight loop; refillBatch() purges
-    // tombstones and enforces the horizon, so a cancelled front event
-    // can never unlock execution of a later event beyond the limit,
-    // and the count reflects exactly the callbacks that ran.
+    // Drain whole tick batches in a tight loop; refillBatch() enforces
+    // the horizon.
     std::uint64_t executed = 0;
     for (;;) {
         while (batchIdx_ < batch_.size()) {
@@ -470,13 +421,6 @@ EventQueue::runUntil(Tick limit)
             const HeapEntry e = batch_[batchIdx_++];
             Node *n = node(e.slot);
             --entryCount_;
-            --pending_;
-            if (n->state == kCancelled) {
-                --cancelledTokens_;
-                releaseSlot(e.slot);
-                continue;
-            }
-            n->state = kExecuting;
             struct SlotGuard
             {
                 EventQueue *eq;

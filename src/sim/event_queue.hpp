@@ -10,7 +10,7 @@
  * it steps a global clock directly for Monte-Carlo speed.
  *
  * Internals (see DESIGN.md "Scheduler internals" and ch. 9 "Mega-mesh
- * hot path"): events live in slab-allocated, generation-counted nodes.
+ * hot path"): events live in slab-allocated nodes.
  * Ordering uses a calendar structure instead of a global heap: ticks
  * within a kWheelTicks window of now() hash into per-tick wheel
  * buckets (unsorted O(1) append), and a whole tick's bucket is drained
@@ -26,9 +26,9 @@
  * meshes affordable. Callbacks are stored in a small inline buffer
  * inside the node (heap fallback only for oversized functors), so
  * scheduling an event performs zero allocations once the slab and the
- * first wheel revolution have warmed up. Cancellation is O(1): the
- * handle's generation is checked and the node tombstoned; drains
- * discard tombstones.
+ * first wheel revolution have warmed up. Events cannot be cancelled
+ * (no experiment needs it), so every queued entry runs when its tick
+ * is drained.
  *
  * Sharded mode (see DESIGN.md "BSP-sharded execution"): one queue can
  * act as the *anchor* of a sim::ShardGroup — existing call sites keep
@@ -140,21 +140,11 @@ struct ShardBinding
  * Time-ordered event queue.
  *
  * Events are arbitrary callables ordered by (tick, priority,
- * insertion order). Cancellation is supported through the handle
- * returned by schedule(); a cancelled event still occupies its queue
- * slot but is skipped when popped.
+ * insertion order); once scheduled, an event always runs.
  */
 class EventQueue
 {
   public:
-    /**
-     * Opaque handle used to cancel a scheduled event: the node's slot
-     * index in the low 32 bits, its generation in the high 32. A slot
-     * bumps its generation on every reuse, so a stale handle (already
-     * executed or cancelled) simply fails the generation check.
-     */
-    using EventId = std::uint64_t;
-
     /**
      * @param arena backing store for the event slab; nullptr (the
      *        default) heap-allocates. Pass a sweep worker's arena to
@@ -196,11 +186,9 @@ class EventQueue
      * @param fn callable to execute; stored inline in the event node
      *        when it fits kInlineCallback bytes (heap otherwise).
      * @param prio same-tick ordering class.
-     * @return handle usable with cancel() (0 in sharded mode:
-     *         cross-thread cancellation is not supported).
      */
     template <typename Fn>
-    EventId
+    void
     schedule(Tick when, Fn &&fn, Priority prio = Priority::Default)
     {
         if (bind_.group)
@@ -208,18 +196,14 @@ class EventQueue
         BLITZ_ASSERT(when >= now_, "scheduling event in the past (",
                      when, " < ", now_, ")");
         const std::uint32_t slot = acquireSlot();
-        Node &n = *node(slot);
-        n.state = kScheduled;
-        emplaceCallback(n, std::forward<Fn>(fn));
+        emplaceCallback(*node(slot), std::forward<Fn>(fn));
         enqueue({when, packOrd(prio, nextSeq_++), slot});
-        ++pending_;
         ++scheduledTotal_;
-        return (static_cast<EventId>(n.gen) << 32) | slot;
     }
 
     /** Schedule a callable @p delta ticks from now. */
     template <typename Fn>
-    EventId
+    void
     scheduleIn(Tick delta, Fn &&fn, Priority prio = Priority::Default)
     {
         return schedule(now() + delta, std::forward<Fn>(fn), prio);
@@ -236,7 +220,7 @@ class EventQueue
      * current epoch tick).
      */
     template <typename Fn>
-    EventId
+    void
     scheduleAtNode(std::uint32_t node, Tick when, Fn &&fn,
                    Priority prio = Priority::Default)
     {
@@ -267,7 +251,6 @@ class EventQueue
                 (*std::launder(reinterpret_cast<F *>(p)))();
             },
             &f, sizeof f);
-        return 0;
     }
 
     /**
@@ -276,7 +259,7 @@ class EventQueue
      * locus is stamped on the node so execution can restore it.
      */
     template <typename Fn>
-    EventId
+    void
     scheduleKeyed(Tick when, std::uint64_t ord, std::uint32_t locus,
                   Fn &&fn)
     {
@@ -284,62 +267,23 @@ class EventQueue
                      when, " < ", now_, ")");
         const std::uint32_t slot = acquireSlot();
         Node &n = *node(slot);
-        n.state = kScheduled;
         n.locus = locus;
         emplaceCallback(n, std::forward<Fn>(fn));
         enqueue({when, ord, slot});
-        ++pending_;
         ++scheduledTotal_;
-        return (static_cast<EventId>(n.gen) << 32) | slot;
     }
 
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * O(1): the generation check rejects stale or unknown handles on
-     * the spot, and a live node is tombstoned (callback destroyed
-     * immediately, heap entry discarded when it surfaces). The token
-     * count stays bounded by pending() across arbitrarily long runs.
-     *
-     * Unsupported on a sharded anchor (events live in leaf queues on
-     * other threads); sharded schedule() returns 0 and cancel(0) is
-     * always a harmless no-op.
-     */
-    void
-    cancel(EventId id)
-    {
-        BLITZ_ASSERT(!bind_.group || id == 0,
-                     "cancel() is not supported in sharded mode");
-        const auto slot = static_cast<std::uint32_t>(id);
-        if (slot >= slotCount_)
-            return;
-        Node &n = *node(slot);
-        if (n.gen != static_cast<std::uint32_t>(id >> 32) ||
-            n.state != kScheduled)
-            return;
-        n.state = kCancelled;
-        destroyCallback(n);
-        ++cancelledTokens_;
-    }
-
-    /** Number of events still scheduled (including cancelled ones). */
+    /** Number of events still scheduled. */
     std::size_t
     pending() const
     {
         if (!bind_.group)
-            return pending_;
+            return entryCount_;
         std::size_t total = 0;
         for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            total += bind_.leaves[s]->pending_;
+            total += bind_.leaves[s]->entryCount_;
         return total;
     }
-
-    /**
-     * Number of unconsumed cancellation tokens. Bounded by pending():
-     * a token is dropped when its entry pops, and cancel() refuses
-     * ids that are no longer scheduled.
-     */
-    std::size_t cancelledTokens() const { return cancelledTokens_; }
 
     /** True when no runnable events remain. */
     bool
@@ -421,7 +365,7 @@ class EventQueue
     void
     bindShardGroup(const ShardBinding &b)
     {
-        BLITZ_ASSERT(entryCount_ == 0 && pending_ == 0,
+        BLITZ_ASSERT(entryCount_ == 0,
                      "anchor queue must be empty when (un)binding");
         bind_ = b;
     }
@@ -430,20 +374,16 @@ class EventQueue
     const ShardBinding &binding() const { return bind_; }
 
     /**
-     * Run events until the queue drains or @p limit is passed.
-     *
-     * No event with when > limit ever executes — cancelled entries at
-     * the front are discarded without unlocking later events beyond
-     * the horizon.
+     * Run events until the queue drains or @p limit is passed. No
+     * event with when > limit ever executes.
      * @param limit stop before executing events scheduled after this tick.
-     * @return number of events executed (cancelled entries don't count).
+     * @return number of events executed.
      */
     std::uint64_t runUntil(Tick limit = maxTick);
 
     /**
-     * Execute the next runnable event at or before @p limit.
-     * Cancelled entries encountered on the way are discarded.
-     * @return false if no runnable event exists within the horizon.
+     * Execute the next event at or before @p limit.
+     * @return false if no event exists within the horizon.
      */
     bool runOne(Tick limit = maxTick);
 
@@ -453,14 +393,6 @@ class EventQueue
   private:
     friend class ShardGroup; ///< drives the leaf queues directly
     friend class LocusScope; ///< installs setup-time shard contexts
-
-    enum NodeState : std::uint8_t
-    {
-        kFree = 0,
-        kScheduled,
-        kCancelled,
-        kExecuting,
-    };
 
     /**
      * One slab slot. Trivial on purpose: the slab never runs
@@ -475,10 +407,8 @@ class EventQueue
     {
         void (*invoke)(void *);
         void (*destroy)(void *); ///< null when nothing to destroy
-        std::uint32_t gen;
         std::uint32_t nextFree;
         std::uint32_t locus; ///< execution locus (sharded mode only)
-        NodeState state;
         alignas(std::max_align_t) unsigned char buf[kInlineCallback];
     };
 
@@ -547,7 +477,7 @@ class EventQueue
      * order — where periodic audits and stat samplers belong.
      */
     template <typename Fn>
-    EventId
+    void
     routeSchedule(Tick when, Fn &&fn, Priority prio)
     {
         ShardContext *c = tlsShardContext();
@@ -790,9 +720,8 @@ class EventQueue
     /**
      * Install the next drainable tick's events as the live batch:
      * migrates far events into the window, sorts the bucket if appends
-     * arrived out of ord order, purges leading tombstones (exactly the
-     * old heap's pop-side discard), and refuses ticks past @p limit.
-     * Returns false when nothing runnable remains within the horizon.
+     * arrived out of ord order, and refuses ticks past @p limit.
+     * Returns false when no event remains within the horizon.
      */
     bool refillBatch(Tick limit);
 
@@ -852,8 +781,6 @@ class EventQueue
     std::uint32_t freeHead_ = kNoSlot;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;
-    std::size_t pending_ = 0;
-    std::size_t cancelledTokens_ = 0;
     std::uint64_t scheduledTotal_ = 0;
     std::uint64_t executedTotal_ = 0;
     std::size_t depthHighWater_ = 0; ///< entryCount_ max, per refill

@@ -77,7 +77,6 @@ class Histogram
     /** Insert a sample (out-of-range samples go to under/overflow). */
     void add(double x);
 
-    std::size_t bins() const { return counts_.size(); }
     std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
     double binLow(std::size_t i) const;
     double binHigh(std::size_t i) const { return binLow(i + 1); }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "health.hpp"
-#include "metrics.hpp"
 #include "tracer.hpp"
 
 namespace blitz::trace {
@@ -109,16 +108,6 @@ FlushGuard::guardTracer(const Tracer &t, std::string path)
         std::ofstream os(path);
         if (os)
             t.writeJson(os);
-    });
-}
-
-FlushGuard::Registration
-FlushGuard::guardMetricsCsv(const Registry &reg, std::string path)
-{
-    return add([&reg, path = std::move(path)] {
-        std::ofstream os(path);
-        if (os)
-            reg.writeCsv(os);
     });
 }
 

@@ -32,7 +32,6 @@
 namespace blitz::trace {
 
 class HealthReport;
-class Registry;
 class Tracer;
 
 class FlushGuard
@@ -73,10 +72,6 @@ class FlushGuard
     /** Guard @p t: on flush, write its JSON document to @p path. */
     [[nodiscard]] static Registration guardTracer(const Tracer &t,
                                                   std::string path);
-
-    /** Guard @p reg: on flush, write its CSV series to @p path. */
-    [[nodiscard]] static Registration
-    guardMetricsCsv(const Registry &reg, std::string path);
 
     /** Guard @p report: on flush, write its JSON document to @p path. */
     [[nodiscard]] static Registration

@@ -1,8 +1,9 @@
 #include "metrics.hpp"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <utility>
 
 #include "sim/logging.hpp"
 
@@ -30,78 +31,19 @@ printDouble(std::ostream &os, double v)
     os << buf;
 }
 
-void
-printJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
 } // namespace
-
-const char *
-metricKindName(MetricKind k)
-{
-    switch (k) {
-      case MetricKind::Counter:   return "counter";
-      case MetricKind::Gauge:     return "gauge";
-      case MetricKind::Sampled:   return "sampled";
-      case MetricKind::Histogram: return "histogram";
-    }
-    return "?";
-}
-
-void
-Registry::addMetric(std::string name, MetricKind kind)
-{
-    BLITZ_ASSERT(series_.rows_.empty(),
-                 "metric '", name,
-                 "' registered after the first snapshot");
-    for (const MetricDesc &d : schema_)
-        BLITZ_ASSERT(d.name != name, "duplicate metric '", name, "'");
-    schema_.push_back(MetricDesc{std::move(name), kind});
-}
-
-Counter
-Registry::counter(std::string name)
-{
-    addMetric(std::move(name), MetricKind::Counter);
-    counterSlots_.push_back(0);
-    slotOf_.push_back(counterSlots_.size() - 1);
-    return Counter{&counterSlots_.back()};
-}
-
-Gauge
-Registry::gauge(std::string name)
-{
-    addMetric(std::move(name), MetricKind::Gauge);
-    gaugeSlots_.push_back(0.0);
-    slotOf_.push_back(gaugeSlots_.size() - 1);
-    return Gauge{&gaugeSlots_.back()};
-}
 
 void
 Registry::sampled(std::string name, std::function<double()> fn)
 {
     BLITZ_ASSERT(fn, "sampled metric '", name, "' needs a callback");
-    addMetric(std::move(name), MetricKind::Sampled);
-    sampledFns_.push_back(std::move(fn));
-    slotOf_.push_back(sampledFns_.size() - 1);
-}
-
-sim::Histogram *
-Registry::histogram(std::string name, double lo, double hi,
-                    std::size_t bins)
-{
-    addMetric(std::move(name), MetricKind::Histogram);
-    histSlots_.emplace_back(lo, hi, bins);
-    slotOf_.push_back(histSlots_.size() - 1);
-    return &histSlots_.back();
+    BLITZ_ASSERT(series_.rows_.empty(),
+                 "metric '", name,
+                 "' registered after the first snapshot");
+    for (const std::string &n : schema_)
+        BLITZ_ASSERT(n != name, "duplicate metric '", name, "'");
+    schema_.push_back(std::move(name));
+    fns_.push_back(std::move(fn));
 }
 
 void
@@ -109,41 +51,15 @@ Registry::sample(sim::Tick tick)
 {
     Snapshot row;
     row.tick = tick;
-    row.values.reserve(schema_.size());
-    for (std::size_t i = 0; i < schema_.size(); ++i) {
-        const std::size_t s = slotOf_[i];
-        switch (schema_[i].kind) {
-          case MetricKind::Counter:
-            row.values.push_back(
-                static_cast<double>(counterSlots_[s]));
-            break;
-          case MetricKind::Gauge:
-            row.values.push_back(gaugeSlots_[s]);
-            break;
-          case MetricKind::Sampled:
-            row.values.push_back(sampledFns_[s]());
-            break;
-          case MetricKind::Histogram:
-            row.values.push_back(
-                static_cast<double>(histSlots_[s].total()));
-            break;
-        }
-    }
+    row.values.reserve(fns_.size());
+    for (const auto &fn : fns_)
+        row.values.push_back(fn());
     if (series_.schema_.empty())
         series_.schema_ = schema_;
     series_.rows_.push_back(std::move(row));
     series_.cov_.push_back(1);
     if (onSample)
         onSample(series_.rows_.back());
-}
-
-MetricsSeries
-Registry::series() const
-{
-    MetricsSeries out = series_;
-    if (out.schema_.empty())
-        out.schema_ = schema_; // no rows yet: still export the schema
-    return out;
 }
 
 MetricsSeries
@@ -154,44 +70,6 @@ Registry::takeSeries()
     MetricsSeries out = std::move(series_);
     series_ = MetricsSeries{};
     return out;
-}
-
-void
-Registry::writeCsv(std::ostream &os) const
-{
-    series().writeCsv(os);
-}
-
-void
-Registry::writeJson(std::ostream &os) const
-{
-    // The series body, minus its closing brace, then the histograms.
-    os << "{\"series\":";
-    series().writeJson(os);
-    os << ",\"histograms\":{";
-    bool first = true;
-    for (std::size_t i = 0; i < schema_.size(); ++i) {
-        if (schema_[i].kind != MetricKind::Histogram)
-            continue;
-        if (!first)
-            os << ',';
-        first = false;
-        const sim::Histogram &h = histSlots_[slotOf_[i]];
-        printJsonString(os, schema_[i].name);
-        os << ":{\"underflow\":" << h.underflow()
-           << ",\"overflow\":" << h.overflow() << ",\"bins\":[";
-        for (std::size_t b = 0; b < h.bins(); ++b) {
-            if (b)
-                os << ',';
-            os << "{\"lo\":";
-            printDouble(os, h.binLow(b));
-            os << ",\"hi\":";
-            printDouble(os, h.binHigh(b));
-            os << ",\"count\":" << h.binCount(b) << '}';
-        }
-        os << "]}";
-    }
-    os << "}}";
 }
 
 void
@@ -206,10 +84,9 @@ MetricsSeries::merge(const MetricsSeries &other)
     BLITZ_ASSERT(schema_.size() == other.schema_.size(),
                  "merging metric series with different schemas");
     for (std::size_t i = 0; i < schema_.size(); ++i) {
-        BLITZ_ASSERT(schema_[i].name == other.schema_[i].name,
+        BLITZ_ASSERT(schema_[i] == other.schema_[i],
                      "merging metric series with different schemas (",
-                     schema_[i].name, " vs ", other.schema_[i].name,
-                     ")");
+                     schema_[i], " vs ", other.schema_[i], ")");
     }
     const std::size_t shared = std::min(rows_.size(),
                                         other.rows_.size());
@@ -230,8 +107,8 @@ void
 MetricsSeries::writeCsv(std::ostream &os) const
 {
     os << "tick,cov";
-    for (const MetricDesc &d : schema_)
-        os << ',' << d.name;
+    for (const std::string &name : schema_)
+        os << ',' << name;
     os << '\n';
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         os << rows_[r].tick << ',' << cov_[r];
@@ -241,34 +118,6 @@ MetricsSeries::writeCsv(std::ostream &os) const
         }
         os << '\n';
     }
-}
-
-void
-MetricsSeries::writeJson(std::ostream &os) const
-{
-    os << "{\"schema\":[";
-    for (std::size_t i = 0; i < schema_.size(); ++i) {
-        if (i)
-            os << ',';
-        os << "{\"name\":";
-        printJsonString(os, schema_[i].name);
-        os << ",\"kind\":\"" << metricKindName(schema_[i].kind)
-           << "\"}";
-    }
-    os << "],\"snapshots\":[";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        if (r)
-            os << ',';
-        os << "{\"tick\":" << rows_[r].tick << ",\"cov\":" << cov_[r]
-           << ",\"values\":[";
-        for (std::size_t c = 0; c < rows_[r].values.size(); ++c) {
-            if (c)
-                os << ',';
-            printDouble(os, rows_[r].values[c]);
-        }
-        os << "]}";
-    }
-    os << "]}";
 }
 
 } // namespace blitz::trace

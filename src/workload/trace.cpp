@@ -1,7 +1,6 @@
 #include "trace.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "sim/logging.hpp"
 
@@ -37,56 +36,6 @@ ActivityTrace::maxTile() const
     for (const PhaseEvent &e : events_)
         top = std::max(top, e.tile);
     return top;
-}
-
-std::string
-ActivityTrace::toCsv() const
-{
-    std::ostringstream os;
-    os << "tick,tile,active\n";
-    for (const PhaseEvent &e : events_) {
-        os << e.when << ',' << e.tile << ','
-           << (e.startsExecution ? 1 : 0) << '\n';
-    }
-    return os.str();
-}
-
-ActivityTrace
-ActivityTrace::fromCsv(const std::string &csv)
-{
-    ActivityTrace trace;
-    std::istringstream is(csv);
-    std::string line;
-    bool header = true;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        if (header) {
-            header = false;
-            if (line.rfind("tick,", 0) == 0)
-                continue; // skip the header row
-        }
-        std::istringstream row(line);
-        std::string tick_s, tile_s, active_s;
-        if (!std::getline(row, tick_s, ',') ||
-            !std::getline(row, tile_s, ',') ||
-            !std::getline(row, active_s)) {
-            sim::fatal("malformed trace row ", lineno, ": '", line,
-                       "'");
-        }
-        try {
-            trace.record(
-                static_cast<sim::Tick>(std::stoull(tick_s)),
-                static_cast<std::uint32_t>(std::stoul(tile_s)),
-                std::stoi(active_s) != 0);
-        } catch (const std::logic_error &) {
-            sim::fatal("malformed trace row ", lineno, ": '", line,
-                       "'");
-        }
-    }
-    return trace;
 }
 
 ActivityTrace

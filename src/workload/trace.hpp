@@ -2,20 +2,19 @@
  * @file
  * Activity-trace recording and replay.
  *
- * The paper's RTL flow exports tile-activity waveforms to CSV and
+ * The paper's RTL flow exports tile-activity waveforms and
  * post-processes them (Artifact Appendix E/F). This module is the
  * equivalent bridge for this repo: record the activity edges of a
- * full-SoC run (or synthesize them), serialize to the same kind of
- * CSV, and replay them onto the fast behavioral engine — so a
- * design-space sweep (back-off law, pairing period, coin precision)
- * can be driven by a *real* workload's activity pattern instead of a
- * synthetic generator, at Monte-Carlo speed.
+ * full-SoC run (or synthesize them) and replay them onto the fast
+ * behavioral engine — so a design-space sweep (back-off law, pairing
+ * period, coin precision) can be driven by a *real* workload's
+ * activity pattern instead of a synthetic generator, at Monte-Carlo
+ * speed.
  */
 
 #ifndef BLITZ_WORKLOAD_TRACE_HPP
 #define BLITZ_WORKLOAD_TRACE_HPP
 
-#include <string>
 #include <vector>
 
 #include "coin/engine.hpp"
@@ -44,12 +43,6 @@ class ActivityTrace
 
     /** Highest tile index referenced (determines replay mesh size). */
     std::uint32_t maxTile() const;
-
-    /** Serialize: "tick,tile,active" rows with a header. */
-    std::string toCsv() const;
-
-    /** Parse a trace produced by toCsv(); fatal() on malformed rows. */
-    static ActivityTrace fromCsv(const std::string &csv);
 
     /** Build a trace from a phase generator (synthetic churn). */
     static ActivityTrace fromGenerator(PhaseGenerator &gen,

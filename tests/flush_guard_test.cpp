@@ -1,7 +1,7 @@
 /**
  * @file
- * Crash-safe flush tests: FlushGuard must persist *valid* JSON/CSV
- * documents of whatever a tracer/registry captured so far, both from
+ * Crash-safe flush tests: FlushGuard must persist *valid* JSON
+ * documents of whatever a tracer/health report captured so far, both from
  * an explicit flushAll() and from the fatal-signal path (exercised in
  * a death-test child so the re-raise semantics are observed too).
  */
@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/flush_guard.hpp"
-#include "trace/metrics.hpp"
+#include "trace/health.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -71,19 +71,17 @@ TEST(FlushGuard, FlushAllWritesValidDocumentsMidCapture)
     t.complete("test", "half_done", 0, 100, 200, {{"k", "v"}});
     t.instant("test", "mark", 0, 150);
 
-    trace::Registry reg;
-    trace::Counter c = reg.counter("events");
-    c.add(3);
-    reg.sample(1'000);
-    c.add(2);
-    reg.sample(2'000);
+    trace::HealthReport report;
+    report.setRun("mid_capture");
+    report.bumpDet("events", 3);
+    report.bumpDet("events", 2);
 
     const std::string jsonPath =
         testing::TempDir() + "flush_guard_trace.json";
-    const std::string csvPath =
-        testing::TempDir() + "flush_guard_metrics.csv";
+    const std::string healthPath =
+        testing::TempDir() + "flush_guard_health.json";
     auto g1 = trace::FlushGuard::guardTracer(t, jsonPath);
-    auto g2 = trace::FlushGuard::guardMetricsCsv(reg, csvPath);
+    auto g2 = trace::FlushGuard::guardHealth(report, healthPath);
     ASSERT_TRUE(g1);
     ASSERT_TRUE(g2);
 
@@ -95,18 +93,17 @@ TEST(FlushGuard, FlushAllWritesValidDocumentsMidCapture)
     EXPECT_TRUE(balancedJson(json)) << json;
     EXPECT_NE(json.find("half_done"), std::string::npos);
 
-    const std::string csv = slurp(csvPath);
-    EXPECT_NE(csv.find("tick"), std::string::npos);
-    EXPECT_NE(csv.find("events"), std::string::npos);
-    // Header plus the two sampled rows.
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
+    const std::string health = slurp(healthPath);
+    EXPECT_TRUE(balancedJson(health)) << health;
+    EXPECT_NE(health.find("mid_capture"), std::string::npos);
+    EXPECT_NE(health.find("\"events\":5"), std::string::npos) << health;
 
     // A second pass re-runs the current set — still valid documents.
     trace::FlushGuard::flushAll();
     EXPECT_TRUE(balancedJson(slurp(jsonPath)));
 
     std::remove(jsonPath.c_str());
-    std::remove(csvPath.c_str());
+    std::remove(healthPath.c_str());
 }
 
 TEST(FlushGuard, ReleasedRegistrationsNoLongerFlush)

@@ -45,7 +45,6 @@
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
 #include "trace/metrics.hpp"
-#include "trace/noc_trace.hpp"
 #include "trace/prof.hpp"
 #include "trace/tracer.hpp"
 
@@ -192,12 +191,9 @@ chaosTrialDigest(const GoldenScenario &sc, std::uint64_t seed,
     // the digest below must not move.
     trace::Tracer tracer;
     trace::Registry reg;
-    trace::NocTrace nocProbe(reg, cluster.net().linkCount(),
-                             /*hopLatency=*/1);
     if (observed) {
         cluster.attachTrace(&tracer);
         cluster.attachMetrics(&reg, /*interval=*/1024);
-        cluster.net().setTrace(&nocProbe);
     }
     if (rec)
         cluster.attachRecorder(rec);
@@ -759,10 +755,10 @@ TEST(GoldenTrace, SampledFig01TrialMatchesUnsampledResult)
 
 TEST(GoldenTrace, ObservedChaosTrialsMatchUnobservedDigests)
 {
-    // Full observability on (tracer spans, NoC probe, periodic metric
-    // sampler events): sampler events interleave at Priority::Stats
-    // but never reorder existing event pairs and touch no RNG, so each
-    // trial digest is unchanged.
+    // Full observability on (tracer spans, periodic metric sampler
+    // events): sampler events interleave at Priority::Stats but never
+    // reorder existing event pairs and touch no RNG, so each trial
+    // digest is unchanged.
     std::uint64_t scenarioIdx = 0;
     for (const GoldenScenario &sc : kScenarios) {
         const std::uint64_t seed = sweep::streamSeed(2026, scenarioIdx++);

@@ -130,4 +130,29 @@ TEST(ProfTool, UsageAndIoErrorsExitTwo)
     std::remove(broken.c_str());
 }
 
+TEST(ProfTool, RecordRejectsOutOfRangeCountsNamingTheFlag)
+{
+    // A mesh past the node ceiling and a shard count past 32 bits
+    // must exit 2 before any cluster is built — not abort, and not
+    // wrap to a small count the report would then mislabel.
+    const std::string rep = testing::TempDir() + "top_bad_flags.json";
+    struct Case
+    {
+        const char *args;
+        const char *flag;
+    };
+    for (const Case &c : {Case{"--d 2000", "--d"},
+                          Case{"--shards 4294967297", "--shards"},
+                          Case{"--ticks -5", "--ticks"},
+                          Case{"--d 8x", "--d"}}) {
+        std::string out;
+        EXPECT_EQ(runTool("record " + rep + " " + c.args, &out), 2)
+            << c.args << "\n" << out;
+        EXPECT_NE(out.find(c.flag), std::string::npos)
+            << c.args << "\n" << out;
+        EXPECT_EQ(out.find("wrote"), std::string::npos) << out;
+    }
+    std::remove(rep.c_str());
+}
+
 } // namespace

@@ -44,7 +44,7 @@ col(const trace::Registry &reg, const std::string &name)
 {
     const auto &schema = reg.schema();
     for (std::size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].name == name)
+        if (schema[i] == name)
             return i;
     }
     ADD_FAILURE() << "no metric column named " << name;

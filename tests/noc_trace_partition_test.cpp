@@ -1,24 +1,24 @@
 /**
  * @file
- * Cross-plane accounting reconciliation: the NoC probe (NocTrace),
- * the network's own counters, the fault plane's per-cause statistics,
- * and the flight recorder's journal must all agree packet for packet
- * under mesh partitions, outages, and rate faults. Every discarded
- * packet has exactly one cause, and every observer counts it exactly
- * once — a drift between the planes would mean some observer is
+ * Cross-plane accounting reconciliation: the health report's NoC keys
+ * (what every bench's --health output carries), the network's own
+ * counters, the fault plane's per-cause statistics, and the flight
+ * recorder's journal must all agree packet for packet under mesh
+ * partitions, outages, and rate faults. Every discarded packet has
+ * exactly one cause, and every observer counts it exactly once — a
+ * drift between the planes would mean some observer is
  * double-counting or blind.
  */
 
 #include <cstdint>
 #include <memory>
-#include <numeric>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "fault/chaos.hpp"
 #include "record/recorder.hpp"
-#include "trace/metrics.hpp"
-#include "trace/noc_trace.hpp"
+#include "trace/health.hpp"
 
 namespace {
 
@@ -27,9 +27,7 @@ using namespace blitz;
 /** A bench_chaos-shaped trial with every observer plane attached. */
 struct ObservedTrial
 {
-    trace::Registry reg;
     std::unique_ptr<fault::ChaosCluster> cluster;
-    std::unique_ptr<trace::NocTrace> probe;
     record::FlightRecorder rec;
 
     ObservedTrial(int d, const fault::FaultConfig &fc,
@@ -43,9 +41,6 @@ struct ObservedTrial
         cc.fault.seed = seed;
         cc.auditPeriod = 4'096;
         cluster = std::make_unique<fault::ChaosCluster>(cc);
-        probe = std::make_unique<trace::NocTrace>(
-            reg, cluster->net().linkCount(), /*hopLatency=*/1);
-        cluster->net().setTrace(probe.get());
         cluster->attachRecorder(&rec);
 
         const auto n = static_cast<std::size_t>(d * d);
@@ -72,6 +67,17 @@ struct ObservedTrial
         }
         return count;
     }
+
+    /** A deterministic key of the cluster's health report. */
+    double
+    health(std::string_view key) const
+    {
+        trace::HealthReport report;
+        cluster->fillHealth(report);
+        const double *v = report.findDet(key);
+        EXPECT_NE(v, nullptr) << "no health key " << key;
+        return v ? *v : -1.0;
+    }
 };
 
 TEST(NocTracePartition, PartitionOnlyDropsReconcileExactly)
@@ -96,21 +102,11 @@ TEST(NocTracePartition, PartitionOnlyDropsReconcileExactly)
                          record::kSitePartition),
               stats.partitionDrops);
 
-    // The probe's counters surface through the registry snapshot.
-    t.reg.sample(t.cluster->eq().now());
-    const auto &schema = t.reg.schema();
-    const auto &row = t.reg.snapshots().back();
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].name == "noc.dropped") {
-            EXPECT_EQ(row.values[i],
-                      static_cast<double>(stats.partitionDrops));
-        }
-        if (schema[i].name == "noc.delivered") {
-            EXPECT_EQ(row.values[i],
-                      static_cast<double>(
-                          t.cluster->net().packetsDelivered()));
-        }
-    }
+    // The health report the benches emit carries the same counts.
+    EXPECT_EQ(t.health("noc.dropped"),
+              static_cast<double>(stats.partitionDrops));
+    EXPECT_EQ(t.health("noc.delivered"),
+              static_cast<double>(t.cluster->net().packetsDelivered()));
 }
 
 TEST(NocTracePartition, MixedFaultsReconcileAcrossAllPlanes)
@@ -156,29 +152,13 @@ TEST(NocTracePartition, MixedFaultsReconcileAcrossAllPlanes)
     EXPECT_EQ(t.recorded(RecordKind::NocDeliver),
               t.cluster->net().packetsDelivered());
 
-    // The probe saw the same world: drops and deliveries match the
-    // network, and its per-link hop counts sum to the network total.
-    t.reg.sample(t.cluster->eq().now());
-    const auto &schema = t.reg.schema();
-    const auto &row = t.reg.snapshots().back();
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].name == "noc.dropped") {
-            EXPECT_EQ(row.values[i], static_cast<double>(totalDrops));
-        }
-        if (schema[i].name == "noc.delivered") {
-            EXPECT_EQ(row.values[i],
-                      static_cast<double>(
-                          t.cluster->net().packetsDelivered()));
-        }
-        if (schema[i].name == "noc.hops") {
-            EXPECT_EQ(row.values[i],
-                      static_cast<double>(t.cluster->net().totalHops()));
-        }
-    }
-    const auto &hops = t.probe->linkHops();
-    EXPECT_EQ(std::accumulate(hops.begin(), hops.end(),
-                              std::uint64_t{0}),
-              t.cluster->net().totalHops());
+    // The health report saw the same world: drops, deliveries and
+    // hops match the network and the per-cause fault statistics.
+    EXPECT_EQ(t.health("noc.dropped"), static_cast<double>(totalDrops));
+    EXPECT_EQ(t.health("noc.delivered"),
+              static_cast<double>(t.recorded(RecordKind::NocDeliver)));
+    EXPECT_EQ(t.health("noc.hops"),
+              static_cast<double>(t.cluster->net().totalHops()));
 }
 
 } // namespace

@@ -337,7 +337,7 @@ lastValue(const trace::Registry &reg, const std::string &name)
 {
     const auto &schema = reg.schema();
     for (std::size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].name == name)
+        if (schema[i] == name)
             return reg.snapshots().back().values[i];
     }
     ADD_FAILURE() << "no metric column named " << name;

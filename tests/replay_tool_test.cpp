@@ -186,7 +186,8 @@ TEST(ReplayTool, RecordRefusesInvalidScenarioFlags)
     const std::string log = testing::TempDir() + "tool_bad_flags.blzr";
     for (const char *flags :
          {"--d 1", "--d 4294967298", "--drop nan", "--dup 2",
-          "--corrupt -1", "--trials 0"}) {
+          "--corrupt -1", "--trials 0", "--deadline -1",
+          "--snapshot-every -1", "--d abc"}) {
         std::string out;
         EXPECT_EQ(runTool("record " + log + " " + flags, &out), 2)
             << flags << "\n" << out;

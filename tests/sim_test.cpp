@@ -83,26 +83,6 @@ TEST(EventQueue, SameTickSamePriorityFifo)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelSkipsEvent)
-{
-    sim::EventQueue eq;
-    bool ran = false;
-    auto id = eq.schedule(10, [&] { ran = true; });
-    eq.cancel(id);
-    eq.runUntil();
-    EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoOp)
-{
-    sim::EventQueue eq;
-    eq.cancel(12345);
-    bool ran = false;
-    eq.schedule(1, [&] { ran = true; });
-    eq.runUntil();
-    EXPECT_TRUE(ran);
-}
-
 TEST(EventQueue, RunUntilHonorsLimit)
 {
     sim::EventQueue eq;
@@ -152,74 +132,72 @@ TEST(EventQueue, RunOneReturnsFalseWhenEmpty)
     EXPECT_FALSE(eq.runOne());
 }
 
-// Regression: a cancelled event at the front of the queue must not
-// unlock execution of a later event beyond the runUntil horizon.
-TEST(EventQueue, CancelledFrontDoesNotBreachHorizon)
-{
-    sim::EventQueue eq;
-    bool late_ran = false;
-    auto id = eq.schedule(10, [] {});
-    eq.schedule(30, [&] { late_ran = true; });
-    eq.cancel(id);
-    EXPECT_EQ(eq.runUntil(20), 0u);
-    EXPECT_FALSE(late_ran) << "event fired past the requested horizon";
-    EXPECT_EQ(eq.now(), 20u);
-    // The late event is still intact and fires on the next window.
-    EXPECT_EQ(eq.runUntil(40), 1u);
-    EXPECT_TRUE(late_ran);
-    EXPECT_EQ(eq.now(), 40u);
-}
-
 TEST(EventQueue, NoEventExecutesPastLimit)
 {
     sim::EventQueue eq;
     std::vector<sim::Tick> fired;
-    std::vector<sim::EventQueue::EventId> ids;
     for (sim::Tick t = 5; t <= 50; t += 5)
-        ids.push_back(eq.schedule(t, [&fired, &eq] {
-            fired.push_back(eq.now());
-        }));
-    // Cancel a scattering of them, including ones at the boundary.
-    eq.cancel(ids[0]); // t=5
-    eq.cancel(ids[3]); // t=20
-    eq.cancel(ids[4]); // t=25
+        eq.schedule(t, [&fired, &eq] { fired.push_back(eq.now()); });
     eq.runUntil(25);
-    for (sim::Tick t : fired)
-        EXPECT_LE(t, 25u);
-    EXPECT_EQ(fired, (std::vector<sim::Tick>{10, 15}));
+    EXPECT_EQ(fired, (std::vector<sim::Tick>{5, 10, 15, 20, 25}));
+    EXPECT_EQ(eq.now(), 25u);
+    EXPECT_EQ(eq.pending(), 5u);
 }
 
-// Regression: the executed count must track callbacks actually run,
-// with cancelled entries neither counted nor miscounted.
+// Regression: the executed count must track callbacks actually run —
+// same-tick events a callback schedules count, events it parks past
+// the horizon do not.
 TEST(EventQueue, RunUntilCountsOnlyExecutedCallbacks)
 {
     sim::EventQueue eq;
     int ran = 0;
-    auto a = eq.schedule(5, [&] { ++ran; });
-    auto b = eq.schedule(5, [&] { ++ran; });
+    eq.schedule(5, [&] {
+        ++ran;
+        eq.schedule(5, [&] { ++ran; });
+        eq.schedule(12, [&] { ++ran; });
+    });
     eq.schedule(8, [&] { ++ran; });
-    auto d = eq.schedule(9, [&] { ++ran; });
     eq.schedule(25, [&] { ++ran; });
-    eq.cancel(a);
-    eq.cancel(b);
-    eq.cancel(d);
-    EXPECT_EQ(eq.runUntil(10), 1u);
-    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(eq.runUntil(10), 3u);
+    EXPECT_EQ(ran, 3);
     EXPECT_EQ(eq.now(), 10u);
+    EXPECT_EQ(eq.runUntil(), 2u);
+    EXPECT_EQ(ran, 5);
 }
 
-TEST(EventQueue, RunUntilOnAllCancelledQueueExecutesNothing)
+// Events past the kWheelTicks (4,096-tick) calendar window park in
+// the far-heap: the horizon must hold for them exactly as for wheel
+// events, and once they migrate into the wheel they must interleave
+// with wheel events at the same tick in (tick, priority, FIFO) order.
+TEST(EventQueue, FarHeapEventHonorsHorizon)
 {
     sim::EventQueue eq;
-    int ran = 0;
-    auto a = eq.schedule(3, [&] { ++ran; });
-    auto b = eq.schedule(7, [&] { ++ran; });
-    eq.cancel(a);
-    eq.cancel(b);
-    EXPECT_EQ(eq.runUntil(10), 0u);
-    EXPECT_EQ(ran, 0);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.now(), 10u);
+    std::vector<int> order;
+    eq.schedule(10'000, [&] { order.push_back(1); }); // far
+    eq.schedule(10'000, [&] { order.push_back(3); },
+                sim::Priority::Controller); // far
+    EXPECT_EQ(eq.runUntil(5'000), 0u);
+    EXPECT_EQ(eq.now(), 5'000u);
+    EXPECT_EQ(eq.pending(), 2u);
+
+    // Slide the window so 10'000 lands in the wheel for new events.
+    EXPECT_EQ(eq.runUntil(7'000), 0u);
+    eq.schedule(10'000, [&] { order.push_back(2); }); // wheel
+    eq.schedule(10'000, [&] { order.push_back(0); },
+                sim::Priority::NocTransfer); // wheel
+    EXPECT_EQ(eq.runUntil(20'000), 4u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(eq.now(), 20'000u);
+
+    sim::EventQueue far;
+    bool ran = false;
+    far.schedule(10'000, [&] { ran = true; });
+    EXPECT_FALSE(far.runOne(9'999));
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(far.now(), 0u);
+    EXPECT_TRUE(far.runOne(10'000));
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(far.now(), 10'000u);
 }
 
 TEST(EventQueue, RunOneHonorsHorizon)
@@ -234,34 +212,6 @@ TEST(EventQueue, RunOneHonorsHorizon)
     EXPECT_TRUE(ran);
 }
 
-// Cancellation tokens must not accumulate for ids that already
-// executed (or never existed) — the token set stays bounded by the
-// queue contents across arbitrarily long runs.
-TEST(EventQueue, CancelTokensArePurged)
-{
-    sim::EventQueue eq;
-    auto id = eq.schedule(1, [] {});
-    eq.cancel(id);
-    EXPECT_EQ(eq.cancelledTokens(), 1u);
-    eq.cancel(id); // double-cancel folds into the same token
-    EXPECT_EQ(eq.cancelledTokens(), 1u);
-    eq.runUntil(5);
-    EXPECT_EQ(eq.cancelledTokens(), 0u);
-
-    auto id2 = eq.schedule(10, [] {});
-    eq.runUntil(20);
-    eq.cancel(id2); // already executed: must not leave a token
-    eq.cancel(987654321); // unknown id: must not leave a token
-    EXPECT_EQ(eq.cancelledTokens(), 0u);
-
-    for (int round = 0; round < 100; ++round) {
-        auto e = eq.scheduleIn(1, [] {});
-        eq.runUntil(eq.now() + 2);
-        eq.cancel(e); // always post-execution
-    }
-    EXPECT_EQ(eq.cancelledTokens(), 0u);
-}
-
 TEST(EventQueue, PendingCountsScheduled)
 {
     sim::EventQueue eq;
@@ -270,44 +220,6 @@ TEST(EventQueue, PendingCountsScheduled)
     EXPECT_EQ(eq.pending(), 2u);
     eq.runUntil();
     EXPECT_EQ(eq.pending(), 0u);
-}
-
-// FIFO ordering of same-tick, same-priority events is part of the
-// determinism contract: every NoC delivery and controller tick relies
-// on insertion order as the final tie-break, so any queue
-// implementation (binary heap, d-ary heap, slab-indexed) must keep it.
-TEST(EventQueue, SameTickFifoSurvivesCancellation)
-{
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(0); });
-    auto b = eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(10, [&] { order.push_back(2); });
-    eq.cancel(b);
-    // Events scheduled after a same-tick cancellation must land after
-    // the surviving earlier insertions.
-    eq.schedule(10, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(4); });
-    eq.runUntil();
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 4}));
-}
-
-TEST(EventQueue, CancelThenRescheduleAtSameTickKeepsFifo)
-{
-    // Cancel-then-reschedule from inside a callback running at that
-    // very tick: the replacement goes to the back of the tick's queue.
-    sim::EventQueue eq;
-    std::vector<int> order;
-    sim::EventQueue::EventId victim = 0;
-    eq.schedule(5, [&] {
-        order.push_back(0);
-        eq.cancel(victim);
-        eq.schedule(5, [&] { order.push_back(3); });
-    });
-    victim = eq.schedule(5, [&] { order.push_back(1); });
-    eq.schedule(5, [&] { order.push_back(2); });
-    eq.runUntil();
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
 }
 
 TEST(EventQueue, InterleavedTicksKeepPerTickFifo)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests of the observability plane itself: registry snapshotting,
- * series merging (the sweep-determinism contract), CSV/JSON export,
- * Chrome-trace emission, the NoC probe, bit-identical merged metrics
- * across sweep thread counts, and the SoC's attach-order independence.
+ * series merging (the sweep-determinism contract), CSV export,
+ * Chrome-trace emission, bit-identical merged metrics across sweep
+ * thread counts, and the SoC's attach-order independence.
  */
 
 #include <cctype>
@@ -24,7 +24,6 @@
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
 #include "trace/metrics.hpp"
-#include "trace/noc_trace.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -165,48 +164,41 @@ class JsonChecker
 
 // ------------------------------------------------------------ registry
 
-TEST(Metrics, CountersGaugesSampledAndHistogramsSnapshotInOrder)
+TEST(Metrics, SampledGaugesSnapshotInOrder)
 {
     trace::Registry reg;
-    trace::Counter hits = reg.counter("hits");
-    trace::Gauge level = reg.gauge("level");
+    double level = 0.5;
     int calls = 0;
+    reg.sampled("level", [&level] { return level; });
     reg.sampled("derived", [&calls] { return 10.0 * ++calls; });
-    sim::Histogram *lat = reg.histogram("lat", 0.0, 64.0, 8);
 
-    ASSERT_EQ(reg.metricCount(), 4u);
-    EXPECT_EQ(reg.schema()[0].name, "hits");
-    EXPECT_EQ(reg.schema()[0].kind, trace::MetricKind::Counter);
-    EXPECT_EQ(reg.schema()[3].kind, trace::MetricKind::Histogram);
+    EXPECT_EQ(reg.schema(),
+              (std::vector<std::string>{"level", "derived"}));
+    EXPECT_THROW(reg.sampled("level", [] { return 0.0; }),
+                 sim::PanicError);
 
-    hits.add();
-    hits.add(2);
-    level.set(0.5);
-    lat->add(3.0);
-    lat->add(99.0); // overflow bucket still counts toward the column
     reg.sample(100);
-
-    hits.add();
-    level.set(-1.25);
+    level = -1.25;
     reg.sample(200);
+    EXPECT_THROW(reg.sampled("late", [] { return 0.0; }),
+                 sim::PanicError);
 
     const auto &rows = reg.snapshots();
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0].tick, 100u);
-    EXPECT_EQ(rows[0].values, (std::vector<double>{3, 0.5, 10, 2}));
-    EXPECT_EQ(rows[1].values, (std::vector<double>{4, -1.25, 20, 2}));
+    EXPECT_EQ(rows[0].values, (std::vector<double>{0.5, 10}));
+    EXPECT_EQ(rows[1].values, (std::vector<double>{-1.25, 20}));
 }
 
 TEST(Metrics, OnSampleObserverSeesEachAppendedRow)
 {
     trace::Registry reg;
-    trace::Counter c = reg.counter("c");
+    reg.sampled("c", [] { return 1.0; });
     std::vector<sim::Tick> seen;
     reg.onSample = [&](const trace::Snapshot &s) {
         seen.push_back(s.tick);
         EXPECT_EQ(s.values.size(), 1u);
     };
-    c.add();
     reg.sample(1);
     reg.sample(2);
     EXPECT_EQ(seen, (std::vector<sim::Tick>{1, 2}));
@@ -214,11 +206,12 @@ TEST(Metrics, OnSampleObserverSeesEachAppendedRow)
 
 TEST(Metrics, MergeSumsAlignedRowsAndTracksCoverage)
 {
-    auto makeSeries = [](std::uint64_t bias, std::size_t rows) {
+    auto makeSeries = [](double bias, std::size_t rows) {
         trace::Registry reg;
-        trace::Counter c = reg.counter("c");
+        double c = 0.0;
+        reg.sampled("c", [&c] { return c; });
         for (std::size_t i = 0; i < rows; ++i) {
-            c.add(bias);
+            c += bias;
             reg.sample(static_cast<sim::Tick>((i + 1) * 10));
         }
         return reg.takeSeries();
@@ -234,25 +227,17 @@ TEST(Metrics, MergeSumsAlignedRowsAndTracksCoverage)
               (std::vector<std::uint32_t>{2, 2, 1}));
 }
 
-TEST(Metrics, CsvAndJsonExportsAreWellFormed)
+TEST(Metrics, CsvExportIsWellFormed)
 {
     trace::Registry reg;
-    trace::Counter c = reg.counter("c");
+    reg.sampled("c", [] { return 7.0; });
     reg.sampled("g", [] { return 1.5; });
-    sim::Histogram *h = reg.histogram("h", 0.0, 10.0, 5);
-    c.add(7);
-    h->add(4.0);
     reg.sample(42);
+    reg.sample(43);
 
     std::ostringstream csv;
-    reg.writeCsv(csv);
-    EXPECT_EQ(csv.str(), "tick,cov,c,g,h\n42,1,7,1.5,1\n");
-
-    std::ostringstream json;
-    reg.writeJson(json);
-    EXPECT_TRUE(JsonChecker(json.str()).valid()) << json.str();
-    EXPECT_NE(json.str().find("\"schema\""), std::string::npos);
-    EXPECT_NE(json.str().find("\"histograms\""), std::string::npos);
+    reg.takeSeries().writeCsv(csv);
+    EXPECT_EQ(csv.str(), "tick,cov,c,g\n42,1,7,1.5\n43,1,7,1.5\n");
 }
 
 // ------------------------------------------------------------- tracer
@@ -378,40 +363,6 @@ TEST(Tracer, AbsorbPreservesCounterTracksAcrossMerges)
     twice.absorb(master, /*pid=*/9);
     EXPECT_EQ(twice.trackCount(), 2u)
         << "absorb duplicated an identical (cat, name, tid) track";
-}
-
-// ---------------------------------------------------------- NoC probe
-
-TEST(NocTrace, AccumulatesHopsDeliveriesAndUtilization)
-{
-    trace::Registry reg;
-    trace::NocTrace probe(reg, /*linkCount=*/4, /*hopLatency=*/2);
-    probe.onHop(1, 100);
-    probe.onHop(1, 102);
-    probe.onHop(2, 104);
-    probe.onDeliver(0, 0, /*inject=*/100, /*now=*/110);
-    probe.onDrop(3, 0, 120);
-
-    EXPECT_EQ(probe.linkHops()[1], 2u);
-    EXPECT_DOUBLE_EQ(probe.linkUtilization(1, /*elapsed=*/100), 0.04);
-    EXPECT_DOUBLE_EQ(probe.maxLinkUtilization(100), 0.04);
-    reg.sample(200);
-    const auto &row = reg.snapshots().back();
-    // Columns registered by the probe: hops, delivered, dropped, latency.
-    const auto &schema = reg.schema();
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].name == "noc.hops")
-            EXPECT_EQ(row.values[i], 3.0);
-        if (schema[i].name == "noc.delivered")
-            EXPECT_EQ(row.values[i], 1.0);
-        if (schema[i].name == "noc.dropped")
-            EXPECT_EQ(row.values[i], 1.0);
-    }
-
-    std::ostringstream csv;
-    probe.writeLinkCsv(csv, /*elapsed=*/100);
-    EXPECT_NE(csv.str().find("link,hops,utilization"),
-              std::string::npos);
 }
 
 // ------------------------------------------------------- Soc sampling

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for activity-trace recording, CSV round-trips, and replay.
+ * Tests for activity-trace recording and replay.
  */
 
 #include <gtest/gtest.h>
@@ -37,29 +37,6 @@ TEST(Trace, RejectsOutOfOrderEdges)
     ActivityTrace t;
     t.record(100, 0, true);
     EXPECT_THROW(t.record(50, 1, true), sim::FatalError);
-}
-
-TEST(Trace, CsvRoundTrip)
-{
-    ActivityTrace t = smallTrace();
-    std::string csv = t.toCsv();
-    EXPECT_NE(csv.find("tick,tile,active"), std::string::npos);
-    ActivityTrace back = ActivityTrace::fromCsv(csv);
-    ASSERT_EQ(back.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(back.events()[i].when, t.events()[i].when);
-        EXPECT_EQ(back.events()[i].tile, t.events()[i].tile);
-        EXPECT_EQ(back.events()[i].startsExecution,
-                  t.events()[i].startsExecution);
-    }
-}
-
-TEST(Trace, FromCsvRejectsGarbage)
-{
-    EXPECT_THROW(ActivityTrace::fromCsv("tick,tile,active\n1,2\n"),
-                 sim::FatalError);
-    EXPECT_THROW(ActivityTrace::fromCsv("nonsense row\n"),
-                 sim::FatalError);
 }
 
 TEST(Trace, FromGeneratorCoversHorizon)

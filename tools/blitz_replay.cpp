@@ -25,10 +25,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
 #include "record/replay.hpp"
+#include "sim/env.hpp"
 
 using namespace blitz;
 
@@ -76,9 +78,18 @@ scenarioOf(const record::LogHeader &header, const char *what)
     return sc;
 }
 
-/** Value of --flag NAME at argv[i]; advances i past the value. */
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * Value of --flag NAME at argv[i] as a count in [lo, hi]; advances i
+ * past the value. A missing, malformed or out-of-range value exits 2
+ * naming the flag; @p what says what the flag belongs to ("scenario"
+ * for the record command's scenario flags).
+ */
 bool
-numArg(int argc, char **argv, int &i, const char *name, long long &out)
+numArg(int argc, char **argv, int &i, const char *name, std::uint64_t lo,
+       std::uint64_t hi, std::uint64_t &out, const char *what = "flag")
 {
     if (std::strcmp(argv[i], name) != 0)
         return false;
@@ -86,7 +97,17 @@ numArg(int argc, char **argv, int &i, const char *name, long long &out)
         std::fprintf(stderr, "blitz-replay: %s needs a value\n", name);
         std::exit(2);
     }
-    out = std::atoll(argv[++i]);
+    const auto v = sim::parseCount(argv[++i], lo, hi);
+    if (!v) {
+        std::fprintf(stderr,
+                     "blitz-replay: invalid %s in command line: %s '%s' "
+                     "is not a count in [%llu, %llu]\n",
+                     what, name, argv[i],
+                     static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
+        std::exit(2);
+    }
+    out = *v;
     return true;
 }
 
@@ -111,57 +132,52 @@ cmdRecord(int argc, char **argv)
     const char *out = argv[0];
     record::ReplayScenario sc;
     sweep::SweepOptions opts;
-    long long tamper = -1;
-    // Out-of-range counts map to 0, which the scenario check refuses,
-    // instead of wrapping into a valid-looking value.
-    const auto u32 = [](long long x) {
-        return x > 0 && x <= UINT32_MAX ? static_cast<std::uint32_t>(x)
-                                        : 0u;
-    };
+    std::uint64_t d = sc.d;
+    std::uint64_t trials = sc.trials;
+    std::uint64_t threads = 0;
+    std::uint64_t tamperIdx = 0;
+    bool tamper = false;
     for (int i = 1; i < argc; ++i) {
-        long long v = 0;
-        double r = 0.0;
-        if (numArg(argc, argv, i, "--d", v))
-            sc.d = u32(v);
-        else if (realArg(argc, argv, i, "--drop", r))
-            sc.drop = r;
-        else if (realArg(argc, argv, i, "--dup", r))
-            sc.duplicate = r;
-        else if (realArg(argc, argv, i, "--corrupt", r))
-            sc.corrupt = r;
+        if (numArg(argc, argv, i, "--d", 0, kU32Max, d, "scenario") ||
+            numArg(argc, argv, i, "--seed", 0, kU64Max, sc.seed,
+                   "scenario") ||
+            numArg(argc, argv, i, "--trials", 0, kU32Max, trials,
+                   "scenario") ||
+            numArg(argc, argv, i, "--snapshot-every", 0, kU64Max,
+                   sc.snapshotEvery, "scenario") ||
+            numArg(argc, argv, i, "--deadline", 0, kU64Max, sc.deadline,
+                   "scenario") ||
+            numArg(argc, argv, i, "--threads", 0, kU32Max, threads) ||
+            realArg(argc, argv, i, "--drop", sc.drop) ||
+            realArg(argc, argv, i, "--dup", sc.duplicate) ||
+            realArg(argc, argv, i, "--corrupt", sc.corrupt))
+            continue;
+        if (numArg(argc, argv, i, "--tamper", 0, kU64Max, tamperIdx))
+            tamper = true;
         else if (std::strcmp(argv[i], "--crash") == 0)
             sc.crash = true;
         else if (std::strcmp(argv[i], "--partition") == 0)
             sc.partition = true;
-        else if (numArg(argc, argv, i, "--seed", v))
-            sc.seed = static_cast<std::uint64_t>(v);
-        else if (numArg(argc, argv, i, "--trials", v))
-            sc.trials = u32(v);
-        else if (numArg(argc, argv, i, "--threads", v))
-            opts.threads = static_cast<std::size_t>(v);
-        else if (numArg(argc, argv, i, "--snapshot-every", v))
-            sc.snapshotEvery = static_cast<sim::Tick>(v);
-        else if (numArg(argc, argv, i, "--deadline", v))
-            sc.deadline = static_cast<sim::Tick>(v);
-        else if (numArg(argc, argv, i, "--tamper", v))
-            tamper = v;
         else
             return usage();
     }
+    sc.d = static_cast<std::uint32_t>(d);
+    sc.trials = static_cast<std::uint32_t>(trials);
+    opts.threads = static_cast<std::size_t>(threads);
     if (!scenarioOf(sc.pack(), "command line"))
         return 2;
 
     record::FlightRecorder rec = record::recordScenario(sc, opts);
-    if (tamper >= 0) {
-        if (!record::tamperRecord(
-                rec, static_cast<std::uint64_t>(tamper))) {
+    if (tamper) {
+        const auto idx = static_cast<unsigned long long>(tamperIdx);
+        if (!record::tamperRecord(rec, tamperIdx)) {
             std::fprintf(stderr,
-                         "blitz-replay: --tamper %lld out of range "
+                         "blitz-replay: --tamper %llu out of range "
                          "(%zu records)\n",
-                         tamper, rec.size());
+                         idx, rec.size());
             return 2;
         }
-        std::printf("tampered record #%lld\n", tamper);
+        std::printf("tampered record #%llu\n", idx);
     }
     if (!rec.writeFile(out, sc.pack())) {
         std::fprintf(stderr, "blitz-replay: cannot write '%s'\n", out);
@@ -217,11 +233,10 @@ cmdVerify(int argc, char **argv)
         return 2;
     sweep::SweepOptions opts;
     for (int i = 1; i < argc; ++i) {
-        long long v = 0;
-        if (numArg(argc, argv, i, "--threads", v))
-            opts.threads = static_cast<std::size_t>(v);
-        else
+        std::uint64_t v = 0;
+        if (!numArg(argc, argv, i, "--threads", 0, kU32Max, v))
             return usage();
+        opts.threads = static_cast<std::size_t>(v);
     }
     std::printf("replaying: %s\n", sc->describe().c_str());
     const auto res = record::replayVerify(ref, *sc, opts);
@@ -276,9 +291,9 @@ cmdBisect(int argc, char **argv)
     record::LogHeader ha{}, hb{};
     if (!loadLog(argv[0], a, ha) || !loadLog(argv[1], b, hb))
         return 2;
-    long long context = 8;
+    std::uint64_t context = 8;
     for (int i = 2; i < argc; ++i) {
-        if (!numArg(argc, argv, i, "--context", context))
+        if (!numArg(argc, argv, i, "--context", 0, kU32Max, context))
             return usage();
     }
     const auto res = record::bisectRecordings(

@@ -23,14 +23,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "fault/chaos.hpp"
+#include "sim/env.hpp"
 #include "trace/health.hpp"
 #include "trace/prof.hpp"
 
@@ -62,9 +65,17 @@ loadReport(const char *path, trace::HealthReport &report)
     return false;
 }
 
-/** Value of --flag NAME at argv[i]; advances i past the value. */
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * Value of --flag NAME at argv[i] as a count in [lo, hi]; advances i
+ * past the value. A missing, malformed or out-of-range value exits 2
+ * naming the flag.
+ */
 bool
-numArg(int argc, char **argv, int &i, const char *name, long long &out)
+numArg(int argc, char **argv, int &i, const char *name, std::uint64_t lo,
+       std::uint64_t hi, std::uint64_t &out)
 {
     if (std::strcmp(argv[i], name) != 0)
         return false;
@@ -72,7 +83,15 @@ numArg(int argc, char **argv, int &i, const char *name, long long &out)
         std::fprintf(stderr, "blitz-top: %s needs a value\n", name);
         std::exit(2);
     }
-    out = std::atoll(argv[++i]);
+    const auto v = sim::parseCount(argv[++i], lo, hi);
+    if (!v) {
+        std::fprintf(stderr,
+                     "blitz-top: %s '%s' is not a count in [%llu, %llu]\n",
+                     name, argv[i], static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
+        std::exit(2);
+    }
+    out = *v;
     return true;
 }
 
@@ -82,38 +101,36 @@ cmdRecord(int argc, char **argv)
     if (argc < 1)
         return usage();
     const char *out = argv[0];
-    long long d = 16;
-    long long shards = 4;
-    long long ticks = 60'000;
-    long long seed = 7001;
-    long long stride = 16;
+    std::uint64_t d = 16;
+    std::uint64_t shards = 4;
+    std::uint64_t ticks = 60'000;
+    std::uint64_t seed = 7001;
+    std::uint64_t stride = 16;
     bool uniform = false;
     for (int i = 1; i < argc; ++i) {
-        long long v = 0;
-        if (numArg(argc, argv, i, "--d", v))
-            d = v;
-        else if (numArg(argc, argv, i, "--shards", v))
-            shards = v;
-        else if (numArg(argc, argv, i, "--ticks", v))
-            ticks = v;
-        else if (numArg(argc, argv, i, "--seed", v))
-            seed = v;
-        else if (numArg(argc, argv, i, "--stride", v))
-            stride = v;
-        else if (std::strcmp(argv[i], "--uniform") == 0)
-            uniform = true;
-        else
+        if (numArg(argc, argv, i, "--d", 2, kU32Max, d) ||
+            numArg(argc, argv, i, "--shards", 1, kU32Max, shards) ||
+            numArg(argc, argv, i, "--ticks", 1, kU64Max, ticks) ||
+            numArg(argc, argv, i, "--seed", 0, kU64Max, seed) ||
+            numArg(argc, argv, i, "--stride", 0, kU32Max, stride))
+            continue;
+        if (std::strcmp(argv[i], "--uniform") != 0)
             return usage();
+        uniform = true;
     }
-    if (d < 2 || shards < 1 || ticks < 1) {
-        std::fprintf(stderr, "blitz-top: bad scenario parameters\n");
+    if (d * d > sim::kMaxMeshNodes) {
+        std::fprintf(stderr,
+                     "blitz-top: --d %llu exceeds the %zu-node mesh "
+                     "ceiling\n",
+                     static_cast<unsigned long long>(d),
+                     sim::kMaxMeshNodes);
         return 2;
     }
 
     fault::ChaosConfig cc;
     cc.width = static_cast<int>(d);
     cc.height = static_cast<int>(d);
-    cc.seedBase = static_cast<std::uint64_t>(seed);
+    cc.seedBase = seed;
     cc.shards = static_cast<std::uint32_t>(shards);
     fault::ChaosCluster cluster(cc);
 
@@ -162,9 +179,13 @@ cmdRecord(int argc, char **argv)
     trace::HealthReport report;
     char label[96];
     std::snprintf(label, sizeof label,
-                  "blitz-top record d=%lld shards=%lld ticks=%lld "
-                  "seed=%lld%s",
-                  d, shards, ticks, seed, uniform ? " uniform" : "");
+                  "blitz-top record d=%llu shards=%llu ticks=%llu "
+                  "seed=%llu%s",
+                  static_cast<unsigned long long>(d),
+                  static_cast<unsigned long long>(shards),
+                  static_cast<unsigned long long>(ticks),
+                  static_cast<unsigned long long>(seed),
+                  uniform ? " uniform" : "");
     report.setRun(label);
     cluster.fillHealth(report);
     if (prof.attached())
