@@ -1,6 +1,7 @@
 #include "unit.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "guardian.hpp"
 #include "record/provenance.hpp"
@@ -22,6 +23,29 @@ constexpr sim::Tick busyRetry = 4;
 /** Unresolved-exchange backlog bound (initiator side). */
 constexpr std::size_t maxUnresolved = 32;
 
+/** First entry of a (node, value) vector sorted by node that is not
+ *  below @p node. */
+template <class Vec>
+auto
+lowerNode(Vec &v, noc::NodeId node)
+{
+    return std::lower_bound(
+        v.begin(), v.end(), node,
+        [](const auto &e, noc::NodeId n) { return e.first < n; });
+}
+
+/** @p node's value in a sorted (node, value) vector; inserted as
+ *  @p absent when missing. */
+template <class Vec, class V>
+auto &
+valueFor(Vec &v, noc::NodeId node, V absent)
+{
+    auto at = lowerNode(v, node);
+    if (at == v.end() || at->first != node)
+        at = v.insert(at, {node, absent});
+    return at->second;
+}
+
 } // namespace
 
 BlitzCoinUnit::BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
@@ -39,7 +63,7 @@ BlitzCoinUnit::BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
                              std::uint64_t seed)
     : eq_(eq), net_(net), self_(self), cfg_(cfg), rng_(seed),
       timer_(cfg.backoff),
-      selector_(hood.neighbors, hood.far, cfg.pairing, rng_)
+      selector_(hood.neighbors, hood.members, self, cfg.pairing, rng_)
 {
 }
 
@@ -162,38 +186,29 @@ BlitzCoinUnit::quarantine()
 void
 BlitzCoinUnit::shun(noc::NodeId node)
 {
-    if (!shunned_.insert(node).second)
+    auto at = std::lower_bound(shunned_.begin(), shunned_.end(), node);
+    if (at != shunned_.end() && *at == node)
         return;
-    auto strip = [node](std::vector<noc::NodeId> v) {
-        v.erase(std::remove(v.begin(), v.end(), node), v.end());
-        return v;
-    };
-    std::vector<noc::NodeId> neighbors = strip(selector_.neighbors());
-    std::vector<noc::NodeId> far = strip(selector_.far());
-    if (neighbors.empty() && !far.empty()) {
-        // The exchange neighborhood re-forms around the hole: far
-        // partners are promoted so the tile is never left mute.
-        neighbors = std::move(far);
-        far.clear();
-    }
-    if (neighbors.empty())
-        return; // fully cut off; exchanges will time out and abandon
-    selector_ = coin::PartnerSelector(std::move(neighbors),
-                                      std::move(far), cfg_.pairing,
-                                      rng_);
+    shunned_.insert(at, node);
+    // A fully cut-off tile keeps its old selector: exchanges aimed at
+    // the shunned node then time out and abandon.
+    selector_.shun(node);
 }
 
 void
 BlitzCoinUnit::setServeThrottle(noc::NodeId initiator,
                                 std::uint32_t budget)
 {
-    throttle_[initiator] = ServeThrottle{budget, 0};
+    valueFor(throttle_, initiator, ServeThrottle{}) =
+        ServeThrottle{budget, 0};
 }
 
 void
 BlitzCoinUnit::clearServeThrottle(noc::NodeId initiator)
 {
-    throttle_.erase(initiator);
+    auto at = lowerNode(throttle_, initiator);
+    if (at != throttle_.end() && at->first == initiator)
+        throttle_.erase(at);
 }
 
 void
@@ -342,7 +357,7 @@ BlitzCoinUnit::handlePacket(const noc::Packet &pkt)
 {
     if (crashed_ || quarantined_)
         return; // powered off / fenced off: deaf to the service plane
-    if (!shunned_.empty() && shunned_.count(pkt.src) != 0) {
+    if (!shunned_.empty() && isShunned(pkt.src)) {
         ++shunnedDrops_; // quarantined neighbor: drop unheard
         return;
     }
@@ -404,8 +419,8 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
     eq_.scheduleIn(cfg_.fsmCycles, [this, pkt] {
         if (crashed_ || quarantined_)
             return;
-        auto th = throttle_.find(pkt.src);
-        if (th != throttle_.end()) {
+        auto th = lowerNode(throttle_, pkt.src);
+        if (th != throttle_.end() && th->first == pkt.src) {
             if (th->second.used >= th->second.budget) {
                 // Guardian throttle: this initiator exhausted its
                 // serve budget for the window. The attempt is still
@@ -425,9 +440,10 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
             ++th->second.used;
         }
         const std::uint64_t xid = tagValue(pkt.payload[3]);
-        auto &log = servedLog_[pkt.src];
-        for (const ServedExchange &e : log) {
-            if (e.xid == xid) {
+        auto [first, last] = servedRun(pkt.src);
+        const std::size_t logSize = servedLog_.size();
+        for (auto e = first; e != last; ++e) {
+            if (e->xid == xid) {
                 // Duplicated CoinStatus: the rebalance already ran.
                 // Replay the recorded update instead of applying the
                 // exchange a second time.
@@ -441,7 +457,7 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
                           static_cast<std::int64_t>(pkt.src)}});
                 if (sentry_)
                     sentry_->noteServed(pkt.src);
-                sendOneWayUpdate(pkt.src, xid, e.delta, FlagOneWay);
+                sendOneWayUpdate(pkt.src, xid, e->delta, FlagOneWay);
                 return;
             }
         }
@@ -489,10 +505,13 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
             scheduleNext(timer_.intervalFor(discontent() || isolated()));
 
         // Remember the outcome so a duplicated status or a CoinRecover
-        // probe can replay it without moving coins again.
-        log.push_back(ServedExchange{xid, reported});
-        while (log.size() > cfg_.servedLogDepth)
-            log.pop_front();
+        // probe can replay it without moving coins again. The run found
+        // above is still valid: nothing since touched the log (the
+        // adversary hook is pure, and the observers and onCoinsChanged
+        // do not call back into this unit).
+        BLITZ_ASSERT(servedLog_.size() == logSize,
+                     "served log changed during a serve");
+        recordServed(first, last, ServedExchange{pkt.src, xid, reported});
         sendOneWayUpdate(pkt.src, xid, reported, FlagOneWay);
     });
 }
@@ -505,26 +524,62 @@ BlitzCoinUnit::serveRecover(const noc::Packet &pkt)
             return;
         const std::uint64_t xid =
             static_cast<std::uint64_t>(pkt.payload[0]);
-        auto it = servedLog_.find(pkt.src);
-        if (it != servedLog_.end()) {
-            for (const ServedExchange &e : it->second) {
-                if (e.xid == xid) {
-                    // The exchange ran here; replay its recorded delta.
-                    sendOneWayUpdate(pkt.src, xid, e.delta, FlagOneWay);
-                    return;
-                }
-            }
-            if (!it->second.empty() && xid < it->second.back().xid) {
-                // Older than the log's horizon: the outcome was served
-                // and since evicted. Only the audit can close this.
-                sendOneWayUpdate(pkt.src, xid, 0, FlagUnknown);
+        auto [first, last] = servedRun(pkt.src);
+        for (auto e = first; e != last; ++e) {
+            if (e->xid == xid) {
+                // The exchange ran here; replay its recorded delta.
+                sendOneWayUpdate(pkt.src, xid, e->delta, FlagOneWay);
                 return;
             }
+        }
+        if (first != last && xid < std::prev(last)->xid) {
+            // Older than the log's horizon: the outcome was served and
+            // since evicted. Only the audit can close this.
+            sendOneWayUpdate(pkt.src, xid, 0, FlagUnknown);
+            return;
         }
         // Never served: the CoinStatus itself was lost in transit, so
         // no coins moved on either side — a clean null resolution.
         sendOneWayUpdate(pkt.src, xid, 0, FlagOneWay);
     });
+}
+
+std::pair<BlitzCoinUnit::ServedIter, BlitzCoinUnit::ServedIter>
+BlitzCoinUnit::servedRun(noc::NodeId initiator)
+{
+    // Branch-free lower bound: every serve and recover probe searches
+    // a log of up to a few hundred entries, where a mispredicted
+    // branch per step would cost more than the compare.
+    auto first = servedLog_.begin();
+    std::size_t n = servedLog_.size();
+    if (n != 0) {
+        while (n > 1) {
+            const std::size_t half = n / 2;
+            first = first[half].initiator < initiator ? first + half : first;
+            n -= half;
+        }
+        first += first->initiator < initiator;
+    }
+    auto last = first;
+    while (last != servedLog_.end() && last->initiator == initiator)
+        ++last;
+    return {first, last};
+}
+
+void
+BlitzCoinUnit::recordServed(ServedIter first, ServedIter last,
+                            const ServedExchange &e)
+{
+    const auto depth = static_cast<std::ptrdiff_t>(cfg_.servedLogDepth);
+    if (depth == 0)
+        return;
+    if (last - first == depth) {
+        // Full run: the oldest entry goes, the rest shift up one.
+        std::move(std::next(first), last, first);
+        *std::prev(last) = e;
+        return;
+    }
+    servedLog_.insert(last, e);
 }
 
 void
@@ -620,7 +675,7 @@ BlitzCoinUnit::applyGroupUpdate(const noc::Packet &pkt)
     // clear this tile's own in-flight exchange state, but it does
     // release the snapshot lock it corresponds to.
     const std::uint64_t tag = tagValue(pkt.payload[3]);
-    std::uint64_t &last = groupSeen_[pkt.src];
+    std::uint64_t &last = valueFor(groupSeen_, pkt.src, std::uint64_t{0});
     if (tag <= last) {
         ++duplicatesIgnored_; // duplicated delivery of this round
         if (sentry_)

@@ -30,12 +30,12 @@
 #ifndef BLITZ_BLITZCOIN_UNIT_HPP
 #define BLITZ_BLITZCOIN_UNIT_HPP
 
-#include <deque>
+#include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "coin/backoff.hpp"
 #include "coin/engine.hpp"
@@ -273,7 +273,7 @@ class BlitzCoinUnit
     bool
     isShunned(noc::NodeId node) const
     {
-        return shunned_.count(node) != 0;
+        return std::binary_search(shunned_.begin(), shunned_.end(), node);
     }
 
     /**
@@ -386,12 +386,14 @@ class BlitzCoinUnit
         sim::Tick startTick = 0; ///< initiation time, for trace spans
     };
 
-    /** (stamp, delta-for-initiator) pair remembered per initiator. */
+    /** One served exchange: (stamp, delta-for-initiator). */
     struct ServedExchange
     {
+        noc::NodeId initiator = 0;
         std::uint64_t xid = 0;
         coin::Coins delta = 0;
     };
+    using ServedIter = std::vector<ServedExchange>::iterator;
 
     /**
      * Locally computable imbalance: holding coins with no need, or
@@ -438,6 +440,16 @@ class BlitzCoinUnit
     void applyResolvedDelta(coin::Coins delta, coin::Coins partnerMax,
                             noc::NodeId partner);
 
+    /** @p initiator's entries in the served log, oldest first. */
+    std::pair<ServedIter, ServedIter> servedRun(noc::NodeId initiator);
+
+    /**
+     * Append @p e to its initiator's run [first, last) (as found by
+     * servedRun), dropping the run's oldest entry past servedLogDepth.
+     */
+    void recordServed(ServedIter first, ServedIter last,
+                      const ServedExchange &e);
+
     /** Emit the exchange span for @p p resolving now as @p outcome. */
     void traceExchange(const PendingExchange &p, coin::Coins delta,
                        const char *outcome);
@@ -461,22 +473,28 @@ class BlitzCoinUnit
     bool quarantined_ = false;
     bool awaitingUpdate_ = false;
     /** Sources whose packets are dropped (quarantined neighbors). */
-    std::set<noc::NodeId> shunned_;
+    std::vector<noc::NodeId> shunned_; ///< sorted
     /** Per-initiator serve cap imposed by the guardian. */
     struct ServeThrottle
     {
         std::uint32_t budget = 0;
         std::uint32_t used = 0;
     };
-    std::map<noc::NodeId, ServeThrottle> throttle_;
+    /** Sorted by initiator. */
+    std::vector<std::pair<noc::NodeId, ServeThrottle>> throttle_;
     /** Current in-flight 1-way exchange (at most one). */
     std::optional<PendingExchange> pending_;
     /** Timed-out exchanges being reconciled in the background. */
     std::vector<PendingExchange> unresolved_;
-    /** Per-initiator log of recently served exchanges (partner side). */
-    std::map<noc::NodeId, std::deque<ServedExchange>> servedLog_;
-    /** Per-center stamp of the last applied group update (dedup). */
-    std::map<noc::NodeId, std::uint64_t> groupSeen_;
+    /**
+     * Recently served exchanges (partner side): the last
+     * servedLogDepth per initiator, sorted by initiator and then by
+     * age, so each initiator's entries form one contiguous run.
+     */
+    std::vector<ServedExchange> servedLog_;
+    /** Per-center stamp of the last applied group update (dedup),
+     *  sorted by center. */
+    std::vector<std::pair<noc::NodeId, std::uint64_t>> groupSeen_;
     /** Monotonic exchange stamp; survives crash/restart (see restart). */
     std::uint64_t nextXid_ = 1;
     /** In-flight 4-way exchange: statuses gathered so far. */

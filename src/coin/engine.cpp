@@ -68,8 +68,9 @@ MeshSim::effectiveCap(std::size_t i) const
 }
 
 void
-MeshSim::rebuildError()
+MeshSim::rebuildError() const
 {
+    errStale_ = false;
     alpha_ = ledger_.alpha();
     errSum_ = 0.0;
     for (std::size_t i = 0; i < ledger_.size(); ++i) {
@@ -82,6 +83,8 @@ MeshSim::rebuildError()
 double
 MeshSim::globalError() const
 {
+    if (errStale_)
+        rebuildError();
     return errSum_ / static_cast<double>(ledger_.size());
 }
 
@@ -89,7 +92,7 @@ void
 MeshSim::setMax(std::size_t i, Coins max)
 {
     ledger_.setMax(i, max);
-    rebuildError(); // alpha changed; all contributions shift
+    errStale_ = true; // alpha changed; all contributions shift
     timers_[i].resetOnActivity();
     // An activity change triggers an immediate status update from the
     // affected tile (the start/end of execution drives the request or
@@ -101,7 +104,7 @@ void
 MeshSim::setHas(std::size_t i, Coins has)
 {
     ledger_.setHas(i, has);
-    rebuildError();
+    errStale_ = true;
 }
 
 void
@@ -112,7 +115,7 @@ MeshSim::randomizeHas(Coins pool)
         auto i = static_cast<std::size_t>(rng_.below(ledger_.size()));
         ledger_.setHas(i, ledger_.has(i) + 1);
     }
-    rebuildError();
+    errStale_ = true;
 }
 
 void
@@ -135,7 +138,7 @@ MeshSim::clusterHas(Coins pool)
         auto i = static_cast<std::size_t>(wrapped.idOf(at));
         ledger_.setHas(i, ledger_.has(i) + 1);
     }
-    rebuildError();
+    errStale_ = true;
 }
 
 void
@@ -352,6 +355,8 @@ MeshSim::runFor(sim::Tick duration)
     const std::uint64_t packets0 = packets_;
     const std::uint64_t exchanges0 = exchanges_;
     const sim::Tick deadline = now_ + duration;
+    if (errStale_)
+        rebuildError();
 
     while (!heap_.empty() && heap_.top().when <= deadline) {
         Firing f = heap_.top();

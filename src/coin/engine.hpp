@@ -141,7 +141,7 @@ class MeshSim
      */
     void clusterHas(Coins pool);
 
-    /** Global mean error Err (cached; O(1)). */
+    /** Global mean error Err (cached; O(N) only after a setter). */
     double globalError() const;
 
     /** Largest per-tile error (Fig. 7 metric; O(N)). */
@@ -205,7 +205,7 @@ class MeshSim
     };
 
     /** Recompute alpha and the cached error sum from scratch. */
-    void rebuildError();
+    void rebuildError() const;
 
     /** Execute one firing; returns the exchange completion tick. */
     sim::Tick fire(std::uint32_t tile);
@@ -270,9 +270,12 @@ class MeshSim
     std::uint64_t packets_ = 0;
     std::uint64_t exchanges_ = 0;
     std::uint64_t losses_ = 0;
-    // Cached error state: alpha_ changes only on setMax/setHas.
-    double alpha_ = 0.0;
-    double errSum_ = 0.0;
+    // Cached error state: alpha_ changes only on setMax/setHas. The
+    // setters only mark it stale, so programming every tile of a mesh
+    // costs one O(N) rebuild, at the next read.
+    mutable double alpha_ = 0.0;
+    mutable double errSum_ = 0.0;
+    mutable bool errStale_ = false;
 };
 
 } // namespace blitz::coin

@@ -13,14 +13,11 @@ namespace {
  * the wrapped grid; nullopt when the orbit contains no managed tile.
  */
 std::optional<noc::NodeId>
-walk(const noc::Topology &topo, const std::vector<bool> &managed,
+walk(const noc::Topology &wrapped, const std::vector<bool> &managed,
      noc::NodeId start, noc::Dir d)
 {
-    // Walks wrap regardless of the topology's own flag: the logical
-    // neighborhood always uses the Fig. 5 wrap-around definition.
-    noc::Topology wrapped(topo.width(), topo.height(), true);
     noc::NodeId at = start;
-    const std::size_t limit = std::max(topo.width(), topo.height());
+    const std::size_t limit = std::max(wrapped.width(), wrapped.height());
     for (std::size_t step = 0; step < limit; ++step) {
         auto next = wrapped.neighbor(at, d);
         BLITZ_ASSERT(next.has_value(), "wrapped walk left the grid");
@@ -41,21 +38,25 @@ managedNeighborhoods(const noc::Topology &topo,
 {
     BLITZ_ASSERT(managed.size() == topo.size(),
                  "managed flag list size mismatch");
-    std::vector<noc::NodeId> members;
+    auto list = std::make_shared<std::vector<noc::NodeId>>();
     for (noc::NodeId i = 0; i < topo.size(); ++i) {
         if (managed[i])
-            members.push_back(i);
+            list->push_back(i);
     }
+    const std::vector<noc::NodeId> &members = *list;
 
     std::vector<Neighborhood> out(topo.size());
     if (members.size() < 2)
         return out;
 
+    // Walks wrap regardless of the topology's own flag: the logical
+    // neighborhood always uses the Fig. 5 wrap-around definition.
     noc::Topology wrapped(topo.width(), topo.height(), true);
     for (noc::NodeId self : members) {
         Neighborhood &nb = out[self];
+        nb.members = list;
         for (noc::Dir d : noc::allDirs) {
-            auto n = walk(topo, managed, self, d);
+            auto n = walk(wrapped, managed, self, d);
             if (n && *n != self &&
                 std::find(nb.neighbors.begin(), nb.neighbors.end(),
                           *n) == nb.neighbors.end()) {
@@ -80,14 +81,6 @@ managedNeighborhoods(const noc::Topology &topo,
                       });
             for (std::size_t k = 0; k < others.size() && k < 4; ++k)
                 nb.neighbors.push_back(others[k]);
-        }
-        for (noc::NodeId m : members) {
-            if (m == self)
-                continue;
-            if (std::find(nb.neighbors.begin(), nb.neighbors.end(),
-                          m) == nb.neighbors.end()) {
-                nb.far.push_back(m);
-            }
         }
     }
     return out;

@@ -14,6 +14,7 @@
 #ifndef BLITZ_COIN_NEIGHBORHOOD_HPP
 #define BLITZ_COIN_NEIGHBORHOOD_HPP
 
+#include <memory>
 #include <vector>
 
 #include "noc/topology.hpp"
@@ -27,8 +28,13 @@ struct Neighborhood
 {
     /** Logical mesh neighbors (rotation partners). */
     std::vector<noc::NodeId> neighbors;
-    /** Managed non-neighbors (random-pairing partners). */
-    std::vector<noc::NodeId> far;
+    /**
+     * Every managed tile in ascending id order: one list shared by the
+     * whole cluster. The random-pairing partners are the members that
+     * are neither this tile nor one of its neighbors. Null for
+     * unmanaged tiles and for clusters of fewer than two tiles.
+     */
+    std::shared_ptr<const std::vector<noc::NodeId>> members;
 };
 
 /**

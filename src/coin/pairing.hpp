@@ -16,6 +16,7 @@
 #define BLITZ_COIN_PAIRING_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ledger.hpp"
@@ -89,12 +90,23 @@ class IsolationDetector
  * next() yields the partner for the tile's next exchange: one of its
  * neighbors in rotation, or — on every period-th call when random
  * pairing is enabled — a non-neighbor from the configured sequence.
+ *
+ * The non-neighbors are never stored. They are the members of the
+ * cluster (every node, or one member list shared by all tiles of a
+ * managed subset) minus a short sorted skip list: this tile, its
+ * neighbors, and any shunned nodes. The k-th far partner is the k-th
+ * member not skipped, so per-tile state stays O(1) like the paper's
+ * shift register (Section III-E) while the sequence is exactly that
+ * of walking a materialized list of members in ascending order.
  */
 class PartnerSelector
 {
   public:
+    /** Sorted member ids shared by every tile of a managed subset. */
+    using Members = std::shared_ptr<const std::vector<noc::NodeId>>;
+
     /**
-     * @param topo mesh shape (referenced; must outlive the selector).
+     * @param topo mesh shape; every node is a member.
      * @param self this tile's node id.
      * @param cfg pairing policy.
      * @param rng per-tile random stream (used in Uniform mode and to
@@ -104,15 +116,18 @@ class PartnerSelector
                     const PairingConfig &cfg, sim::Rng &rng);
 
     /**
-     * Construct from explicit partner lists — used when only a subset
-     * of tiles participates in power management (Section IV-C: memory,
-     * IO and CPU tiles hold fixed coins and never exchange).
+     * Construct over a member subset — used when only some tiles
+     * participate in power management (Section IV-C: memory, IO and
+     * CPU tiles hold fixed coins and never exchange).
      * @param neighbors rotation partners (the logical mesh neighbors).
-     * @param far random-pairing partners (managed non-neighbors).
+     * @param members every participating node in ascending order; the
+     *        random-pairing partners are the members that are neither
+     *        @p self nor in @p neighbors.
+     * @param self this tile's node id.
      */
-    PartnerSelector(std::vector<noc::NodeId> neighbors,
-                    std::vector<noc::NodeId> far,
-                    const PairingConfig &cfg, sim::Rng &rng);
+    PartnerSelector(std::vector<noc::NodeId> neighbors, Members members,
+                    noc::NodeId self, const PairingConfig &cfg,
+                    sim::Rng &rng);
 
     /**
      * Partner for the next exchange.
@@ -129,16 +144,41 @@ class PartnerSelector
     /** Neighbor list used for rotation (N,S,E,W order, deduplicated). */
     const std::vector<noc::NodeId> &neighbors() const { return neighbors_; }
 
-    /** Non-neighbor (random-pairing) candidate list. */
-    const std::vector<noc::NodeId> &far() const { return far_; }
+    /**
+     * Drop @p node from both partner sets and restart the sequence
+     * with fresh rotation and LFSR offsets, as a selector built
+     * without @p node would. If no neighbor remains, the far partners
+     * are promoted to neighbors so the tile is never left mute. If no
+     * partner remains at all, nothing changes and false is returned.
+     */
+    bool shun(noc::NodeId node);
 
   private:
+    /** Common body; @p members null means 0..memberCount-1. */
+    PartnerSelector(std::vector<noc::NodeId> neighbors, Members members,
+                    std::size_t memberCount, noc::NodeId self,
+                    const PairingConfig &cfg, sim::Rng &rng);
+
+    /** Draw the starting offsets and reset the period counter. */
+    void restart();
+    static constexpr std::size_t noMember = ~std::size_t{0};
+    /** Position of @p node in the member list, or noMember. */
+    std::size_t memberIndex(noc::NodeId node) const;
+    /** Add @p node's member index to the skip list (if a member). */
+    void skip(noc::NodeId node);
+    /** True if @p node is one of the current far partners. */
+    bool isFar(noc::NodeId node) const;
+    /** The k-th member not on the skip list. */
+    noc::NodeId farAt(std::size_t k) const;
     noc::NodeId nextFar();
 
     PairingConfig cfg_;
     sim::Rng *rng_;
     std::vector<noc::NodeId> neighbors_;
-    std::vector<noc::NodeId> far_; ///< all non-neighbors, fixed order
+    Members members_;            ///< null: members are 0..memberCount_-1
+    std::size_t memberCount_ = 0;
+    std::vector<std::uint32_t> skip_; ///< sorted member indices
+    std::size_t farCount_ = 0;
     std::size_t rotate_ = 0;
     std::size_t farPos_ = 0;
     unsigned exchangeCount_ = 0;

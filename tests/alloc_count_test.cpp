@@ -13,6 +13,10 @@
  * std::align_val_t forms, which the event slab uses for its node
  * chunks — so a regression cannot hide behind an aligned or nothrow
  * overload.
+ *
+ * The wrappers also count requested bytes, which backs the
+ * memory-scaling gate: building a cluster must cost O(N) heap, not
+ * the O(N^2) of per-tile partner tables.
  */
 
 #include <atomic>
@@ -22,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include "coin/engine.hpp"
+#include "fault/chaos.hpp"
 #include "noc/network.hpp"
 #include "power/rail.hpp"
 #include "power/thermal.hpp"
@@ -34,11 +40,13 @@
 namespace {
 
 std::atomic<std::uint64_t> gAllocCount{0};
+std::atomic<std::uint64_t> gAllocBytes{0};
 
 void *
 countedAlloc(std::size_t bytes)
 {
     ++gAllocCount;
+    gAllocBytes += bytes;
     void *p = std::malloc(bytes ? bytes : 1);
     if (!p)
         throw std::bad_alloc();
@@ -49,6 +57,7 @@ void *
 countedAlignedAlloc(std::size_t bytes, std::size_t align)
 {
     ++gAllocCount;
+    gAllocBytes += bytes;
     // C11 aligned_alloc wants the size rounded to the alignment.
     const std::size_t padded = (bytes + align - 1) / align * align;
     void *p = std::aligned_alloc(align, padded ? padded : align);
@@ -65,12 +74,14 @@ void *
 operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
     ++gAllocCount;
+    gAllocBytes += n;
     return std::malloc(n ? n : 1);
 }
 void *
 operator new[](std::size_t n, const std::nothrow_t &) noexcept
 {
     ++gAllocCount;
+    gAllocBytes += n;
     return std::malloc(n ? n : 1);
 }
 void *
@@ -401,6 +412,54 @@ TEST(AllocCount, RingRecorderSteadyStateIsAllocationFree)
     // and maxChunks full chunks, depending on ring position.
     EXPECT_LE(rec.size(), cfg.chunkRecords * cfg.maxChunks);
     EXPECT_GT(rec.size(), cfg.chunkRecords * (cfg.maxChunks - 1));
+}
+
+/** Heap bytes requested while @p build runs (frees not netted). */
+template <class Build>
+std::uint64_t
+bytesToBuild(Build build)
+{
+    const std::uint64_t before = gAllocBytes.load();
+    build();
+    return gAllocBytes.load() - before;
+}
+
+std::uint64_t
+meshSimBytes(int side)
+{
+    return bytesToBuild([side] {
+        coin::MeshSim sim(noc::Topology(side, side, false),
+                          coin::EngineConfig{}, 1);
+    });
+}
+
+std::uint64_t
+chaosClusterBytes(int side)
+{
+    return bytesToBuild([side] {
+        fault::ChaosConfig cfg;
+        cfg.width = side;
+        cfg.height = side;
+        fault::ChaosCluster cluster(cfg);
+    });
+}
+
+TEST(AllocCount, SetupMemoryGrowsLinearlyWithTileCount)
+{
+    // 4x the tiles must cost ~4x the set-up heap. Per-tile partner
+    // tables (every tile listing every non-neighbor) would make it
+    // ~16x; the bound of 5 leaves room for fixed overheads only.
+    const double mesh =
+        static_cast<double>(meshSimBytes(64)) /
+        static_cast<double>(meshSimBytes(32));
+    const double chaos =
+        static_cast<double>(chaosClusterBytes(64)) /
+        static_cast<double>(chaosClusterBytes(32));
+    EXPECT_LE(mesh, 5.0) << "MeshSim 64x64/32x32 set-up bytes";
+    EXPECT_LE(chaos, 5.0) << "ChaosCluster 64x64/32x32 set-up bytes";
+    // Non-vacuity: a larger mesh costs more.
+    EXPECT_GT(mesh, 2.0);
+    EXPECT_GT(chaos, 2.0);
 }
 
 } // namespace

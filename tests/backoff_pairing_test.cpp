@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "coin/backoff.hpp"
+#include "coin/neighborhood.hpp"
 #include "coin/pairing.hpp"
 #include "sim/rng.hpp"
+#include "soc/config.hpp"
 
 namespace {
 
@@ -19,6 +24,14 @@ using coin::BackoffConfig;
 using coin::BackoffTimer;
 using coin::PairingConfig;
 using coin::PartnerSelector;
+
+/** A shared member list, as managedNeighborhoods hands out. */
+PartnerSelector::Members
+members(std::vector<noc::NodeId> ids)
+{
+    return std::make_shared<const std::vector<noc::NodeId>>(
+        std::move(ids));
+}
 
 // -------------------------------------------------------------- backoff
 
@@ -342,7 +355,8 @@ TEST(Pairing, ExplicitListsConstructor)
     sim::Rng rng(6);
     PairingConfig cfg;
     cfg.period = 4;
-    PartnerSelector sel({10u, 20u}, {30u, 40u}, cfg, rng);
+    PartnerSelector sel({10u, 20u}, members({10u, 20u, 30u, 40u}), 0,
+                        cfg, rng);
     std::set<noc::NodeId> near, far;
     for (int i = 0; i < 40; ++i) {
         noc::NodeId p = sel.next();
@@ -357,7 +371,7 @@ TEST(Pairing, ExplicitListsWithoutRandomPairing)
     sim::Rng rng(7);
     PairingConfig cfg;
     cfg.randomPairing = false;
-    PartnerSelector sel({3u}, {9u}, cfg, rng);
+    PartnerSelector sel({3u}, members({3u, 9u}), 0, cfg, rng);
     for (int i = 0; i < 10; ++i) {
         EXPECT_EQ(sel.next(), 3u);
         EXPECT_FALSE(sel.lastWasRandom());
@@ -368,7 +382,8 @@ TEST(Pairing, EmptyNeighborListPanics)
 {
     sim::Rng rng(8);
     PairingConfig cfg;
-    EXPECT_THROW(PartnerSelector({}, {1u}, cfg, rng), sim::PanicError);
+    EXPECT_THROW(PartnerSelector({}, members({1u}), 0, cfg, rng),
+                 sim::PanicError);
 }
 
 TEST(Pairing, ForceFarOverridesPeriod)
@@ -376,7 +391,8 @@ TEST(Pairing, ForceFarOverridesPeriod)
     sim::Rng rng(9);
     PairingConfig cfg;
     cfg.period = 16;
-    PartnerSelector sel({1u, 2u}, {8u, 9u}, cfg, rng);
+    PartnerSelector sel({1u, 2u}, members({1u, 2u, 8u, 9u}), 0, cfg,
+                        rng);
     for (int i = 0; i < 10; ++i) {
         noc::NodeId p = sel.next(/*forceFar=*/true);
         EXPECT_TRUE(p == 8u || p == 9u);
@@ -388,9 +404,297 @@ TEST(Pairing, ForceFarWithoutFarListFallsBack)
 {
     sim::Rng rng(10);
     PairingConfig cfg;
-    PartnerSelector sel({3u}, {}, cfg, rng);
+    PartnerSelector sel({3u}, members({3u}), 0, cfg, rng);
     EXPECT_EQ(sel.next(/*forceFar=*/true), 3u);
     EXPECT_FALSE(sel.lastWasRandom());
+}
+
+// ------------------------------------- generated vs materialized far list
+
+/**
+ * The selector as it was when every tile stored its non-neighbors: an
+ * explicit far list, walked by index (Lfsr) or drawn from (Uniform),
+ * and rebuilt from stripped copies on shun. The generated sequence
+ * must match it draw for draw.
+ */
+struct MaterializedSelector
+{
+    PairingConfig cfg;
+    sim::Rng *rng;
+    std::vector<noc::NodeId> neighbors;
+    std::vector<noc::NodeId> far;
+    std::size_t rotate = 0;
+    std::size_t farPos = 0;
+    unsigned exchangeCount = 0;
+    bool lastWasRandom = false;
+
+    MaterializedSelector(std::vector<noc::NodeId> n,
+                         std::vector<noc::NodeId> f,
+                         const PairingConfig &c, sim::Rng &r)
+        : cfg(c), rng(&r), neighbors(std::move(n)), far(std::move(f))
+    {
+        if (!cfg.randomPairing)
+            far.clear();
+        if (!far.empty())
+            farPos = rng->below(far.size());
+        rotate = rng->below(neighbors.size());
+    }
+
+    noc::NodeId
+    next(bool forceFar)
+    {
+        ++exchangeCount;
+        if (!far.empty() &&
+            (forceFar ||
+             (cfg.randomPairing && exchangeCount % cfg.period == 0))) {
+            lastWasRandom = true;
+            if (cfg.mode == coin::PairingMode::Uniform)
+                return far[rng->below(far.size())];
+            noc::NodeId p = far[farPos];
+            farPos = (farPos + 1) % far.size();
+            return p;
+        }
+        lastWasRandom = false;
+        noc::NodeId p = neighbors[rotate];
+        rotate = (rotate + 1) % neighbors.size();
+        return p;
+    }
+
+    void
+    shun(noc::NodeId node)
+    {
+        auto strip = [node](std::vector<noc::NodeId> v) {
+            v.erase(std::remove(v.begin(), v.end(), node), v.end());
+            return v;
+        };
+        std::vector<noc::NodeId> n = strip(neighbors);
+        std::vector<noc::NodeId> f = strip(far);
+        if (n.empty() && !f.empty()) {
+            n = std::move(f);
+            f.clear();
+        }
+        if (n.empty())
+            return;
+        *this = MaterializedSelector(std::move(n), std::move(f), cfg,
+                                     *rng);
+    }
+};
+
+/** Members minus @p self minus @p neighbors, in member order. */
+std::vector<noc::NodeId>
+materializeFar(const std::vector<noc::NodeId> &memberIds,
+               noc::NodeId self,
+               const std::vector<noc::NodeId> &neighbors)
+{
+    std::vector<noc::NodeId> far;
+    for (noc::NodeId m : memberIds) {
+        if (m != self && std::find(neighbors.begin(), neighbors.end(),
+                                   m) == neighbors.end())
+            far.push_back(m);
+    }
+    return far;
+}
+
+/**
+ * Drive both selectors 4 x (far partner count) calls (at least 64, so
+ * the rotation is covered when there is no far partner) with a forced
+ * far pick now and then, and require identical partners. A forced
+ * pick falls back to the rotation when no far partner is left, so the
+ * far sets must agree too.
+ */
+void
+expectSameSequence(PartnerSelector &sel, MaterializedSelector &ref,
+                   const std::string &what)
+{
+    ASSERT_EQ(sel.neighbors(), ref.neighbors) << what;
+    const std::size_t calls =
+        std::max<std::size_t>(4 * ref.far.size(), 64);
+    for (std::size_t i = 0; i < calls; ++i) {
+        const bool force = i % 7 == 3;
+        ASSERT_EQ(sel.next(force), ref.next(force))
+            << what << " call " << i;
+        ASSERT_EQ(sel.lastWasRandom(), ref.lastWasRandom)
+            << what << " call " << i;
+    }
+}
+
+std::vector<noc::NodeId>
+allNodes(std::size_t n)
+{
+    std::vector<noc::NodeId> ids(n);
+    for (std::size_t i = 0; i < n; ++i)
+        ids[i] = static_cast<noc::NodeId>(i);
+    return ids;
+}
+
+constexpr coin::PairingMode kModes[] = {coin::PairingMode::Lfsr,
+                                        coin::PairingMode::Uniform};
+
+TEST(PairingEquivalence, MeshMatchesMaterializedList)
+{
+    for (int side : {4, 6}) {
+        for (bool wrap : {false, true}) {
+            noc::Topology topo(side, side, wrap);
+            const auto ids = allNodes(topo.size());
+            for (coin::PairingMode mode : kModes) {
+                PairingConfig cfg;
+                cfg.period = 3;
+                cfg.mode = mode;
+                for (noc::NodeId self = 0; self < topo.size(); ++self) {
+                    sim::Rng a(100 + self), b(100 + self);
+                    PartnerSelector sel(topo, self, cfg, a);
+                    auto n = topo.neighbors(self);
+                    MaterializedSelector ref(
+                        n, materializeFar(ids, self, n), cfg, b);
+                    expectSameSequence(
+                        sel, ref,
+                        std::to_string(side) + (wrap ? "t" : "m") +
+                            " tile " + std::to_string(self));
+                }
+            }
+        }
+    }
+}
+
+/** Every managed tile of @p managed against the materialized list. */
+void
+expectManagedMatches(const noc::Topology &topo,
+                     const std::vector<bool> &managed)
+{
+    auto hoods = coin::managedNeighborhoods(topo, managed);
+    for (coin::PairingMode mode : kModes) {
+        PairingConfig cfg;
+        cfg.period = 2;
+        cfg.mode = mode;
+        for (noc::NodeId self = 0; self < topo.size(); ++self) {
+            if (!managed[self])
+                continue;
+            const coin::Neighborhood &h = hoods[self];
+            ASSERT_NE(h.members, nullptr);
+            sim::Rng a(7 + self), b(7 + self);
+            PartnerSelector sel(h.neighbors, h.members, self, cfg, a);
+            MaterializedSelector ref(
+                h.neighbors,
+                materializeFar(*h.members, self, h.neighbors), cfg, b);
+            expectSameSequence(sel, ref,
+                               "managed tile " + std::to_string(self));
+        }
+    }
+}
+
+TEST(PairingEquivalence, NearestFallbackSubsetMatches)
+{
+    // The 3x3 diagonal shares no row or column, so every tile takes
+    // the nearest-fallback neighbors.
+    noc::Topology topo(3, 3, false);
+    std::vector<bool> managed(9, false);
+    for (noc::NodeId id : {0u, 4u, 8u})
+        managed[id] = true;
+    expectManagedMatches(topo, managed);
+}
+
+TEST(PairingEquivalence, SiliconPmClusterMatches)
+{
+    soc::SocConfig cfg = soc::make6x6SiliconSoc();
+    noc::Topology topo(cfg.width, cfg.height, false);
+    std::vector<bool> managed(cfg.size(), false);
+    for (noc::NodeId id : cfg.managedAccelerators())
+        managed[id] = true;
+    expectManagedMatches(topo, managed);
+}
+
+TEST(PairingEquivalence, ShunMatchesStrippedLists)
+{
+    // Shun a far node, then one neighbor, then every remaining
+    // neighbor (the last forces the far-to-neighbor promotion), then
+    // a promoted partner; the sequences must agree after each step.
+    noc::Topology topo(6, 6, false);
+    const auto ids = allNodes(topo.size());
+    for (coin::PairingMode mode : kModes) {
+        for (noc::NodeId self : {0u, 14u}) {
+            PairingConfig cfg;
+            cfg.period = 3;
+            cfg.mode = mode;
+            sim::Rng a(55 + self), b(55 + self);
+            PartnerSelector sel(topo, self, cfg, a);
+            auto n = topo.neighbors(self);
+            MaterializedSelector ref(n, materializeFar(ids, self, n),
+                                     cfg, b);
+            const std::string tag = "tile " + std::to_string(self);
+            expectSameSequence(sel, ref, tag);
+
+            const noc::NodeId farNode = self == 0 ? 35u : 0u;
+            EXPECT_TRUE(sel.shun(farNode));
+            ref.shun(farNode);
+            expectSameSequence(sel, ref, tag + " far shunned");
+
+            for (noc::NodeId victim : n) {
+                EXPECT_TRUE(sel.shun(victim));
+                ref.shun(victim);
+                expectSameSequence(sel, ref, tag + " neighbor " +
+                                                 std::to_string(victim));
+            }
+            EXPECT_EQ(sel.neighbors().size(), topo.size() - 2 - n.size());
+
+            const noc::NodeId promoted = sel.neighbors()[1];
+            EXPECT_TRUE(sel.shun(promoted));
+            ref.shun(promoted);
+            expectSameSequence(sel, ref, tag + " promoted shunned");
+        }
+    }
+}
+
+TEST(PairingEquivalence, ShunInManagedClusterMatches)
+{
+    soc::SocConfig soc = soc::make6x6SiliconSoc();
+    noc::Topology topo(soc.width, soc.height, false);
+    std::vector<bool> managed(soc.size(), false);
+    for (noc::NodeId id : soc.managedAccelerators())
+        managed[id] = true;
+    auto hoods = coin::managedNeighborhoods(topo, managed);
+    const noc::NodeId self = soc.managedAccelerators().front();
+    const coin::Neighborhood &h = hoods[self];
+    const noc::NodeId unmanaged = static_cast<noc::NodeId>(
+        std::find(managed.begin(), managed.end(), false) -
+        managed.begin());
+    for (coin::PairingMode mode : kModes) {
+        PairingConfig cfg;
+        cfg.period = 2;
+        cfg.mode = mode;
+        sim::Rng a(3), b(3);
+        PartnerSelector sel(h.neighbors, h.members, self, cfg, a);
+        MaterializedSelector ref(
+            h.neighbors, materializeFar(*h.members, self, h.neighbors),
+            cfg, b);
+        // Unmanaged and already-absent nodes still restart the walk.
+        for (noc::NodeId victim : {unmanaged, h.neighbors.front(),
+                                   h.neighbors.front()}) {
+            EXPECT_TRUE(sel.shun(victim));
+            ref.shun(victim);
+            expectSameSequence(sel, ref,
+                               "victim " + std::to_string(victim));
+        }
+        for (noc::NodeId victim : h.neighbors) {
+            EXPECT_TRUE(sel.shun(victim));
+            ref.shun(victim);
+            expectSameSequence(sel, ref,
+                               "victim " + std::to_string(victim));
+        }
+    }
+}
+
+TEST(PairingEquivalence, FullyCutOffShunKeepsSelector)
+{
+    // Without random pairing there is nothing to promote: shunning
+    // the only neighbor leaves the selector exactly as it was.
+    PairingConfig cfg;
+    cfg.randomPairing = false;
+    sim::Rng a(11), b(11);
+    PartnerSelector sel({3u}, members({3u, 5u, 9u}), 5, cfg, a);
+    MaterializedSelector ref({3u}, {9u}, cfg, b);
+    EXPECT_FALSE(sel.shun(3u));
+    ref.shun(3u);
+    expectSameSequence(sel, ref, "cut off");
 }
 
 // ---------------------------------------------------------- isolation

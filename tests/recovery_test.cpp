@@ -556,4 +556,155 @@ TEST(Recovery, FrozenTileKeepsItsCoins)
     EXPECT_EQ(c.unit(1).has(), 8);
 }
 
+// ------------------------------------------------------- served log
+
+/**
+ * Two units on a 1x2 mesh, neither started. Tile 0's unit is
+ * unplugged from the NoC so the test speaks for it: it sends forged
+ * CoinStatus/CoinRecover packets to tile 1 and reads tile 1's
+ * CoinUpdate replies, which exercises the partner's served log in
+ * isolation.
+ */
+struct ServedLogProbe
+{
+    fault::ChaosCluster c;
+    std::vector<noc::Packet> replies;
+
+    explicit ServedLogProbe(std::size_t depth = 8) : c(config(depth))
+    {
+        c.net().setHandler(0, [this](const noc::Packet &p) {
+            replies.push_back(p);
+        });
+        c.unit(1).setMax(8);
+    }
+
+    static fault::ChaosConfig
+    config(std::size_t depth)
+    {
+        auto cfg = lossyConfig(2, 0.0);
+        cfg.height = 1;
+        cfg.unit.servedLogDepth = depth;
+        return cfg;
+    }
+
+    /** Deliver @p pkt from tile 0 and return tile 1's one reply. */
+    noc::Packet
+    exchange(noc::Packet pkt)
+    {
+        pkt.src = 0;
+        pkt.dst = 1;
+        pkt.plane = noc::Plane::Service;
+        const std::size_t before = replies.size();
+        c.net().send(pkt);
+        c.eq().runUntil(c.eq().now() + 200);
+        EXPECT_EQ(replies.size(), before + 1) << "expected one reply";
+        return replies.back();
+    }
+
+    /** 1-way opening from tile 0 advertising (has, max). */
+    noc::Packet
+    status(std::uint64_t xid, coin::Coins has, coin::Coins max)
+    {
+        noc::Packet pkt;
+        pkt.type = noc::MsgType::CoinStatus;
+        pkt.payload[0] = has;
+        pkt.payload[1] = max;
+        pkt.payload[2] = coin::uncapped;
+        pkt.payload[3] =
+            blitzcoin::wire::packTag(xid, blitzcoin::wire::FlagOneWay);
+        return exchange(pkt);
+    }
+
+    /** Reconciliation probe for exchange @p xid. */
+    noc::Packet
+    recover(std::uint64_t xid)
+    {
+        noc::Packet pkt;
+        pkt.type = noc::MsgType::CoinRecover;
+        pkt.payload[0] = static_cast<std::int64_t>(xid);
+        return exchange(pkt);
+    }
+};
+
+/** Expect a 1-way CoinUpdate for @p xid carrying @p delta / @p flag. */
+void
+expectUpdate(const noc::Packet &p, std::uint64_t xid, coin::Coins delta,
+             int flag)
+{
+    EXPECT_EQ(p.type, noc::MsgType::CoinUpdate);
+    EXPECT_EQ(blitzcoin::wire::tagValue(p.payload[3]), xid);
+    EXPECT_EQ(blitzcoin::wire::tagFlag(p.payload[3]), flag);
+    EXPECT_EQ(p.payload[0], delta);
+}
+
+TEST(ServedLog, DuplicateStatusReplaysRecordedDelta)
+{
+    using blitzcoin::wire::FlagOneWay;
+    ServedLogProbe p;
+    // Tile 0 advertises 16 coins against max 8; tile 1 (max 8, no
+    // coins) takes 8, so the initiator is told -8.
+    expectUpdate(p.status(5, 16, 8), 5, -8, FlagOneWay);
+    EXPECT_EQ(p.c.unit(1).has(), 8);
+    // The same stamp again, with different registers: the logged
+    // outcome is replayed and no coin moves a second time.
+    expectUpdate(p.status(5, 40, 8), 5, -8, FlagOneWay);
+    EXPECT_EQ(p.c.unit(1).has(), 8);
+    EXPECT_EQ(p.c.unit(1).duplicatesIgnored(), 1u);
+    // A recover probe for it replays the same delta.
+    expectUpdate(p.recover(5), 5, -8, FlagOneWay);
+    EXPECT_EQ(p.c.unit(1).has(), 8);
+}
+
+TEST(ServedLog, RecoverPastDepthIsUnknown)
+{
+    using blitzcoin::wire::FlagOneWay;
+    using blitzcoin::wire::FlagUnknown;
+    ServedLogProbe p(2);
+    expectUpdate(p.status(1, 16, 8), 1, -8, FlagOneWay);
+    expectUpdate(p.status(2, 0, 8), 2, 4, FlagOneWay);
+    expectUpdate(p.status(3, 0, 8), 3, 2, FlagOneWay);
+    // xid 1 fell out of the depth-2 log; it is older than the newest
+    // entry, so its outcome is reported unknown, never as a null.
+    expectUpdate(p.recover(1), 1, 0, FlagUnknown);
+    // The two entries still held replay.
+    expectUpdate(p.recover(2), 2, 4, FlagOneWay);
+    expectUpdate(p.recover(3), 3, 2, FlagOneWay);
+    // A fourth opening evicts xid 2 as well: the log keeps only the
+    // newest two.
+    expectUpdate(p.status(4, 2, 8), 4, 0, FlagOneWay);
+    expectUpdate(p.recover(2), 2, 0, FlagUnknown);
+    expectUpdate(p.recover(3), 3, 2, FlagOneWay);
+}
+
+TEST(ServedLog, RecoverNeverServedIsNull)
+{
+    using blitzcoin::wire::FlagOneWay;
+    ServedLogProbe p;
+    // No entry for the initiator at all.
+    expectUpdate(p.recover(9), 9, 0, FlagOneWay);
+    // An entry exists but this stamp is newer: its CoinStatus was
+    // lost in transit, so nothing moved.
+    expectUpdate(p.status(10, 16, 8), 10, -8, FlagOneWay);
+    expectUpdate(p.recover(11), 11, 0, FlagOneWay);
+    EXPECT_EQ(p.c.unit(1).has(), 8);
+}
+
+TEST(ServedLog, CrashEmptiesTheLog)
+{
+    using blitzcoin::wire::FlagOneWay;
+    ServedLogProbe p;
+    expectUpdate(p.status(3, 16, 8), 3, -8, FlagOneWay);
+    expectUpdate(p.status(4, 16, 8), 4, -4, FlagOneWay);
+    p.c.unit(1).crash();
+    p.c.unit(1).restart();
+    p.c.unit(1).setMax(8);
+    // Neither stamp is remembered: both read as never served, not as
+    // a replay and not as unknown.
+    expectUpdate(p.recover(3), 3, 0, FlagOneWay);
+    expectUpdate(p.recover(4), 4, 0, FlagOneWay);
+    // And a duplicate opening is served as a fresh exchange.
+    expectUpdate(p.status(4, 16, 8), 4, -8, FlagOneWay);
+    EXPECT_EQ(p.c.unit(1).has(), 8);
+}
+
 } // namespace
