@@ -58,7 +58,6 @@ class TokenSmartSim
 
     const coin::Ledger &ledger() const { return ledger_; }
     TsMode mode() const { return mode_; }
-    sim::Tick now() const { return now_; }
 
     /** Program a tile's target token count. */
     void setMax(std::size_t i, coin::Coins max);

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "guardian.hpp"
-#include "record/provenance.hpp"
 #include "record/recorder.hpp"
 #include "sim/logging.hpp"
 
@@ -99,25 +98,12 @@ ClusterAudit::reconcile()
         const auto tile = alive[i]->self();
         if (guardian_)
             guardian_->noteGrant(tile, sign * share[i]);
-        if (sign > 0) {
-            // A remint consumes lost lineages oldest-first, so the
-            // recorded lineage range names the crashes it repairs.
-            record::ProvenanceLedger::RemintRange span{
-                record::ProvenanceLedger::kNoLineage,
-                record::ProvenanceLedger::kNoLineage};
-            if (prov_)
-                span = prov_->remint(tile, share[i], tick);
-            if (recorder_)
-                recorder_->mint(tick, tile, share[i],
-                                static_cast<std::int64_t>(span.first),
-                                static_cast<std::int64_t>(span.last),
-                                /*remintFlag=*/true);
-        } else {
-            if (prov_)
-                prov_->burn(tile, share[i], tick);
-            if (recorder_)
-                recorder_->burn(tick, tile, share[i]);
-        }
+        if (!recorder_)
+            continue;
+        if (sign > 0)
+            recorder_->mint(tick, tile, share[i], /*remintFlag=*/true);
+        else
+            recorder_->burn(tick, tile, share[i]);
     }
     ++gapsClosed_;
     if (sign > 0)
@@ -125,12 +111,6 @@ ClusterAudit::reconcile()
     else
         burned_ += magnitude;
     return r;
-}
-
-std::string
-ClusterAudit::describeGap() const
-{
-    return prov_ ? prov_->gapReport() : std::string{};
 }
 
 } // namespace blitz::blitzcoin

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "coin/ledger.hpp"
@@ -31,7 +30,6 @@
 
 namespace blitz::record {
 class FlightRecorder;
-class ProvenanceLedger;
 }
 
 namespace blitz::blitzcoin {
@@ -95,18 +93,10 @@ class ClusterAudit
     coin::Coins coinsBurned() const { return burned_; }
 
     /**
-     * Attach the flight recorder / provenance ledger. reconcile()
-     * then journals every correction as Remint/Burn records and
-     * threads audit remints through the ledger's lost-lineage FIFO —
-     * the link that turns "gap of N" into a causal chain.
+     * Attach the flight recorder. reconcile() then journals every
+     * correction as Remint/Burn records.
      */
-    void
-    setRecorder(record::FlightRecorder *rec,
-                record::ProvenanceLedger *prov = nullptr)
-    {
-        recorder_ = rec;
-        prov_ = prov;
-    }
+    void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }
 
     /** Tick source for journaled corrections (harness-provided). */
     void
@@ -125,19 +115,10 @@ class ClusterAudit
         guardian_ = guardian;
     }
 
-    /**
-     * The causal chains behind any conservation violation the ledger
-     * has seen: which lineages were destroyed where, how they got
-     * there, and whether a sweep has reminted them yet. Empty when no
-     * ledger is attached or nothing was ever lost.
-     */
-    std::string describeGap() const;
-
   private:
     coin::Coins expected_;
     std::vector<BlitzCoinUnit *> units_;
     record::FlightRecorder *recorder_ = nullptr;
-    record::ProvenanceLedger *prov_ = nullptr;
     IntegrityGuardian *guardian_ = nullptr;
     /** Tick source for journaled corrections (see setClock). */
     std::function<sim::Tick()> clock_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "record/provenance.hpp"
 #include "record/recorder.hpp"
 #include "trace/tracer.hpp"
 
@@ -45,15 +44,6 @@ IntegrityGuardian::shadow(noc::NodeId tile) const
 {
     auto it = tiles_.find(tile);
     return it == tiles_.end() ? 0 : it->second.shadow;
-}
-
-coin::Coins
-IntegrityGuardian::deviation(noc::NodeId tile) const
-{
-    auto it = tiles_.find(tile);
-    if (it == tiles_.end())
-        return 0;
-    return it->second.unit->has() - it->second.shadow;
 }
 
 int
@@ -287,11 +277,6 @@ IntegrityGuardian::quarantineTile(noc::NodeId id)
         if (oid != id && ost.health != TileHealth::Quarantined)
             ost.unit->shun(id);
     }
-    // Hand the tile's lineages to the ledger as lost: the very next
-    // audit reconcile remints them to honest tiles with a causal
-    // chain, reclaiming the fenced budget.
-    if (prov_)
-        prov_->crash(id, clock_ ? clock_() : 0);
     recordEvent(kGuardianQuarantine, id, st.strikes, 0, fenced);
     if (onEscalate)
         onEscalate(id, TileHealth::Quarantined);

@@ -32,11 +32,11 @@
  * quarantine, while real co-attackers re-convict themselves within a
  * few windows from evidence they cannot stop generating. Quarantine
  * fences the tile's counter, makes every neighbor shun it (re-forming
- * the exchange neighborhood), hands its lineages to the provenance
- * ledger as lost, and lets the ClusterAudit remint watchdog reclaim
- * the fenced coins — total budget is conserved within a bounded leak
- * window. Every detection, escalation, and amnesty is journaled to
- * the flight recorder, so verdicts are replay-auditable.
+ * the exchange neighborhood), and lets the ClusterAudit remint
+ * watchdog reclaim the fenced coins — total budget is conserved
+ * within a bounded leak window. Every detection, escalation, and
+ * amnesty is journaled to the flight recorder, so verdicts are
+ * replay-auditable.
  *
  * Sharding: sentry writes happen at the owning unit's locus (single
  * writer inside a superstep); sweep() runs in the serial lane between
@@ -205,8 +205,6 @@ class IntegrityGuardian
 
     TileHealth health(noc::NodeId tile) const;
     coin::Coins shadow(noc::NodeId tile) const;
-    /** Architectural counter minus shadow balance (counterfeit). */
-    coin::Coins deviation(noc::NodeId tile) const;
     int strikes(noc::NodeId tile) const;
 
     std::uint64_t sweepsRun() const { return sweeps_; }
@@ -222,19 +220,9 @@ class IntegrityGuardian
      */
     std::function<void(noc::NodeId, TileHealth)> onEscalate;
 
-    /**
-     * Attach the flight recorder (every detection and escalation is
-     * journaled) and optionally the provenance ledger (a quarantined
-     * tile's lineages are booked as lost so the remint watchdog
-     * reclaims them with a causal chain).
-     */
-    void
-    setRecorder(record::FlightRecorder *rec,
-                record::ProvenanceLedger *prov = nullptr)
-    {
-        recorder_ = rec;
-        prov_ = prov;
-    }
+    /** Attach the flight recorder: every detection and escalation is
+     *  journaled. */
+    void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }
 
     void setTrace(trace::Tracer *t) { tracer_ = t; }
 
@@ -276,7 +264,6 @@ class IntegrityGuardian
     GuardianConfig cfg_;
     std::map<noc::NodeId, TileState> tiles_;
     record::FlightRecorder *recorder_ = nullptr;
-    record::ProvenanceLedger *prov_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
     std::function<sim::Tick()> clock_;
     std::uint64_t sweeps_ = 0;

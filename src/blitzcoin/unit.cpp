@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "guardian.hpp"
-#include "record/provenance.hpp"
 #include "record/recorder.hpp"
 #include "trace/tracer.hpp"
 
@@ -47,15 +46,6 @@ valueFor(Vec &v, noc::NodeId node, V absent)
 }
 
 } // namespace
-
-BlitzCoinUnit::BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
-                             noc::NodeId self, const UnitConfig &cfg,
-                             std::uint64_t seed)
-    : eq_(eq), net_(net), self_(self), cfg_(cfg), rng_(seed),
-      timer_(cfg.backoff),
-      selector_(net.topology(), self, cfg.pairing, rng_)
-{
-}
 
 BlitzCoinUnit::BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
                              noc::NodeId self, const UnitConfig &cfg,
@@ -122,8 +112,6 @@ BlitzCoinUnit::crash()
                          {{"coins_lost", state_.has}});
     if (recorder_)
         recorder_->crash(eq_.now(), self_, state_.has);
-    if (prov_)
-        prov_->crash(self_, eq_.now());
     stop();
     crashed_ = true;
     // Architectural registers and all protocol tracking are lost. The
@@ -482,15 +470,12 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
             coinsChanged();
         }
         // The partner's apply is where coins settle: journal the
-        // served half and book the lineage movement (applied > 0 means
-        // the initiator's coins flowed here).
+        // served half.
         if (recorder_)
             recorder_->exchange(eq_.now(), record::kOutcomeServed,
                                 pkt.src, self_,
                                 static_cast<std::int64_t>(xid),
                                 applied);
-        if (prov_ && applied != 0)
-            prov_->transfer(pkt.src, self_, applied, xid, eq_.now());
         if (sentry_) {
             if (applied != 0)
                 sentry_->noteFlow(pkt.src, applied);
@@ -699,8 +684,6 @@ BlitzCoinUnit::applyGroupUpdate(const noc::Packet &pkt)
         recorder_->exchange(eq_.now(), record::kOutcomeServed, pkt.src,
                             self_, static_cast<std::int64_t>(tag),
                             delta);
-    if (prov_ && delta != 0)
-        prov_->transfer(pkt.src, self_, delta, tag, eq_.now());
     timer_.onExchange(delta != 0);
     iso_.onExchange(delta != 0, pkt.payload[2]);
     if (delta != 0 && running_ && !awaitingUpdate_)

@@ -52,7 +52,6 @@ class Tracer;
 
 namespace blitz::record {
 class FlightRecorder;
-class ProvenanceLedger;
 }
 
 namespace blitz::blitzcoin {
@@ -190,15 +189,9 @@ class BlitzCoinUnit
      * @param net NoC carrying the coin traffic.
      * @param self tile node id.
      * @param cfg unit parameters.
+     * @param hood the tile's logical neighborhood (managedNeighborhoods;
+     *        in a PM cluster only a subset of tiles exchanges coins).
      * @param seed per-tile RNG seed (pairing staggering).
-     */
-    BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
-                  noc::NodeId self, const UnitConfig &cfg,
-                  std::uint64_t seed);
-
-    /**
-     * Construct with an explicit logical neighborhood — the PM-cluster
-     * case where only a subset of tiles exchanges coins.
      */
     BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
                   noc::NodeId self, const UnitConfig &cfg,
@@ -208,8 +201,6 @@ class BlitzCoinUnit
     coin::Coins has() const { return state_.has; }
     coin::Coins max() const { return state_.max; }
     bool running() const { return running_; }
-    /** Current adaptive refresh interval (test access). */
-    sim::Tick backoffInterval() const { return timer_.interval(); }
 
     /** Initialize holdings (before start(), or when reminting). */
     void setHas(coin::Coins has);
@@ -296,9 +287,6 @@ class BlitzCoinUnit
     /** Serves dropped by an exhausted throttle budget. */
     std::uint64_t throttledDrops() const { return throttledDrops_; }
 
-    /** The live partner selection state (shun retarget tests). */
-    const coin::PartnerSelector &selector() const { return selector_; }
-
     /** Install a Byzantine behavior hook (nullptr = honest). */
     void setAdversary(AdversaryHook *a) { adversary_ = a; }
 
@@ -344,9 +332,6 @@ class BlitzCoinUnit
      */
     std::uint64_t exchangesAbandoned() const { return abandoned_; }
 
-    /** Lost exchanges still being reconciled in the background. */
-    std::size_t recoveriesInFlight() const { return unresolved_.size(); }
-
     /**
      * Attach an event tracer (or detach with nullptr). When set, the
      * unit emits one complete span per resolved 1-way exchange
@@ -359,22 +344,15 @@ class BlitzCoinUnit
     void setTrace(trace::Tracer *t) { tracer_ = t; }
 
     /**
-     * Attach the flight recorder (and optionally the provenance
-     * ledger). When set, the unit journals every protocol milestone —
-     * served exchanges, resolutions (ok/recovered/unknown), timeouts,
-     * abandonments, crash/restart edges — and books settled coin
-     * movements against the ledger's per-tile lineage FIFOs. Both are
-     * pure observers (no RNG, no state reads the protocol depends
-     * on), so attached runs stay bit-identical to detached ones.
-     * Nullptr detaches; the disabled path is one branch per milestone.
+     * Attach the flight recorder. When set, the unit journals every
+     * protocol milestone — served exchanges, resolutions
+     * (ok/recovered/unknown), timeouts, abandonments, crash/restart
+     * edges. The recorder is a pure observer (no RNG, no state reads
+     * the protocol depends on), so attached runs stay bit-identical
+     * to detached ones. Nullptr detaches; the disabled path is one
+     * branch per milestone.
      */
-    void
-    setRecorder(record::FlightRecorder *rec,
-                record::ProvenanceLedger *prov = nullptr)
-    {
-        recorder_ = rec;
-        prov_ = prov;
-    }
+    void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }
 
   private:
     /** One 1-way exchange this initiator has not yet resolved. */
@@ -458,7 +436,6 @@ class BlitzCoinUnit
     noc::Network &net_;
     trace::Tracer *tracer_ = nullptr;
     record::FlightRecorder *recorder_ = nullptr;
-    record::ProvenanceLedger *prov_ = nullptr;
     AdversaryHook *adversary_ = nullptr;
     GuardSentry *sentry_ = nullptr;
     noc::NodeId self_;

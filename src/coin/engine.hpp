@@ -114,7 +114,6 @@ class MeshSim
     MeshSim(const noc::Topology &topo, const EngineConfig &cfg,
             std::uint64_t seed);
 
-    const noc::Topology &topology() const { return topo_; }
     const Ledger &ledger() const { return ledger_; }
     sim::Tick now() const { return now_; }
 

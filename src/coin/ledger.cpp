@@ -85,15 +85,4 @@ Ledger::maxError() const
     return worst;
 }
 
-void
-Ledger::clear()
-{
-    std::fill(has_.begin(), has_.end(), 0);
-    std::fill(max_.begin(), max_.end(), 0);
-    totalHas_ = 0;
-    totalMax_ = 0;
-    transfers_ = 0;
-    coinsMoved_ = 0;
-}
-
 } // namespace blitz::coin

@@ -67,14 +67,6 @@ class Ledger
         return TileCoins{has_[i], max_[i]};
     }
 
-    /**
-     * Raw column views for vectorized consumers (error reductions,
-     * census scans). Indexed by tile; never reallocated after
-     * construction.
-     */
-    const Coins *hasData() const { return has_.data(); }
-    const Coins *maxData() const { return max_.data(); }
-
     /** Sum of held coins — invariant across exchanges. */
     Coins totalHas() const { return totalHas_; }
 
@@ -83,7 +75,7 @@ class Ledger
 
     /**
      * Always-on exchange accounting: transfer() invocations and the
-     * absolute coins they moved since construction (or clear()). The
+     * absolute coins they moved since construction. The
      * metrics plane samples these through gauges; keeping them here
      * means every engine that moves coins is covered for free.
      */
@@ -123,9 +115,6 @@ class Ledger
     {
         return globalError() < threshold;
     }
-
-    /** Reset all tiles to zero. */
-    void clear();
 
   private:
     /// Struct-of-arrays tile state: one contiguous column per register.

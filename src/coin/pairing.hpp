@@ -77,8 +77,6 @@ class IsolationDetector
     /** True after a full rotation of idle, coin-less exchanges. */
     bool isolated() const { return streak_ >= threshold_; }
 
-    void reset() { streak_ = 0; }
-
   private:
     unsigned threshold_;
     unsigned streak_ = 0;

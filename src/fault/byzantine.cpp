@@ -8,24 +8,6 @@
 
 namespace blitz::fault {
 
-const char *
-byzantineBehaviorName(ByzantineBehavior b)
-{
-    switch (b) {
-    case ByzantineBehavior::Inflator:
-        return "inflator";
-    case ByzantineBehavior::ReplyForger:
-        return "reply-forger";
-    case ByzantineBehavior::Spammer:
-        return "spammer";
-    case ByzantineBehavior::StuckGreedy:
-        return "stuck-greedy";
-    case ByzantineBehavior::StaleReplayer:
-        return "stale-replayer";
-    }
-    return "?";
-}
-
 /**
  * The per-tile compromise: the passive half of one spec. Installed as
  * the unit's AdversaryHook, so every method runs inside the unit's own
@@ -201,7 +183,7 @@ ByzantinePlan::pulse(Agent &a)
     const sim::Tick now = eq_->now();
     if (now >= a.spec.from && now < a.spec.until && !u->crashed()) {
         // A rogue tile writing its own coin CSR: counterfeit coins
-        // appear with no provenance lineage and no counterparty.
+        // appear with no mint and no counterparty.
         u->setHas(u->has() + a.spec.amount);
         a.stats.counterfeited += a.spec.amount;
         ++a.stats.pulses;

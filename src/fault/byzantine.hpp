@@ -59,9 +59,6 @@ enum class ByzantineBehavior : std::uint8_t
     StaleReplayer = 4,
 };
 
-/** Printable behavior name. */
-const char *byzantineBehaviorName(ByzantineBehavior b);
-
 /** One compromised tile. */
 struct ByzantineSpec
 {
@@ -118,8 +115,6 @@ class ByzantinePlan
 
     ByzantinePlan(const ByzantinePlan &) = delete;
     ByzantinePlan &operator=(const ByzantinePlan &) = delete;
-
-    const ByzantineConfig &config() const { return cfg_; }
 
     /** True when @p node is named by a spec. */
     bool compromised(noc::NodeId node) const;

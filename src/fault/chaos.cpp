@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "coin/neighborhood.hpp"
-#include "record/provenance.hpp"
 #include "record/recorder.hpp"
 #include "sim/digest.hpp"
 #include "sim/logging.hpp"
@@ -233,21 +232,11 @@ ChaosCluster::attachTrace(trace::Tracer *t)
 
 void
 ChaosCluster::attachRecorder(record::FlightRecorder *rec,
-                             record::ProvenanceLedger *prov,
                              sim::Tick snapshotEvery)
 {
-    // The provenance ledger's lost-lineage FIFO is order-sensitive by
-    // design; a mutex would hide the race without making the result
-    // meaningful, so sharded runs must leave it detached.
-    BLITZ_ASSERT(!group_ || !prov,
-                 "provenance ledger is unsharded-only (order-"
-                 "sensitive lineage state)");
     recorder_ = rec;
-    prov_ = prov;
     rewire();
     audit_.setClock([this] { return eq_.now(); });
-    if (prov_)
-        prov_->reset(units_.size());
     snapshotEvery_ = snapshotEvery;
     if (recorder_ && snapshotEvery_ > 0) {
         BLITZ_ASSERT(snapshotEvery_ >= 1, "snapshot cadence is empty");
@@ -267,16 +256,16 @@ ChaosCluster::rewire()
     plane_.setRecorder(recorder_);
     for (auto &u : units_) {
         u->setTrace(tracer_);
-        u->setRecorder(recorder_, prov_);
+        u->setRecorder(recorder_);
     }
-    audit_.setRecorder(recorder_, prov_);
+    audit_.setRecorder(recorder_);
     if (byzantine_) {
         byzantine_->setTrace(tracer_);
         byzantine_->setRecorder(recorder_);
     }
     if (guardian_) {
         guardian_->setTrace(tracer_);
-        guardian_->setRecorder(recorder_, prov_);
+        guardian_->setRecorder(recorder_);
     }
 }
 
@@ -329,17 +318,8 @@ ChaosCluster::setHas(std::size_t i, coin::Coins has)
     units_[i]->setHas(has);
     // Provisioning is a mint: journal it so a replayed log opens with
     // the same coin population (attachRecorder comes before seeding).
-    if (has > 0 && (recorder_ || prov_)) {
-        const sim::Tick now = eq_.now();
-        std::uint64_t lineage = record::ProvenanceLedger::kNoLineage;
-        if (prov_)
-            lineage = prov_->mint(static_cast<std::uint32_t>(i), has,
-                                  now);
-        if (recorder_)
-            recorder_->mint(now, static_cast<std::int64_t>(i), has,
-                            static_cast<std::int64_t>(lineage),
-                            static_cast<std::int64_t>(lineage));
-    }
+    if (has > 0 && recorder_)
+        recorder_->mint(eq_.now(), static_cast<std::int64_t>(i), has);
 }
 
 void

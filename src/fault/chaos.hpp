@@ -34,7 +34,6 @@ class Tracer;
 
 namespace blitz::record {
 class FlightRecorder;
-class ProvenanceLedger;
 }
 
 namespace blitz::fault {
@@ -112,7 +111,6 @@ class ChaosCluster
     explicit ChaosCluster(const ChaosConfig &cfg);
 
     sim::EventQueue &eq() { return eq_; }
-    const noc::Topology &topology() const { return topo_; }
     noc::Network &net() { return net_; }
     FaultPlane &plane() { return plane_; }
     /** The BSP shard group, or nullptr in legacy mode. */
@@ -124,11 +122,6 @@ class ChaosCluster
     blitzcoin::IntegrityGuardian *guardian() { return guardian_.get(); }
     std::size_t size() const { return units_.size(); }
     blitzcoin::BlitzCoinUnit &unit(std::size_t i) { return *units_[i]; }
-    const blitzcoin::BlitzCoinUnit &
-    unit(std::size_t i) const
-    {
-        return *units_[i];
-    }
 
     void setHas(std::size_t i, coin::Coins has);
     void setMax(std::size_t i, coin::Coins max);
@@ -175,12 +168,12 @@ class ChaosCluster
     void attachTrace(trace::Tracer *t);
 
     /**
-     * Wire the flight recorder (and optionally the provenance ledger)
-     * into every layer: NoC deliveries, fault-plane decisions, unit
-     * exchange milestones, crash/restart transitions, and audit
-     * remints/burns all journal into @p rec. Call *before* seeding
-     * coins so the provisioning mints are on the log too — replay
-     * depends on the log opening with the full provisioned state.
+     * Wire the flight recorder into every layer: NoC deliveries,
+     * fault-plane decisions, unit exchange milestones, crash/restart
+     * transitions, and audit remints/burns all journal into @p rec.
+     * Call *before* seeding coins so the provisioning mints are on
+     * the log too — replay depends on the log opening with the full
+     * provisioned state.
      *
      * @p snapshotEvery > 0 additionally schedules a self-repeating
      * Priority::Stats sweep that journals every tile's balance plus a
@@ -189,7 +182,6 @@ class ChaosCluster
      * bit-identical with and without it (locked by tests).
      */
     void attachRecorder(record::FlightRecorder *rec,
-                        record::ProvenanceLedger *prov = nullptr,
                         sim::Tick snapshotEvery = 0);
 
     /**
@@ -221,10 +213,9 @@ class ChaosCluster
     void scheduleSample();
     void scheduleSnapshot();
     /**
-     * The one place that says which component sees the tracer, the
-     * recorder and the provenance ledger. attachTrace/attachRecorder
-     * store their pointers and call this; it only re-stores pointers,
-     * so it is idempotent.
+     * The one place that says which component sees the tracer and the
+     * recorder. attachTrace/attachRecorder store their pointers and
+     * call this; it only re-stores pointers, so it is idempotent.
      */
     void rewire();
 
@@ -243,7 +234,6 @@ class ChaosCluster
     sim::Tick sampleEvery_ = 0;
     trace::Tracer *tracer_ = nullptr;
     record::FlightRecorder *recorder_ = nullptr;
-    record::ProvenanceLedger *prov_ = nullptr;
     sim::Tick snapshotEvery_ = 0;
     std::int64_t snapshotEpoch_ = 0;
     /**

@@ -150,8 +150,6 @@ class FaultPlane : public noc::FaultHook
   public:
     explicit FaultPlane(FaultConfig cfg);
 
-    const FaultConfig &config() const { return cfg_; }
-
     /**
      * Injection counters. With keyed streams enabled the per-shard
      * slots are merged on read (sum of integers — fold-order free),

@@ -316,19 +316,4 @@ Network::hopNode(PacketEvent *pe)
     }
 }
 
-void
-Network::resetStats()
-{
-    for (Block &b : blocks_) {
-        b.sent = 0;
-        b.delivered = 0;
-        b.dropped = 0;
-        b.hops = 0;
-        b.latCount = 0;
-        b.latSum = 0;
-        b.latMax = 0;
-    }
-    latency_ = sim::Summary{};
-}
-
 } // namespace blitz::noc

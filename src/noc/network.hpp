@@ -204,14 +204,6 @@ class Network
             n += b.latSum;
         return n;
     }
-    double
-    latencyMeanTicks() const
-    {
-        const std::uint64_t n = latencyCount();
-        return n ? static_cast<double>(latencySumTicks()) /
-                       static_cast<double>(n)
-                 : 0.0;
-    }
     sim::Tick
     latencyMaxTicks() const
     {
@@ -220,9 +212,6 @@ class Network
             m = std::max(m, b.latMax);
         return m;
     }
-
-    /** Reset traffic counters (topology and handlers stay). */
-    void resetStats();
 
   private:
     /**

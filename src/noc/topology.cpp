@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "sim/types.hpp"
 
@@ -63,14 +62,6 @@ Topology::neighbors(NodeId id) const
         }
     }
     return out;
-}
-
-std::string
-Topology::describe() const
-{
-    std::ostringstream os;
-    os << width_ << "x" << height_ << (wrap_ ? " torus" : " mesh");
-    return os.str();
 }
 
 } // namespace blitz::noc

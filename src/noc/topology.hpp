@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -175,9 +174,6 @@ class Topology
                      "XY routing walked off the mesh edge");
         return *n;
     }
-
-    /** "3x3 mesh" / "20x20 torus" description for reports. */
-    std::string describe() const;
 
   private:
     /** floor(id / width) as a multiply-shift; exact (see ctor). */

@@ -30,19 +30,6 @@ Ldo::voltageForCode(int code) const
            static_cast<double>(code) / static_cast<double>(codes_ - 1);
 }
 
-int
-Ldo::codeForVoltage(double v) const
-{
-    if (v <= cfg_.vMin)
-        return 0;
-    if (v >= cfg_.vMax)
-        return codes_ - 1;
-    double t = (v - cfg_.vMin) / (cfg_.vMax - cfg_.vMin);
-    // Round up so the selected code never under-delivers voltage.
-    return static_cast<int>(
-        std::ceil(t * static_cast<double>(codes_ - 1)));
-}
-
 void
 Ldo::step(double dtNs)
 {

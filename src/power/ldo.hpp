@@ -52,9 +52,6 @@ class Ldo
     /** Target voltage implied by a code (V). */
     double voltageForCode(int code) const;
 
-    /** Code whose target voltage is closest to (and >=) a voltage. */
-    int codeForVoltage(double v) const;
-
     /** Present (slew-limited) output voltage (V). */
     double voltage() const { return voltage_; }
 

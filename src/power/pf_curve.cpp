@@ -73,23 +73,6 @@ PfCurve::freqForPower(double budgetMw) const
     return fMax();
 }
 
-double
-PfCurve::voltageFor(double freqMhz) const
-{
-    const OpPoint &lo = points_.front();
-    if (freqMhz <= lo.freqMhz)
-        return lo.voltage;
-    for (std::size_t i = 1; i < points_.size(); ++i) {
-        const OpPoint &a = points_[i - 1];
-        const OpPoint &b = points_[i];
-        if (freqMhz <= b.freqMhz) {
-            double t = (freqMhz - a.freqMhz) / (b.freqMhz - a.freqMhz);
-            return a.voltage + t * (b.voltage - a.voltage);
-        }
-    }
-    return points_.back().voltage;
-}
-
 namespace catalog {
 namespace {
 
@@ -170,16 +153,6 @@ vision()
     static const PfCurve curve =
         makeCurve("Vision", 0.6, 0.9, 850.0, 55.0);
     return curve;
-}
-
-const PfCurve &
-byName(const std::string &name)
-{
-    for (const PfCurve *c : all()) {
-        if (c->name() == name)
-            return *c;
-    }
-    sim::fatal("unknown accelerator '", name, "'");
 }
 
 std::vector<const PfCurve *>

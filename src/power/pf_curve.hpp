@@ -88,9 +88,6 @@ class PfCurve
      */
     double freqForPower(double budgetMw) const;
 
-    /** Supply voltage needed to sustain a frequency (V). */
-    double voltageFor(double freqMhz) const;
-
     /** Characterized points, ascending. */
     const std::vector<OpPoint> &points() const { return points_; }
 
@@ -112,9 +109,6 @@ const PfCurve &nvdla();   ///< NVIDIA Deep Learning Accelerator (3x3 SoC)
 const PfCurve &gemm();    ///< dense matrix multiply (4x4 SoC)
 const PfCurve &conv2d();  ///< 2D convolution (4x4 SoC)
 const PfCurve &vision();  ///< noise filter / hist-eq / DWT engine (4x4)
-
-/** Look an accelerator up by name; fatal() on unknown names. */
-const PfCurve &byName(const std::string &name);
 
 /** All catalog entries, for sweeps. */
 std::vector<const PfCurve *> all();

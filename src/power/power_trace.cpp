@@ -52,21 +52,6 @@ PowerTrace::peakTotalMw() const
 }
 
 double
-PowerTrace::energyNj() const
-{
-    if (samples_.size() < 2)
-        return 0.0;
-    double nj = 0.0;
-    for (std::size_t i = 0; i + 1 < samples_.size(); ++i) {
-        double dt_ns = sim::ticksToNs(samples_[i + 1].tick -
-                                      samples_[i].tick);
-        // mW * ns = picojoules; convert to nanojoules.
-        nj += samples_[i].totalMw * dt_ns * 1e-3;
-    }
-    return nj;
-}
-
-double
 PowerTrace::capViolationFraction(double toleranceFrac) const
 {
     if (samples_.empty())

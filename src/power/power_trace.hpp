@@ -44,7 +44,6 @@ class PowerTrace
 
     std::size_t sampleCount() const { return samples_.size(); }
     const std::vector<PowerSample> &samples() const { return samples_; }
-    double budgetMw() const { return budgetMw_; }
 
     /** Time-weighted average total power (mW). */
     double averageTotalMw() const;
@@ -58,9 +57,6 @@ class PowerTrace
     {
         return averageTotalMw() / budgetMw_;
     }
-
-    /** Total energy over the trace (nanojoules). */
-    double energyNj() const;
 
     /**
      * Fraction of samples where total power exceeded the budget by more

@@ -59,7 +59,6 @@ RailSet::update(const double *powerMw)
             r.edge = RailEdge::Released;
         }
     }
-    ++updates_;
 }
 
 double

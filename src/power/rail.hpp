@@ -70,13 +70,6 @@ class RailSet
     void assignTile(std::size_t rail, std::size_t tile);
 
     std::size_t size() const { return rails_.size(); }
-    std::size_t tiles() const { return railOfTile_.size(); }
-
-    /** Rail feeding @p tile, or -1 when unassigned. */
-    std::int32_t railOfTile(std::size_t tile) const
-    {
-        return railOfTile_[tile];
-    }
 
     /**
      * Reconstruct every rail's current from @p powerMw (per-tile
@@ -85,31 +78,8 @@ class RailSet
      */
     void update(const double *powerMw);
 
-    const RailConfig &config(std::size_t rail) const
-    {
-        return rails_[rail].cfg;
-    }
-
-    /** Reconstructed current at the latest update (mA). */
-    double currentMa(std::size_t rail) const
-    {
-        return rails_[rail].currentMa;
-    }
-
-    /** Load as a fraction of the limit at the latest update. */
-    double loadFraction(std::size_t rail) const
-    {
-        return rails_[rail].currentMa / rails_[rail].cfg.limitMa;
-    }
-
     /** Hottest rail's load fraction (0 when the set is empty). */
     double maxLoadFraction() const;
-
-    /** Overcurrent latch state. */
-    bool overCurrent(std::size_t rail) const
-    {
-        return rails_[rail].over;
-    }
 
     /** What the latest update() did to the latch. */
     RailEdge edge(std::size_t rail) const { return rails_[rail].edge; }
@@ -122,9 +92,6 @@ class RailSet
     {
         return rails_[rail].engages;
     }
-
-    /** update() calls so far. */
-    std::uint64_t updates() const { return updates_; }
 
   private:
     struct Rail
@@ -139,7 +106,6 @@ class RailSet
 
     std::vector<Rail> rails_;
     std::vector<std::int32_t> railOfTile_; ///< -1 = unassigned
-    std::uint64_t updates_ = 0;
 };
 
 } // namespace blitz::power

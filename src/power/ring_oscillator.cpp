@@ -25,13 +25,4 @@ RingOscillator::freqAt(double voltage) const
     return std::max(f, 0.0);
 }
 
-double
-RingOscillator::voltageFor(double freqMhz) const
-{
-    if (freqMhz <= 0.0)
-        return cfg_.vThreshold;
-    return cfg_.vThreshold + (freqMhz / fMaxMhz()) *
-           (cfg_.vNominal - cfg_.vThreshold);
-}
-
 } // namespace blitz::power

@@ -40,9 +40,6 @@ class RingOscillator
     /** Oscillation frequency at a supply voltage (MHz); 0 below Vt. */
     double freqAt(double voltage) const;
 
-    /** Voltage required to oscillate at a frequency (V). */
-    double voltageFor(double freqMhz) const;
-
     double fMaxMhz() const { return cfg_.fMaxMhz * cfg_.processFactor; }
 
   private:

@@ -29,8 +29,6 @@ class Tdc
      */
     explicit Tdc(int windowCycles = 64, double nocFreqMhz = 800.0);
 
-    int windowCycles() const { return window_; }
-
     /** Digital code produced when measuring a tile clock (edges). */
     int measure(double tileFreqMhz) const;
 

@@ -76,12 +76,6 @@ ThermalModel::meanC() const
 }
 
 void
-ThermalModel::reset()
-{
-    reset(cfg_.initialC);
-}
-
-void
 ThermalModel::reset(double tC)
 {
     for (double &t : temp_)

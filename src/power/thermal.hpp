@@ -72,8 +72,6 @@ class ThermalModel
 
     std::size_t size() const { return temp_.size(); }
 
-    const ThermalConfig &config() const { return cfg_; }
-
     /** Override one tile's RC path (call during setup). */
     void setParams(std::size_t tile, const ThermalNodeParams &p);
 
@@ -102,8 +100,7 @@ class ThermalModel
     /** Mean junction temperature (°C); ambient when empty. */
     double meanC() const;
 
-    /** Reset every junction to @p tC (defaults to the initial temp). */
-    void reset();
+    /** Reset every junction to @p tC. */
     void reset(double tC);
 
     /** Number of step() calls so far. */

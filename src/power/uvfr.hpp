@@ -78,12 +78,6 @@ class Uvfr
     /** Present tile supply voltage (V). */
     double voltage() const { return ldo_.voltage(); }
 
-    /** Present LDO code. */
-    int ldoCode() const { return ldo_.code(); }
-
-    /** Latest TDC reading. */
-    int tdcCode() const { return lastTdcCode_; }
-
     /** True once the TDC reading matches the target within one LSB. */
     bool settled() const;
 

@@ -65,7 +65,7 @@ class FlightRecorder
     FlightRecorder(FlightRecorder &&) = default;
     FlightRecorder &operator=(FlightRecorder &&) = default;
 
-    /** Append one record; `lane` is stamped from setLane(). */
+    /** Append one record, stamped with lane 0 (absorb() restamps). */
     void
     append(Record r)
     {
@@ -102,7 +102,6 @@ class FlightRecorder
 
     void
     mint(sim::Tick t, std::int64_t tile, std::int64_t amount,
-         std::int64_t firstLineage, std::int64_t lastLineage,
          bool remintFlag = false)
     {
         Record r;
@@ -110,22 +109,8 @@ class FlightRecorder
         r.kind = remintFlag ? RecordKind::Remint : RecordKind::Mint;
         r.p0 = tile;
         r.p1 = amount;
-        r.p2 = firstLineage;
-        r.p3 = lastLineage;
-        append(r);
-    }
-
-    void
-    transfer(sim::Tick t, std::int64_t from, std::int64_t to,
-             std::int64_t amount, std::int64_t xid)
-    {
-        Record r;
-        r.tick = t;
-        r.kind = RecordKind::Transfer;
-        r.p0 = from;
-        r.p1 = to;
-        r.p2 = amount;
-        r.p3 = xid;
+        r.p2 = -1;
+        r.p3 = -1;
         append(r);
     }
 
@@ -332,12 +317,6 @@ class FlightRecorder
     {
         return chunks_[i / cfg_.chunkRecords][i % cfg_.chunkRecords];
     }
-
-    const Config &config() const { return cfg_; }
-
-    /** Lane stamped on subsequently appended records. */
-    void setLane(std::uint32_t lane) { lane_ = lane; }
-    std::uint32_t lane() const { return lane_; }
 
     /**
      * Append @p o's retained records restamped with @p lane. Called in

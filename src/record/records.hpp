@@ -101,7 +101,7 @@ enum : std::uint8_t
  * 16 bytes are the (tick, lane, kind) envelope, the remaining 32 the
  * kind-specific payload. Field conventions per kind:
  *
- *   Mint/Remint    p0=tile p1=amount p2=first lineage p3=last lineage
+ *   Mint/Remint    p0=tile p1=amount p2=p3=-1 (no coin lineage)
  *   Transfer       p0=from p1=to p2=amount p3=xid
  *   Burn           p0=tile p1=amount
  *   Exchange       p0=initiator p1=partner p2=xid p3=delta

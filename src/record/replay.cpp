@@ -191,8 +191,7 @@ ReplayScenario::describe() const
 
 void
 recordTrial(const ReplayScenario &sc, std::uint64_t seed,
-            FlightRecorder &rec, ProvenanceLedger *prov,
-            std::string *gapReport)
+            FlightRecorder &rec)
 {
     fault::ChaosConfig cc;
     cc.width = static_cast<int>(sc.d);
@@ -225,7 +224,7 @@ recordTrial(const ReplayScenario &sc, std::uint64_t seed,
 
     fault::ChaosCluster cluster(cc);
     // Before provisioning, so the log opens with the mints.
-    cluster.attachRecorder(&rec, prov, sc.snapshotEvery);
+    cluster.attachRecorder(&rec, sc.snapshotEvery);
 
     // Heterogeneous demand, pool parked on the first quarter — the
     // bench_chaos trial shape (long-range transport required).
@@ -254,10 +253,6 @@ recordTrial(const ReplayScenario &sc, std::uint64_t seed,
         cluster.eq().runUntil(quiet);
     cluster.runUntilConverged(convergedTol, convergedCheckEvery,
                               sc.deadline);
-    // The causal chains behind whatever the faults destroyed, captured
-    // before quiesce's sweep remints the lost lineages.
-    if (gapReport)
-        *gapReport = cluster.audit().describeGap();
     cluster.quiesce(quiesceDrain);
 }
 

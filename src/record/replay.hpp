@@ -30,7 +30,6 @@
 #include <optional>
 #include <string>
 
-#include "provenance.hpp"
 #include "recorder.hpp"
 #include "sim/types.hpp"
 #include "sweep/sweep.hpp"
@@ -73,14 +72,10 @@ struct ReplayScenario
 
 /**
  * Run one replication of @p sc seeded with @p seed, journaling into
- * @p rec (lane already set by the caller). When @p prov is non-null
- * the provenance ledger tracks lineages and @p gapReport (if
- * non-null) receives the audit's causal-chain report for any
- * conservation gap the run produced.
+ * @p rec (a per-replication recorder the caller absorbs as one lane).
  */
 void recordTrial(const ReplayScenario &sc, std::uint64_t seed,
-                 FlightRecorder &rec, ProvenanceLedger *prov = nullptr,
-                 std::string *gapReport = nullptr);
+                 FlightRecorder &rec);
 
 /**
  * Record the whole sweep (sc.trials replications on the sweep

@@ -87,9 +87,6 @@ class Arena
         return reserved_;
     }
 
-    /** Payload bytes served since the last reset(). */
-    std::size_t bytesUsed() const { return used_; }
-
     /**
      * Largest bytesUsed() any epoch reached — the arena-pressure gauge
      * the introspection plane reports. Survives reset() on purpose:

@@ -10,10 +10,4 @@ emitWarning(const std::string &msg)
     std::cerr << "warn: " << msg << '\n';
 }
 
-void
-emitInform(const std::string &msg)
-{
-    std::cerr << "info: " << msg << '\n';
-}
-
 } // namespace blitz::sim::detail

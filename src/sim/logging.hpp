@@ -7,7 +7,6 @@
  * fatal()  — the simulation cannot continue because of a user error
  *            (bad configuration, impossible parameters). Exits cleanly.
  * warn()   — something looks suspicious but the run can continue.
- * inform() — plain status output.
  */
 
 #ifndef BLITZ_SIM_LOGGING_HPP
@@ -41,7 +40,6 @@ class PanicError : public std::logic_error
 namespace detail {
 
 void emitWarning(const std::string &msg);
-void emitInform(const std::string &msg);
 
 template <typename... Args>
 std::string
@@ -84,14 +82,6 @@ void
 warn(Args &&...args)
 {
     detail::emitWarning(detail::format(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status to stderr. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emitInform(detail::format(std::forward<Args>(args)...));
 }
 
 /** panic() unless the condition holds. */

@@ -173,13 +173,6 @@ class Rng
         }
     }
 
-    /** Derive an independent child stream (for per-tile generators). */
-    Rng
-    fork()
-    {
-        return Rng((*this)());
-    }
-
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)

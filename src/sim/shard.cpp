@@ -24,8 +24,7 @@ probeNow()
 } // namespace
 
 void
-ShardProbe::init(std::uint32_t shardCount, std::uint32_t sampleStride,
-                 std::uint32_t maxSampleRows)
+ShardProbe::init(std::uint32_t shardCount)
 {
     shards.assign(shardCount, Shard{});
     drain = Phase{};
@@ -33,13 +32,6 @@ ShardProbe::init(std::uint32_t shardCount, std::uint32_t sampleStride,
     mailbox.assign(static_cast<std::size_t>(shardCount) * shardCount,
                    0);
     supersteps = fastPath = barriers = 0;
-    stride = sampleStride;
-    sinceSample = 0;
-    rows = 0;
-    maxRows = stride ? std::max<std::uint32_t>(maxSampleRows, 2) : 0;
-    sampleTick.assign(maxRows, 0);
-    samples.assign(static_cast<std::size_t>(maxRows) * shardCount,
-                   Sample{});
 }
 
 double
@@ -208,8 +200,7 @@ void
 ShardGroup::attachProbe(ShardProbe *probe)
 {
     if (probe && probe->shards.size() != shards_)
-        probe->init(shards_, probe->stride,
-                    probe->maxRows ? probe->maxRows : 1024);
+        probe->init(shards_);
     // Publish under the barrier mutex: workers only read probe_ after
     // an acquire of mu_ that the next phase hand-off forces, so no
     // worker can observe a torn or stale pointer mid-phase.
@@ -237,43 +228,6 @@ ShardGroup::probeBarrier(std::uint64_t spanNs)
         phaseExecuted_[s] = 0;
     }
     ++p.barriers;
-}
-
-void
-ShardGroup::probeSample(Tick t)
-{
-    ShardProbe &p = *probe_;
-    p.sinceSample = 0;
-    if (p.rows == p.maxRows) {
-        // Buffer full: keep every other row (cumulative rows make the
-        // thinning lossless for trends) and halve the cadence. All in
-        // place — the steady loop never allocates.
-        for (std::uint32_t r = 1; r * 2 < p.rows; ++r) {
-            p.sampleTick[r] = p.sampleTick[r * 2];
-            for (std::uint32_t s = 0; s < shards_; ++s)
-                p.samples[static_cast<std::size_t>(r) * shards_ + s] =
-                    p.samples[static_cast<std::size_t>(r) * 2 *
-                                  shards_ +
-                              s];
-        }
-        p.rows = (p.rows + 1) / 2;
-        p.stride *= 2;
-    }
-    const std::uint32_t row = p.rows++;
-    p.sampleTick[row] = t;
-    for (std::uint32_t s = 0; s < shards_; ++s) {
-        ShardProbe::Sample &smp =
-            p.samples[static_cast<std::size_t>(row) * shards_ + s];
-        const ShardProbe::Shard &slot = p.shards[s];
-        smp.execNs = slot.execute.ns;
-        smp.barrierNs = slot.barrier.ns;
-        smp.executed = slot.executed;
-        std::uint64_t inbox = 0;
-        for (std::uint32_t src = 0; src < shards_; ++src)
-            inbox += p.mailbox[static_cast<std::size_t>(src) * shards_ +
-                               s];
-        smp.inbox = inbox;
-    }
 }
 
 std::uint64_t
@@ -407,9 +361,6 @@ ShardGroup::runUntilImpl(Tick limit)
                 slot.executed += n;
                 ++probe_->supersteps;
                 ++probe_->fastPath;
-                if (probe_->stride &&
-                    ++probe_->sinceSample >= probe_->stride)
-                    probeSample(stop);
             }
             if (ts > limit)
                 break;
@@ -532,12 +483,8 @@ ShardGroup::runUntilImpl(Tick limit)
                 ++probe_->serial.count;
             }
         }
-        if (probe_) {
+        if (probe_)
             ++probe_->supersteps;
-            if (probe_->stride &&
-                ++probe_->sinceSample >= probe_->stride)
-                probeSample(t);
-        }
         // A serial event may have scheduled *at* tick t again (audit
         // repair via LocusScope): the loop re-derives t and repeats
         // the superstep at the same tick until it is truly drained.

@@ -67,9 +67,9 @@ std::vector<std::uint32_t> columnBands(std::uint32_t width,
  * Determinism contract: every wall-clock field (the Phase::ns slots)
  * is write-only from the simulator's point of view — nothing ever
  * reads it back into a scheduling decision — so an attached probe is
- * digest-identical to a detached run. The event/mailbox counters and
- * the sample *cadence* (counted in supersteps) are pure functions of
- * the schedule and therefore deterministic.
+ * digest-identical to a detached run. The event, mailbox and
+ * superstep counters are pure functions of the schedule and therefore
+ * deterministic.
  */
 struct ShardProbe
 {
@@ -88,15 +88,6 @@ struct ShardProbe
         std::uint64_t executed = 0; ///< events run in parallel phases
     };
 
-    /** One sampled row: cumulative per-shard counters at a tick. */
-    struct Sample
-    {
-        std::uint64_t execNs = 0;
-        std::uint64_t barrierNs = 0;
-        std::uint64_t executed = 0;
-        std::uint64_t inbox = 0; ///< cross events delivered to shard
-    };
-
     std::vector<Shard> shards;
     Phase drain;  ///< mailbox drain (main thread, between phases)
     Phase serial; ///< serial observer lane
@@ -106,24 +97,8 @@ struct ShardProbe
     std::uint64_t fastPath = 0; ///< single-active-shard supersteps
     std::uint64_t barriers = 0; ///< multi-active (barrier) supersteps
 
-    // Time-series sampling into preallocated rows. When the buffer
-    // fills, every other row is dropped in place and the stride
-    // doubles — cumulative rows make that lossless for trends, and
-    // the steady loop stays allocation-free.
-    std::uint32_t stride = 0;      ///< supersteps per sample; 0 = off
-    std::uint32_t sinceSample = 0;
-    std::uint32_t rows = 0;
-    std::uint32_t maxRows = 0;
-    std::vector<Tick> sampleTick;
-    std::vector<Sample> samples; ///< maxRows x shards, row-major
-
-    /**
-     * Size every slot for @p shardCount shards and reset all counts.
-     * @param sampleStride supersteps between sample rows (0 disables).
-     * @param maxSampleRows sample-buffer capacity (rounded up to 2).
-     */
-    void init(std::uint32_t shardCount, std::uint32_t sampleStride = 0,
-              std::uint32_t maxSampleRows = 1024);
+    /** Size every slot for @p shardCount shards and reset all counts. */
+    void init(std::uint32_t shardCount);
 
     /** Largest / smallest per-shard execute time ratio (>= 1). */
     double imbalance() const;
@@ -191,9 +166,6 @@ class ShardGroup
      */
     void attachProbe(ShardProbe *probe);
 
-    /** The attached probe, or nullptr. */
-    const ShardProbe *probe() const { return probe_; }
-
     /** Leaf queue of shard @p s (index shards() = the serial lane). */
     const EventQueue &
     leaf(std::uint32_t s) const
@@ -237,7 +209,6 @@ class ShardGroup
     void drainMail();
     void workerMain(std::uint32_t shard);
     void probeBarrier(std::uint64_t spanNs);
-    void probeSample(Tick t);
 
     EventQueue &anchor_;
     std::uint32_t shards_;

@@ -84,19 +84,6 @@ Histogram::format(std::size_t barWidth) const
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    BLITZ_ASSERT(lo_ == other.lo_ && hi_ == other.hi_ &&
-                     counts_.size() == other.counts_.size(),
-                 "merging histograms with different binning");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    total_ += other.total_;
-}
-
-void
 Percentiles::merge(const Percentiles &other)
 {
     if (other.samples_.empty())

@@ -87,12 +87,6 @@ class Histogram
     /** Render as "low-high: count" lines, for the bench reports. */
     std::string format(std::size_t barWidth = 40) const;
 
-    /**
-     * Merge another histogram into this one.
-     * @pre identical range and bin count.
-     */
-    void merge(const Histogram &other);
-
   private:
     double lo_;
     double hi_;

@@ -56,13 +56,6 @@ ticksToUs(Tick t)
     return ticksToNs(t) * 1e-3;
 }
 
-/** Convert a tick count to milliseconds. */
-constexpr double
-ticksToMs(Tick t)
-{
-    return ticksToNs(t) * 1e-6;
-}
-
 /** Convert nanoseconds to the nearest tick count (rounds up). */
 constexpr Tick
 nsToTicks(double ns)

@@ -47,14 +47,8 @@ class BlitzCoinPm : public PowerManager
 
     /** The integrity guardian, or nullptr when disabled. */
     blitzcoin::IntegrityGuardian *guardian() { return guardian_.get(); }
-    const blitzcoin::IntegrityGuardian *
-    guardian() const
-    {
-        return guardian_.get();
-    }
 
     /** The audit watchdog restoring the pool after crashes. */
-    const blitzcoin::ClusterAudit &audit() const { return audit_; }
     blitzcoin::ClusterAudit &audit() { return audit_; }
 
     /** Mean coin error over the managed cluster (the Err metric). */

@@ -11,20 +11,6 @@
 
 namespace blitz::soc {
 
-const char *
-throttleSourceName(ThrottleSource s)
-{
-    switch (s) {
-    case ThrottleSource::Thermal:
-        return "thermal";
-    case ThrottleSource::Rail:
-        return "rail";
-    case ThrottleSource::BoardTdp:
-        return "board-tdp";
-    }
-    return "?";
-}
-
 // ---------------------------------------------------------------- arbiter
 
 ThrottleArbiter::ThrottleArbiter(std::size_t tiles)

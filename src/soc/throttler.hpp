@@ -67,8 +67,6 @@ enum class ThrottleSource : std::uint8_t
 
 constexpr std::size_t kThrottleSourceCount = 3;
 
-const char *throttleSourceName(ThrottleSource s);
-
 /** Sentinel cap meaning "source inactive / tile uncapped". */
 constexpr double kUncappedMhz = std::numeric_limits<double>::infinity();
 
@@ -256,16 +254,12 @@ class PhysicsPlane
      */
     void step(double dtNs, sim::Tick now);
 
-    const PhysicsConfig &config() const { return cfg_; }
     const power::ThermalModel &thermal() const { return *thermal_; }
     const power::RailSet &rails() const { return *rails_; }
     const ThrottleArbiter &arbiter() const { return *arbiter_; }
 
     /** Hottest junction ever seen (°C); ambient before any step. */
     double peakTempC() const { return peakTempC_; }
-
-    /** Total accelerator power at the latest step (mW). */
-    double totalPowerMw() const { return totalMw_; }
 
     /** Board-TDP latch state. */
     bool boardEngaged() const { return boardOver_; }
@@ -278,12 +272,6 @@ class PhysicsPlane
      * of the same scenario is a real behavioral difference.
      */
     std::uint64_t throttleResidency() const { return throttleResidency_; }
-
-    /** Steps spent with the board-TDP latch engaged. */
-    std::uint64_t boardLatchResidency() const
-    {
-        return boardLatchResidency_;
-    }
 
     /**
      * Deterministic throttle/latch outcome counters into @p report

@@ -172,12 +172,6 @@ AcceleratorTile::beginTask(double workCycles,
     scheduleCompletion();
 }
 
-double
-AcceleratorTile::progressCycles() const
-{
-    return busy_ ? remainingCycles_ : 0.0;
-}
-
 void
 AcceleratorTile::controlStep()
 {

@@ -48,8 +48,6 @@ class AcceleratorTile
                     std::string name, const power::PfCurve &curve,
                     power::UvfrConfig uvfrCfg = power::UvfrConfig{});
 
-    noc::NodeId id() const { return id_; }
-    const std::string &name() const { return name_; }
     const power::PfCurve &curve() const { return *curve_; }
 
     /** Set the UVFR frequency target (MHz); from the PM layer. */
@@ -64,12 +62,6 @@ class AcceleratorTile
      * (infinity) this path is bit-identical to a cap-free tile.
      */
     void setThrottleCapMhz(double capMhz);
-
-    /** Present physics-plane cap (MHz); infinity when uncapped. */
-    double throttleCapMhz() const { return capMhz_; }
-
-    /** Last frequency the PM layer requested (MHz, pre-cap). */
-    double pmTargetMhz() const { return pmTargetMhz_; }
 
     /**
      * Inject a supply droop into this tile's UVFR (brownout transient
@@ -104,9 +96,6 @@ class AcceleratorTile
      * @pre !busy().
      */
     void beginTask(double workCycles, std::function<void()> onComplete);
-
-    /** Cycles of work completed on the current task so far. */
-    double progressCycles() const;
 
     /** Total tile-cycles executed across all tasks. */
     double totalCyclesExecuted() const { return cyclesDone_; }

@@ -46,9 +46,6 @@ class ThreadPool
     /** Block until all submitted jobs have completed. */
     void wait();
 
-    /** Number of worker threads. */
-    std::size_t size() const { return workers_.size(); }
-
   private:
     void workerLoop();
 

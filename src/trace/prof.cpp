@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "health.hpp"
-#include "tracer.hpp"
 
 namespace blitz::trace {
 
@@ -28,7 +27,7 @@ void
 SuperstepProfiler::attach(sim::ShardGroup &group)
 {
     detach();
-    probe_.init(group.shards(), opts_.sampleStride, opts_.maxSamples);
+    probe_.init(group.shards());
     group.attachProbe(&probe_);
     group_ = &group;
 }
@@ -39,48 +38,6 @@ SuperstepProfiler::detach()
     if (group_) {
         group_->attachProbe(nullptr);
         group_ = nullptr;
-    }
-}
-
-void
-SuperstepProfiler::emitCounterTracks(Tracer &tracer,
-                                     const std::string &prefix) const
-{
-    const std::uint32_t shards =
-        static_cast<std::uint32_t>(probe_.shards.size());
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        const Tracer::CounterTrack exec = tracer.counterTrack(
-            "prof", shardKey(prefix, s, "exec_ms"), s);
-        const Tracer::CounterTrack barrier = tracer.counterTrack(
-            "prof", shardKey(prefix, s, "barrier_ms"), s);
-        const Tracer::CounterTrack events = tracer.counterTrack(
-            "prof", shardKey(prefix, s, "events"), s);
-        const Tracer::CounterTrack inbox = tracer.counterTrack(
-            "prof", shardKey(prefix, s, "inbox"), s);
-        // Rows hold cumulative counters; emit per-window deltas so
-        // the tracks read as activity between samples, not a ramp.
-        sim::ShardProbe::Sample prev{};
-        for (std::uint32_t r = 0; r < probe_.rows; ++r) {
-            const sim::ShardProbe::Sample &cur =
-                probe_.samples[static_cast<std::size_t>(r) * shards +
-                               s];
-            const sim::Tick at = probe_.sampleTick[r];
-            tracer.counterSample(
-                exec, at,
-                static_cast<double>(cur.execNs - prev.execNs) /
-                    kNsPerMs);
-            tracer.counterSample(
-                barrier, at,
-                static_cast<double>(cur.barrierNs - prev.barrierNs) /
-                    kNsPerMs);
-            tracer.counterSample(
-                events, at,
-                static_cast<double>(cur.executed - prev.executed));
-            tracer.counterSample(
-                inbox, at,
-                static_cast<double>(cur.inbox - prev.inbox));
-            prev = cur;
-        }
     }
 }
 

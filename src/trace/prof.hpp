@@ -13,16 +13,10 @@
  * Data flow: sim::ShardGroup writes raw slots into a sim::ShardProbe
  * (defined in sim/shard.hpp so sim keeps its no-upward-deps
  * layering); the SuperstepProfiler here owns the probe, attaches it,
- * and exports two ways —
- *
- *  - **Perfetto counter tracks** (emitCounterTracks): per-shard
- *    exec/barrier/event/inbox series stamped at *sim ticks*, so one
- *    trace.json shows sim-time lanes and engine-time counters side by
- *    side in the same viewer.
- *  - **HealthReport sections** (fillHealth): deterministic counts
- *    (supersteps, per-shard events, mailbox matrix) into the
- *    deterministic section, wall-clock phase totals and the imbalance
- *    ratio into the wallclock section.
+ * and exports it into HealthReport sections (fillHealth): deterministic
+ * counts (supersteps, per-shard events, mailbox matrix) into the
+ * deterministic section, wall-clock phase totals and the imbalance
+ * ratio into the wallclock section.
  *
  * Determinism: attaching the profiler never perturbs a run (golden
  * digests are pinned with it attached at shards 1/2/4); wall-clock
@@ -41,22 +35,12 @@
 namespace blitz::trace {
 
 class HealthReport;
-class Tracer;
 
 /** Owns a sim::ShardProbe and renders it; see the file comment. */
 class SuperstepProfiler
 {
   public:
-    struct Options
-    {
-        /** Supersteps between counter-track sample rows; 0 = off. */
-        std::uint32_t sampleStride = 16;
-        /** Sample-row capacity (stride doubles when it fills). */
-        std::uint32_t maxSamples = 1024;
-    };
-
     SuperstepProfiler() = default;
-    explicit SuperstepProfiler(Options opts) : opts_(opts) {}
     ~SuperstepProfiler() { detach(); }
 
     SuperstepProfiler(const SuperstepProfiler &) = delete;
@@ -80,15 +64,6 @@ class SuperstepProfiler
     double imbalance() const { return probe_.imbalance(); }
 
     /**
-     * Emit the sampled per-shard series as interned counter tracks
-     * ("<prefix>/shard<i>.exec_ms" etc., tid = shard index, values
-     * per sample window). One-shot export after a run — never called
-     * from the steady loop.
-     */
-    void emitCounterTracks(Tracer &tracer,
-                           const std::string &prefix = "prof") const;
-
-    /**
      * Fill @p report: deterministic superstep/event/mailbox counts
      * plus the attached group's queue and arena gauges into the
      * deterministic section, phase wall-clock into wallclock.
@@ -96,7 +71,6 @@ class SuperstepProfiler
     void fillHealth(HealthReport &report) const;
 
   private:
-    Options opts_;
     sim::ShardGroup *group_ = nullptr;
     sim::ShardProbe probe_;
 };

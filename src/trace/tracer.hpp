@@ -11,10 +11,8 @@
  *
  * Cost model: hook sites hold a `Tracer *` that is null by default —
  * the disabled path is one branch, exactly the FaultHook::inert()
- * pattern. An attached-but-disabled tracer (setEnabled(false)) refuses
- * events at the method entry, which the golden-trace tests rely on.
- * Event capacity is bounded; overflow drops new events and counts them
- * (droppedEvents()), never silently.
+ * pattern. Event capacity is bounded; overflow drops new events and
+ * counts them (droppedEvents()), never silently.
  *
  * Thread safety: the append path (push) takes a mutex, so hook sites
  * running in parallel shard phases (sim/shard.hpp) may share one
@@ -22,15 +20,6 @@
  * is arbitrary, so sharded golden digests must not pin event *order*
  * — only counts. Readers (eventCount, writeJson, absorb) are not
  * synchronized against concurrent appends; call them between runs.
- *
- * Counter tracks: counter() takes literal cat/name pointers and is
- * fine for a fixed set of gauges, but engine introspection needs
- * dynamically built track names ("prof/shard3.exec_ms"). counterTrack()
- * interns such a name into tracer-owned storage and returns a small
- * handle; counterSample() then records against the handle. absorb()
- * re-interns the source's track table into the destination, so merged
- * replication traces keep their counter tracks alive after the
- * per-replication tracer dies (the raw-pointer path would dangle).
  */
 
 #ifndef BLITZ_TRACE_TRACER_HPP
@@ -40,7 +29,6 @@
 #include <initializer_list>
 #include <iosfwd>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -75,14 +63,6 @@ class Tracer
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
-    bool enabled() const { return enabled_; }
-
-    /** Gate recording; disabled calls return before touching state. */
-    void setEnabled(bool on) { enabled_ = on; }
-
-    /** Process lane for subsequently recorded events (replication id). */
-    void setPid(std::uint32_t pid) { pid_ = pid; }
-
     /** Record a complete span [start, end] ('X'). */
     void complete(const char *cat, const char *name, std::uint32_t tid,
                   sim::Tick start, sim::Tick end,
@@ -95,34 +75,6 @@ class Tracer
     /** Record a counter sample ('C'). */
     void counter(const char *cat, const char *name, std::uint32_t tid,
                  sim::Tick at, double value);
-
-    /**
-     * Handle to an interned counter track. Cheap value type; valid for
-     * the owning tracer's lifetime (clear() keeps the track table so
-     * handles survive between runs).
-     */
-    struct CounterTrack
-    {
-        std::int32_t id = -1;
-        bool valid() const { return id >= 0; }
-    };
-
-    /**
-     * Intern a counter track whose name need not be a string literal —
-     * the tracer copies @p cat and @p name into owned storage.
-     * Interning an identical (cat, name, tid) triple returns the
-     * existing handle, so absorb() merges like-named tracks from
-     * different replications into one per-pid track per lane.
-     */
-    CounterTrack counterTrack(const std::string &cat,
-                              const std::string &name,
-                              std::uint32_t tid);
-
-    /** Record a counter sample ('C') against an interned track. */
-    void counterSample(CounterTrack track, sim::Tick at, double value);
-
-    /** Interned counter tracks (tests / introspection). */
-    std::size_t trackCount() const { return tracks_.size(); }
 
     std::size_t eventCount() const { return events_.size(); }
 
@@ -139,8 +91,6 @@ class Tracer
     /** Write the {"traceEvents": [...]} document. */
     void writeJson(std::ostream &os) const;
 
-    void clear();
-
   private:
     struct Event
     {
@@ -152,32 +102,14 @@ class Tracer
         sim::Tick ts;
         sim::Tick dur;    ///< 'X' only
         double value;     ///< 'C' only
-        /** Interned track id; >= 0 overrides cat/name/tid at write. */
-        std::int32_t track = -1;
         std::vector<TraceArg> args;
     };
 
-    /** Owned identity of one interned counter track. */
-    struct TrackInfo
-    {
-        std::string cat;
-        std::string name;
-        std::uint32_t tid;
-    };
-
-    bool admit() const
-    {
-        return enabled_ && events_.size() < maxEvents_;
-    }
-
     void push(Event e, std::initializer_list<TraceArg> args);
 
-    bool enabled_ = true;
-    std::uint32_t pid_ = 0;
     std::size_t maxEvents_;
     std::uint64_t dropped_ = 0;
     std::vector<Event> events_;
-    std::vector<TrackInfo> tracks_;
     /** Serializes push() across parallel shard phases. */
     std::mutex pushMu_;
 };

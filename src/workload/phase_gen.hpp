@@ -63,13 +63,6 @@ class PhaseGenerator
      */
     std::vector<PhaseEvent> generate(sim::Tick horizon);
 
-    /** Mean interval between SoC-level changes: T_w / N. */
-    sim::Tick
-    socChangeInterval() const
-    {
-        return cfg_.meanPhaseTicks / tiles_;
-    }
-
   private:
     std::uint32_t tiles_;
     PhaseGenConfig cfg_;

@@ -37,17 +37,6 @@ TEST(Ldo, CodeVoltageMappingIsLinear)
     EXPECT_LT(mid, 0.73);
 }
 
-TEST(Ldo, CodeForVoltageNeverUnderDelivers)
-{
-    Ldo ldo;
-    for (double v = 0.45; v <= 1.0; v += 0.01) {
-        int code = ldo.codeForVoltage(v);
-        EXPECT_GE(ldo.voltageForCode(code), v - 1e-12);
-    }
-    EXPECT_EQ(ldo.codeForVoltage(0.1), 0);
-    EXPECT_EQ(ldo.codeForVoltage(2.0), 127);
-}
-
 TEST(Ldo, OutputSlewsTowardTarget)
 {
     LdoConfig cfg;
@@ -106,13 +95,6 @@ TEST(RingOscillator, LinearAboveThreshold)
     EXPECT_DOUBLE_EQ(ro.freqAt(0.65), 350.0);
     EXPECT_DOUBLE_EQ(ro.freqAt(0.3), 0.0);
     EXPECT_DOUBLE_EQ(ro.freqAt(0.1), 0.0);
-}
-
-TEST(RingOscillator, VoltageForInvertsFreqAt)
-{
-    RingOscillator ro;
-    for (double v = 0.35; v <= 1.0; v += 0.05)
-        EXPECT_NEAR(ro.voltageFor(ro.freqAt(v)), v, 1e-12);
 }
 
 TEST(RingOscillator, ProcessFactorScalesFrequency)

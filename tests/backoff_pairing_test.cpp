@@ -733,14 +733,4 @@ TEST(Isolation, ActiveBalancedPartnerClearsStreak)
     EXPECT_FALSE(iso.isolated());
 }
 
-TEST(Isolation, ResetClears)
-{
-    coin::IsolationDetector iso(2);
-    iso.onExchange(false, 0);
-    iso.onExchange(false, 0);
-    ASSERT_TRUE(iso.isolated());
-    iso.reset();
-    EXPECT_FALSE(iso.isolated());
-}
-
 } // namespace

@@ -24,7 +24,6 @@
 #include <optional>
 
 #include "fault/chaos.hpp"
-#include "record/provenance.hpp"
 #include "record/recorder.hpp"
 
 namespace {
@@ -506,8 +505,7 @@ TEST(ByzantineGuardian, AcceptanceThreeAttackersOn6x6Converge)
     cc.byzantine.specs = {inflator, spammer, greedy};
     ChaosCluster c(cc);
     record::FlightRecorder rec;
-    record::ProvenanceLedger prov;
-    c.attachRecorder(&rec, &prov);
+    c.attachRecorder(&rec);
     const coin::Coins pool = seedMesh(c);
 
     std::optional<sim::Tick> t =

@@ -134,7 +134,8 @@ TEST(ProfTool, RecordRejectsOutOfRangeCountsNamingTheFlag)
 {
     // A mesh past the node ceiling and a shard count past 32 bits
     // must exit 2 before any cluster is built — not abort, and not
-    // wrap to a small count the report would then mislabel.
+    // wrap to a small count the report would then mislabel. A flag
+    // the tool does not have (--stride) is refused the same way.
     const std::string rep = testing::TempDir() + "top_bad_flags.json";
     struct Case
     {
@@ -144,7 +145,8 @@ TEST(ProfTool, RecordRejectsOutOfRangeCountsNamingTheFlag)
     for (const Case &c : {Case{"--d 2000", "--d"},
                           Case{"--shards 4294967297", "--shards"},
                           Case{"--ticks -5", "--ticks"},
-                          Case{"--d 8x", "--d"}}) {
+                          Case{"--d 8x", "--d"},
+                          Case{"--stride 4", "--stride"}}) {
         std::string out;
         EXPECT_EQ(runTool("record " + rep + " " + c.args, &out), 2)
             << c.args << "\n" << out;

@@ -111,17 +111,6 @@ TEST(Ledger, InactiveTileCoinsCountAsError)
     EXPECT_DOUBLE_EQ(l.globalError(), 5.0);
 }
 
-TEST(Ledger, ClearResetsEverything)
-{
-    Ledger l(2);
-    l.setMax(0, 5);
-    l.setHas(0, 3);
-    l.clear();
-    EXPECT_EQ(l.totalHas(), 0);
-    EXPECT_EQ(l.totalMax(), 0);
-    EXPECT_EQ(l.has(0), 0);
-}
-
 TEST(Ledger, InvalidOperationsPanic)
 {
     Ledger l(2);

@@ -137,18 +137,6 @@ TEST_F(NetFixture, SequenceNumbersAreUniqueAndMonotonic)
     EXPECT_LT(s1, s2);
 }
 
-TEST_F(NetFixture, ResetStatsClearsCounters)
-{
-    net.setHandler(1, [](const noc::Packet &) {});
-    net.send(makePacket(0, 1));
-    eq.runUntil();
-    net.resetStats();
-    EXPECT_EQ(net.packetsSent(), 0u);
-    EXPECT_EQ(net.packetsDelivered(), 0u);
-    EXPECT_EQ(net.totalHops(), 0u);
-    EXPECT_EQ(net.latency().count(), 0u);
-}
-
 TEST_F(NetFixture, MissingHandlerDropsSilently)
 {
     net.send(makePacket(0, 7));

@@ -93,25 +93,6 @@ TEST(PfCurve, VoltageRangesMatchCharacterization)
     EXPECT_NEAR(gemm().points().back().voltage, 0.9, 1e-9);
 }
 
-TEST(PfCurve, VoltageForIsMonotone)
-{
-    const PfCurve &c = power::catalog::conv2d();
-    double prev = 0.0;
-    for (double f = 0.0; f <= c.fMax(); f += c.fMax() / 20.0) {
-        double v = c.voltageFor(f);
-        EXPECT_GE(v, prev);
-        prev = v;
-    }
-    EXPECT_NEAR(c.voltageFor(c.fMax()), 0.9, 1e-9);
-}
-
-TEST(PfCurve, ByNameFindsAllAndRejectsUnknown)
-{
-    for (const PfCurve *c : power::catalog::all())
-        EXPECT_EQ(&power::catalog::byName(c->name()), c);
-    EXPECT_THROW(power::catalog::byName("TPU"), sim::FatalError);
-}
-
 TEST(PfCurve, ValidationRejectsBadCurves)
 {
     EXPECT_THROW(PfCurve("empty", {}), sim::FatalError);

@@ -54,12 +54,6 @@ TEST(PhaseGen, MeanIntervalApproximatesTw)
                 expected * 0.15);
 }
 
-TEST(PhaseGen, SocLevelChangeIntervalIsTwOverN)
-{
-    PhaseGenerator gen(20, config(10000), 4);
-    EXPECT_EQ(gen.socChangeInterval(), 500u);
-}
-
 TEST(PhaseGen, DeterministicForSeed)
 {
     PhaseGenerator a(8, config(1000), 77);

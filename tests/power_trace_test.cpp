@@ -34,14 +34,6 @@ TEST(PowerTrace, PeakAndUtilization)
     EXPECT_LT(trace.budgetUtilization(), 1.0);
 }
 
-TEST(PowerTrace, EnergyIntegral)
-{
-    PowerTrace trace(1, 100.0);
-    trace.record(0, {100.0});
-    trace.record(800, {100.0}); // 100 mW for 1 us = 100 nJ
-    EXPECT_NEAR(trace.energyNj(), 100.0, 1e-9);
-}
-
 TEST(PowerTrace, CapViolationFraction)
 {
     PowerTrace trace(1, 100.0);
@@ -68,7 +60,6 @@ TEST(PowerTrace, EmptyAndSingleSampleEdges)
     PowerTrace trace(1, 10.0);
     EXPECT_DOUBLE_EQ(trace.averageTotalMw(), 0.0);
     EXPECT_DOUBLE_EQ(trace.peakTotalMw(), 0.0);
-    EXPECT_DOUBLE_EQ(trace.energyNj(), 0.0);
     EXPECT_DOUBLE_EQ(trace.capViolationFraction(), 0.0);
     trace.record(5, {7.0});
     EXPECT_DOUBLE_EQ(trace.averageTotalMw(), 7.0);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Introspection-plane unit and property tests: the superstep profiler's
- * counters against kernel ground truth, the Perfetto counter-track
- * export, the deterministic/wallclock split of HealthReport, and the
- * report's JSON round-trip / diff / fold-mode absorb contracts.
+ * counters against kernel ground truth, the deterministic/wallclock
+ * split of HealthReport, and the report's JSON round-trip / diff /
+ * fold-mode absorb contracts.
  *
  * Suite names start with "Prof" so the tsan preset's name filter picks
  * the whole file up alongside the shard/sweep suites — the profiler's
@@ -24,7 +24,6 @@
 #include "sim/shard.hpp"
 #include "trace/health.hpp"
 #include "trace/prof.hpp"
-#include "trace/tracer.hpp"
 
 namespace {
 
@@ -63,12 +62,11 @@ struct ProfiledMesh
     trace::SuperstepProfiler prof;
     std::uint64_t executed = 0;
 
-    ProfiledMesh(int d, std::uint32_t shards,
-                 trace::SuperstepProfiler::Options opts = {})
+    ProfiledMesh(int d, std::uint32_t shards)
         : group(eq, shards,
                 sim::columnBands(static_cast<std::uint32_t>(d),
                                  static_cast<std::uint32_t>(d), shards)),
-          net(eq, noc::Topology(d, d, false)), prof(opts)
+          net(eq, noc::Topology(d, d, false))
     {
         net.enableSharding(group);
         const auto n = static_cast<std::uint32_t>(d * d);
@@ -126,54 +124,6 @@ TEST(ProfPlane, CountersMatchKernelGroundTruthAtEveryShardCount)
 
         EXPECT_GE(m.prof.imbalance(), 1.0);
     }
-}
-
-TEST(ProfPlane, SampleRowsAreCumulativeAndBounded)
-{
-    trace::SuperstepProfiler::Options opts;
-    opts.sampleStride = 4;
-    opts.maxSamples = 16; // force the in-place stride-doubling path
-    ProfiledMesh m(6, 4, opts);
-    m.run(40'000);
-    const sim::ShardProbe &p = m.prof.probe();
-
-    ASSERT_GT(p.rows, 0u);
-    EXPECT_LE(p.rows, 16u);
-    EXPECT_GT(p.stride, 4u) << "compaction never doubled the stride";
-    for (std::uint32_t r = 1; r < p.rows; ++r) {
-        EXPECT_GT(p.sampleTick[r], p.sampleTick[r - 1]);
-        for (std::uint32_t s = 0; s < 4; ++s) {
-            const auto &cur = p.samples[r * 4 + s];
-            const auto &prev = p.samples[(r - 1) * 4 + s];
-            EXPECT_GE(cur.execNs, prev.execNs);
-            EXPECT_GE(cur.executed, prev.executed);
-            EXPECT_GE(cur.inbox, prev.inbox);
-        }
-    }
-    // The final cumulative row never exceeds the live counters.
-    for (std::uint32_t s = 0; s < 4; ++s)
-        EXPECT_LE(p.samples[(p.rows - 1) * 4 + s].executed,
-                  p.shards[s].executed);
-}
-
-TEST(ProfPlane, EmitCounterTracksRendersPerShardSeries)
-{
-    ProfiledMesh m(6, 2);
-    m.run(30'000);
-
-    trace::Tracer tracer;
-    m.prof.emitCounterTracks(tracer);
-    // Four tracks per shard (exec_ms / barrier_ms / events / inbox).
-    EXPECT_EQ(tracer.trackCount(), 8u);
-    EXPECT_GT(tracer.eventCount(), 0u);
-
-    std::ostringstream os;
-    tracer.writeJson(os);
-    const std::string doc = os.str();
-    EXPECT_NE(doc.find("\"prof/shard0.exec_ms\""), std::string::npos);
-    EXPECT_NE(doc.find("\"prof/shard1.events\""), std::string::npos);
-    EXPECT_NE(doc.find("\"prof/shard1.inbox\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
 }
 
 TEST(ProfPlane, FillHealthSplitsDeterministicFromWallclock)

@@ -1,9 +1,7 @@
 /**
  * @file
  * Unit tests of the flight-recorder core (chunked append, ring
- * recycling, lane absorption, lockstep checking, file round-trip) and
- * of the per-coin provenance ledger (lineage threading through mint,
- * transfer, crash, burn, and remint, plus the causal gap report).
+ * recycling, lane absorption, lockstep checking, file round-trip).
  */
 
 #include <cstdint>
@@ -12,14 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include "record/provenance.hpp"
 #include "record/recorder.hpp"
 
 namespace {
 
 using namespace blitz;
 using record::FlightRecorder;
-using record::ProvenanceLedger;
 using record::Record;
 using record::RecordKind;
 
@@ -71,8 +67,8 @@ TEST(FlightRecorder, RingModeRecyclesOldestWholeChunks)
 TEST(FlightRecorder, AbsorbRestampsLanesInReplicationOrder)
 {
     FlightRecorder a, b, merged;
-    a.mint(10, 0, 16, 0, 0);
-    b.mint(20, 1, 8, 1, 1);
+    a.mint(10, 0, 16);
+    b.mint(20, 1, 8);
     merged.absorb(a, 0);
     merged.absorb(b, 1);
     ASSERT_EQ(merged.size(), 2u);
@@ -97,8 +93,8 @@ TEST(FlightRecorder, AbsorbRestampsLanesInReplicationOrder)
 TEST(FlightRecorder, DigestIsOrderAndPayloadSensitive)
 {
     FlightRecorder a, b;
-    a.transfer(5, 0, 1, 3, 1);
-    b.transfer(5, 0, 1, 3, 1);
+    a.append(numbered(5));
+    b.append(numbered(5));
     EXPECT_EQ(a.digest(), b.digest());
     b.mutableAt(0).p2 ^= 1;
     EXPECT_NE(a.digest(), b.digest());
@@ -144,8 +140,8 @@ TEST(FlightRecorder, LockstepFlagsAppendsPastTheReferenceEnd)
 TEST(FlightRecorder, FileRoundTripPreservesStreamAndHeader)
 {
     FlightRecorder rec;
-    rec.mint(0, 0, 16, 0, 0);
-    rec.transfer(100, 0, 1, 4, 1);
+    rec.mint(0, 0, 16);
+    rec.burn(100, 1, 4);
     rec.pmActuation(200, 1, 787.5);
     record::LogHeader header{};
     header[0] = 0xfeedface;
@@ -167,128 +163,6 @@ TEST(FlightRecorder, FileRoundTripPreservesStreamAndHeader)
     std::remove(path.c_str());
     FlightRecorder missing;
     EXPECT_FALSE(FlightRecorder::readFile(path, missing, nullptr));
-}
-
-// ---------------------------------------------------------- provenance
-
-TEST(Provenance, MintTransferThreadsLineagesFifo)
-{
-    ProvenanceLedger led(3);
-    const std::uint64_t first = led.mint(0, 10, 0);
-    const std::uint64_t second = led.mint(0, 5, 10);
-    ASSERT_NE(first, ProvenanceLedger::kNoLineage);
-    ASSERT_NE(second, first);
-    EXPECT_EQ(led.held(0), 15);
-
-    // FIFO: moving 12 coins drains all of lineage `first` and 2 of
-    // `second`.
-    led.transfer(0, 1, 12, /*xid=*/7, /*tick=*/20);
-    EXPECT_EQ(led.held(0), 3);
-    EXPECT_EQ(led.held(1), 12);
-    const auto &h = led.history(first);
-    ASSERT_EQ(h.size(), 2u);
-    EXPECT_EQ(h[1].kind, record::ProvenanceHop::Kind::Transfer);
-    EXPECT_EQ(h[1].from, 0u);
-    EXPECT_EQ(h[1].to, 1u);
-    EXPECT_EQ(h[1].amount, 10);
-    EXPECT_EQ(h[1].xid, 7u);
-    ASSERT_EQ(led.history(second).size(), 2u);
-    EXPECT_EQ(led.history(second)[1].amount, 2);
-}
-
-TEST(Provenance, NegativeTransferReversesDirection)
-{
-    ProvenanceLedger led(2);
-    led.mint(1, 8, 0);
-    led.transfer(0, 1, -8, /*xid=*/1, /*tick=*/5);
-    EXPECT_EQ(led.held(0), 8);
-    EXPECT_EQ(led.held(1), 0);
-    EXPECT_EQ(led.unsourced(), 0);
-}
-
-TEST(Provenance, UntrackedMovementIsCountedNotCrashed)
-{
-    ProvenanceLedger led(2);
-    led.transfer(0, 1, 4, /*xid=*/1, /*tick=*/5);
-    EXPECT_EQ(led.unsourced(), 4);
-}
-
-TEST(Provenance, CrashThenRemintClosesTheLoopOldestFirst)
-{
-    ProvenanceLedger led(2);
-    const std::uint64_t l0 = led.mint(0, 6, 0);
-    const std::uint64_t l1 = led.mint(0, 4, 1);
-    led.crash(0, /*tick=*/100);
-    EXPECT_EQ(led.held(0), 0);
-    EXPECT_EQ(led.lostOutstanding(), 10);
-    EXPECT_EQ(led.lostLineages(),
-              (std::vector<std::uint64_t>{l0, l1}));
-
-    // The gap report names the causal chain, not just the count.
-    const std::string gap = led.gapReport();
-    EXPECT_NE(gap.find("crash"), std::string::npos);
-    EXPECT_NE(gap.find("lineage"), std::string::npos);
-
-    // A partial remint consumes the oldest lost lineage first.
-    const auto touched = led.remint(1, 6, 200);
-    EXPECT_EQ(touched.first, l0);
-    EXPECT_EQ(touched.last, l0);
-    EXPECT_EQ(led.lostOutstanding(), 4);
-    EXPECT_EQ(led.lostLineages(), (std::vector<std::uint64_t>{l1}));
-    const auto rest = led.remint(1, 4, 300);
-    EXPECT_EQ(rest.first, l1);
-    EXPECT_EQ(rest.last, l1);
-    EXPECT_EQ(led.lostOutstanding(), 0);
-    EXPECT_TRUE(led.lostLineages().empty());
-    EXPECT_EQ(led.held(1), 10);
-    EXPECT_EQ(led.gapReport(), "");
-
-    const std::string chain = led.describeLineage(l0);
-    EXPECT_NE(chain.find("mint"), std::string::npos);
-    EXPECT_NE(chain.find("crash"), std::string::npos);
-    EXPECT_NE(chain.find("remint"), std::string::npos);
-}
-
-TEST(Provenance, RemintRangeSpansConsumedLineages)
-{
-    ProvenanceLedger led(2);
-    const std::uint64_t l0 = led.mint(0, 3, 0);
-    const std::uint64_t l1 = led.mint(0, 2, 1);
-    led.crash(0, /*tick=*/10);
-
-    // One remint larger than the lost pool consumes both lost
-    // lineages and mints the excess fresh; the reported span runs
-    // from the oldest lost lineage to the fresh one, so the audit's
-    // log line names every lineage the correction touched.
-    const auto span = led.remint(1, 7, /*tick=*/20);
-    EXPECT_EQ(span.first, l0);
-    EXPECT_EQ(span.last, l1 + 1);
-    EXPECT_EQ(led.lostOutstanding(), 0);
-    EXPECT_EQ(led.held(1), 7);
-
-    // With nothing lost, a remint is a plain fresh mint and still
-    // reports its own (single-lineage) span.
-    const auto fresh = led.remint(1, 2, /*tick=*/30);
-    EXPECT_EQ(fresh.first, fresh.last);
-    EXPECT_NE(fresh.first, ProvenanceLedger::kNoLineage);
-
-    // A no-op remint reports the empty span.
-    const auto none = led.remint(1, 0, /*tick=*/40);
-    EXPECT_EQ(none.first, ProvenanceLedger::kNoLineage);
-    EXPECT_EQ(none.last, ProvenanceLedger::kNoLineage);
-}
-
-TEST(Provenance, BurnDestroysFifoWithoutLosingTrack)
-{
-    ProvenanceLedger led(1);
-    const std::uint64_t l0 = led.mint(0, 5, 0);
-    led.burn(0, 3, 50);
-    EXPECT_EQ(led.held(0), 2);
-    EXPECT_EQ(led.lostOutstanding(), 0); // burns are deliberate
-    const auto &h = led.history(l0);
-    ASSERT_GE(h.size(), 2u);
-    EXPECT_EQ(h.back().kind, record::ProvenanceHop::Kind::Burn);
-    EXPECT_EQ(h.back().amount, 3);
 }
 
 } // namespace

@@ -129,7 +129,7 @@ TEST(Replay, TamperedRecordingIsLocalizedByVerifyDiffAndBisect)
 TEST(Replay, TamperIndexOutOfRangeIsRejected)
 {
     FlightRecorder rec;
-    rec.mint(0, 0, 4, 0, 0);
+    rec.mint(0, 0, 4);
     EXPECT_TRUE(record::tamperRecord(rec, 0));
     EXPECT_FALSE(record::tamperRecord(rec, 1));
 }

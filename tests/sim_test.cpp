@@ -42,7 +42,6 @@ TEST(Types, NsToTicksRoundsUp)
 TEST(Types, TicksToUsScales)
 {
     EXPECT_DOUBLE_EQ(sim::ticksToUs(800), 1.0);
-    EXPECT_DOUBLE_EQ(sim::ticksToMs(800000), 1.0);
 }
 
 // --------------------------------------------------------------- events
@@ -344,13 +343,6 @@ TEST(Rng, ShufflePreservesElements)
     rng.shuffle(v);
     std::sort(v.begin(), v.end());
     EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, ForkIsIndependentStream)
-{
-    sim::Rng a(29);
-    sim::Rng child = a.fork();
-    EXPECT_NE(a(), child());
 }
 
 TEST(Rng, ChanceExtremes)

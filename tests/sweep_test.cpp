@@ -261,24 +261,4 @@ TEST(PercentilesMerge, ReproducesSerialSampleSequence)
     EXPECT_EQ(a.mean(), serial.mean());
 }
 
-TEST(HistogramMerge, AddsCountsBinwise)
-{
-    sim::Histogram a(0.0, 10.0, 5), b(0.0, 10.0, 5);
-    a.add(1.0);
-    a.add(11.0); // overflow
-    b.add(1.5);
-    b.add(-1.0); // underflow
-    a.merge(b);
-    EXPECT_EQ(a.binCount(0), 2u);
-    EXPECT_EQ(a.overflow(), 1u);
-    EXPECT_EQ(a.underflow(), 1u);
-    EXPECT_EQ(a.total(), 4u);
-}
-
-TEST(HistogramMerge, MismatchedBinningPanics)
-{
-    sim::Histogram a(0.0, 10.0, 5), b(0.0, 10.0, 4);
-    EXPECT_THROW(a.merge(b), sim::PanicError);
-}
-
 } // namespace

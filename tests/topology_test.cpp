@@ -166,12 +166,6 @@ TEST(Topology, OutOfRangeAccessPanics)
     EXPECT_THROW(t.idOf(Coord{2, 0}), sim::PanicError);
 }
 
-TEST(Topology, Describe)
-{
-    EXPECT_EQ(Topology(3, 3, false).describe(), "3x3 mesh");
-    EXPECT_EQ(Topology(20, 20, true).describe(), "20x20 torus");
-}
-
 TEST(Topology, SquareFactory)
 {
     auto t = Topology::square(6, true);

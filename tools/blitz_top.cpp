@@ -3,7 +3,7 @@
  * blitz-top: render and compare run health reports.
  *
  *   blitz-top record <out.json> [--d N] [--shards K] [--ticks T]
- *                    [--seed S] [--stride N] [--uniform]
+ *                    [--seed S] [--uniform]
  *   blitz-top summary   <health.json>
  *   blitz-top imbalance <health.json>
  *   blitz-top diff      <a.json> <b.json>
@@ -48,7 +48,7 @@ usage()
         stderr,
         "usage: blitz-top <command> ...\n"
         "  record <out.json> [--d N] [--shards K] [--ticks T]\n"
-        "         [--seed S] [--stride N] [--uniform]\n"
+        "         [--seed S] [--uniform]\n"
         "  summary   <health.json>\n"
         "  imbalance <health.json>\n"
         "  diff      <a.json> <b.json>\n");
@@ -105,17 +105,17 @@ cmdRecord(int argc, char **argv)
     std::uint64_t shards = 4;
     std::uint64_t ticks = 60'000;
     std::uint64_t seed = 7001;
-    std::uint64_t stride = 16;
     bool uniform = false;
     for (int i = 1; i < argc; ++i) {
         if (numArg(argc, argv, i, "--d", 2, kU32Max, d) ||
             numArg(argc, argv, i, "--shards", 1, kU32Max, shards) ||
             numArg(argc, argv, i, "--ticks", 1, kU64Max, ticks) ||
-            numArg(argc, argv, i, "--seed", 0, kU64Max, seed) ||
-            numArg(argc, argv, i, "--stride", 0, kU32Max, stride))
+            numArg(argc, argv, i, "--seed", 0, kU64Max, seed))
             continue;
-        if (std::strcmp(argv[i], "--uniform") != 0)
+        if (std::strcmp(argv[i], "--uniform") != 0) {
+            std::fprintf(stderr, "blitz-top: unknown flag '%s'\n", argv[i]);
             return usage();
+        }
         uniform = true;
     }
     if (d * d > sim::kMaxMeshNodes) {
@@ -134,9 +134,7 @@ cmdRecord(int argc, char **argv)
     cc.shards = static_cast<std::uint32_t>(shards);
     fault::ChaosCluster cluster(cc);
 
-    trace::SuperstepProfiler::Options popts;
-    popts.sampleStride = static_cast<std::uint32_t>(stride);
-    trace::SuperstepProfiler prof(popts);
+    trace::SuperstepProfiler prof;
     if (cluster.shardGroup())
         prof.attach(*cluster.shardGroup());
 
