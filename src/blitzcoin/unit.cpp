@@ -53,7 +53,11 @@ BlitzCoinUnit::BlitzCoinUnit(sim::EventQueue &eq, noc::Network &net,
                              std::uint64_t seed)
     : eq_(eq), net_(net), self_(self), cfg_(cfg), rng_(seed),
       timer_(cfg.backoff),
-      selector_(hood.neighbors, hood.members, self, cfg.pairing, rng_)
+      selector_(hood.neighbors, hood.members, self, cfg.pairing, rng_),
+      refresh_(eq, [this] { initiate(); }),
+      updateTimeout_(eq, [this] { onExchangeTimeout(); }),
+      roundTimeout_(eq, [this] { completeFourWay(); }),
+      snapshotTimeout_(eq, [this] { snapshotHeld_ = false; })
 {
 }
 
@@ -89,7 +93,7 @@ void
 BlitzCoinUnit::stop()
 {
     running_ = false;
-    ++timerGen_; // invalidate any scheduled wakeup
+    refresh_.disarm();
 }
 
 void
@@ -120,14 +124,16 @@ BlitzCoinUnit::crash()
     state_ = coin::TileCoins{};
     awaitingUpdate_ = false;
     pending_.reset();
+    updateTimeout_.disarm();
     unresolved_.clear();
     servedLog_.clear();
     groupSeen_.clear();
     gathered_.clear();
     awaitedStatuses_ = 0;
+    roundTimeout_.disarm();
+    ++fourWayGen_; // late replies of the dropped round are not gathered
     snapshotHeld_ = false;
-    ++snapshotGen_;
-    ++fourWayGen_;
+    snapshotTimeout_.disarm();
     iso_ = coin::IsolationDetector{};
     coinsChanged();
 }
@@ -163,12 +169,14 @@ BlitzCoinUnit::quarantine()
     // left fenced (not zeroed) — the audit census excludes it.
     awaitingUpdate_ = false;
     pending_.reset();
+    updateTimeout_.disarm();
     unresolved_.clear();
     gathered_.clear();
     awaitedStatuses_ = 0;
+    roundTimeout_.disarm();
+    ++fourWayGen_; // late replies of the dropped round are not gathered
     snapshotHeld_ = false;
-    ++snapshotGen_;
-    ++fourWayGen_;
+    snapshotTimeout_.disarm();
 }
 
 void
@@ -212,12 +220,7 @@ BlitzCoinUnit::scheduleNext(sim::Tick delay)
     if (adversary_)
         delay = std::max<sim::Tick>(adversary_->adviseInterval(delay),
                                     1);
-    const std::uint64_t gen = ++timerGen_;
-    eq_.scheduleIn(delay, [this, gen] {
-        if (gen != timerGen_ || !running_)
-            return;
-        initiate();
-    });
+    refresh_.armIn(delay);
 }
 
 void
@@ -257,16 +260,13 @@ BlitzCoinUnit::initiate()
     // If the update never lands, free the FSM and hand the exchange to
     // the background reconciliation machinery — initiation must keep
     // flowing even on a fully dead link.
-    eq_.scheduleIn(cfg_.recoverTimeout, [this, xid] {
-        onExchangeTimeout(xid);
-    });
+    updateTimeout_.armIn(cfg_.recoverTimeout);
 }
 
 void
-BlitzCoinUnit::onExchangeTimeout(std::uint64_t xid)
+BlitzCoinUnit::onExchangeTimeout()
 {
-    if (crashed_ || !pending_ || pending_->xid != xid)
-        return; // resolved in time (or superseded by a crash)
+    const std::uint64_t xid = pending_->xid;
     ++timedOut_;
     if (tracer_)
         tracer_->instant(
@@ -601,6 +601,7 @@ BlitzCoinUnit::applyUpdate(const noc::Packet &pkt)
                                 static_cast<std::int64_t>(xid),
                                 pkt.payload[0]);
         pending_.reset();
+        updateTimeout_.disarm();
         awaitingUpdate_ = false;
         applyResolvedDelta(pkt.payload[0], pkt.payload[2], pkt.src);
         if (running_)
@@ -670,7 +671,7 @@ BlitzCoinUnit::applyGroupUpdate(const noc::Packet &pkt)
     last = tag;
     if (snapshotHeld_ && pkt.src == snapshotHolder_) {
         snapshotHeld_ = false;
-        ++snapshotGen_; // retire the pending release timeout
+        snapshotTimeout_.disarm();
     }
     coin::Coins delta = pkt.payload[0];
     if (delta != 0) {
@@ -713,11 +714,7 @@ BlitzCoinUnit::initiateFourWay()
         net_.send(pkt);
     }
     // Complete with whatever arrived if a reply is lost.
-    eq_.scheduleIn(exchangeTimeout, [this, gen] {
-        if (gen != fourWayGen_ || !awaitingUpdate_)
-            return;
-        completeFourWay();
-    });
+    roundTimeout_.armIn(exchangeTimeout);
 }
 
 void
@@ -734,13 +731,10 @@ BlitzCoinUnit::serveRequest(const noc::Packet &pkt)
             return;
         // Freeze the coin count until the center's update lands, so
         // the snapshot it computes with stays valid.
+        // If the center dies, the timeout releases the lock.
         snapshotHeld_ = true;
         snapshotHolder_ = pkt.src;
-        const std::uint64_t sgen = ++snapshotGen_;
-        eq_.scheduleIn(exchangeTimeout, [this, sgen] {
-            if (snapshotHeld_ && snapshotGen_ == sgen)
-                snapshotHeld_ = false; // center died; release
-        });
+        snapshotTimeout_.armIn(exchangeTimeout);
 
         noc::Packet reply;
         reply.src = self_;
@@ -779,7 +773,8 @@ void
 BlitzCoinUnit::completeFourWay()
 {
     const std::uint64_t roundTag = fourWayGen_;
-    ++fourWayGen_; // invalidate the timeout guard
+    ++fourWayGen_; // late replies of this round are not gathered
+    roundTimeout_.disarm();
     awaitingUpdate_ = false;
     // Concurrent rounds can leave the gathered snapshots inconsistent
     // (a neighbor's coins moved between its status and now); a

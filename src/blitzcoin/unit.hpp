@@ -408,8 +408,8 @@ class BlitzCoinUnit
     void sendOneWayUpdate(noc::NodeId dst, std::uint64_t xid,
                           coin::Coins delta, int flag);
 
-    /** Timeout of the in-flight exchange @p xid. */
-    void onExchangeTimeout(std::uint64_t xid);
+    /** The in-flight exchange's update did not land in time. */
+    void onExchangeTimeout();
 
     /** Background reconciliation driver for an unresolved exchange. */
     void pumpRecovery(std::uint64_t xid);
@@ -477,6 +477,7 @@ class BlitzCoinUnit
     /** In-flight 4-way exchange: statuses gathered so far. */
     std::vector<std::pair<noc::NodeId, coin::TileCoins>> gathered_;
     std::size_t awaitedStatuses_ = 0;
+    /** 4-way round tag: requests carry it, replies must echo it. */
     std::uint64_t fourWayGen_ = 0;
     /**
      * 4-way snapshot lock: after replying a status to a center, the
@@ -487,8 +488,10 @@ class BlitzCoinUnit
      */
     bool snapshotHeld_ = false;
     noc::NodeId snapshotHolder_ = 0;
-    std::uint64_t snapshotGen_ = 0;
-    std::uint64_t timerGen_ = 0; ///< invalidates superseded wakeups
+    sim::Timer refresh_;         ///< next self-initiated exchange
+    sim::Timer updateTimeout_;   ///< armed while pending_ is in flight
+    sim::Timer roundTimeout_;    ///< armed while a 4-way round gathers
+    sim::Timer snapshotTimeout_; ///< armed while snapshotHeld_
     std::uint64_t initiated_ = 0;
     std::uint64_t moved_ = 0;
     std::uint64_t timedOut_ = 0;

@@ -6,6 +6,20 @@ namespace blitz::sim {
 
 EventQueue::~EventQueue()
 {
+    // Detach the timers still queued here: their destructors must not
+    // reach back into a dead queue.
+    const auto detach = [](const HeapEntry &e) {
+        if (isLiveTimerRef(e.ref))
+            timerOf(e.ref)->q_ = nullptr;
+    };
+    std::for_each(batch_.begin() + static_cast<std::ptrdiff_t>(batchIdx_),
+                  batch_.end(), detach);
+    for (const Bucket &b : wheel_)
+        for (const EntryChunk *c = b.head; c; c = c->next)
+            std::for_each(c->e, c->e + (c == b.tail ? b.tailCount
+                                                    : kEntriesPerChunk),
+                          detach);
+    std::for_each(far_.begin(), far_.end(), detach);
     // Destroy the callbacks of events that never ran; the slab itself is either heap chunks we own or arena memory we don't.
     for (std::uint32_t slot = 0; slot < slotCount_; ++slot)
         destroyCallback(*node(slot));
@@ -97,21 +111,30 @@ EventQueue::releaseSlot(std::uint32_t slot)
 }
 
 void
-EventQueue::heapPush(HeapEntry e)
+EventQueue::farPlace(std::size_t i, const HeapEntry &e)
 {
-    // Hole-based sift-up into the far-heap: the new entry is held in a
-    // register and parents slide down until its position is found (one
-    // store per level instead of a three-store swap).
-    std::size_t i = far_.size();
-    far_.push_back(e);
+    far_[i] = e;
+    if (isLiveTimerRef(e.ref)) {
+        Timer *t = timerOf(e.ref);
+        t->where_ = Timer::Where::Far;
+        t->pos_ = i;
+    }
+}
+
+void
+EventQueue::siftUp(std::size_t i, HeapEntry e)
+{
+    // Hole-based sift-up: the entry is held in a register and parents
+    // slide down until its position is found (one store per level
+    // instead of a three-store swap).
     while (i > 0) {
         const std::size_t parent = (i - 1) / 4;
         if (!entryBefore(e, far_[parent]))
             break;
-        far_[i] = far_[parent];
+        farPlace(i, far_[parent]);
         i = parent;
     }
-    far_[i] = e;
+    farPlace(i, e);
 }
 
 void
@@ -131,19 +154,25 @@ EventQueue::siftDown(std::size_t i)
         }
         if (!entryBefore(far_[best], e))
             break;
-        far_[i] = far_[best];
+        farPlace(i, far_[best]);
         i = best;
     }
-    far_[i] = e;
+    farPlace(i, e);
 }
 
 void
-EventQueue::heapPopFront()
+EventQueue::heapErase(std::size_t i)
 {
-    far_.front() = far_.back();
+    const HeapEntry last = far_.back();
     far_.pop_back();
-    if (!far_.empty())
-        siftDown(0);
+    if (i == far_.size())
+        return;
+    if (i > 0 && entryBefore(last, far_[(i - 1) / 4])) {
+        siftUp(i, last);
+    } else {
+        far_[i] = last;
+        siftDown(i);
+    }
 }
 
 Tick
@@ -211,12 +240,19 @@ EventQueue::refillBatch(Tick limit)
         // buckets (their keys keep them in exact order at drain time).
         while (!far_.empty() && far_.front().when - now_ < kWheelTicks) {
             const HeapEntry e = far_.front();
-            heapPopFront();
-            wheelAppend(e);
+            heapErase(0);
+            HeapEntry *cell = wheelAppend(e);
+            if (isTimerRef(e.ref))
+                noteWheel(e, cell);
         }
         std::uint32_t idx = 0;
         const Tick t = wheelNext(idx);
         if (t != maxTick) {
+            // Test the horizon before touching the bucket: a probe past
+            // the limit (every superstep of a sharded run makes one)
+            // leaves it as it is.
+            if (t > limit)
+                return false;
             Bucket &b = wheel_[idx];
             // Gather the chunk chain into the shared batch buffer —
             // one queue-global capacity high-water mark, like the old
@@ -247,22 +283,35 @@ EventQueue::refillBatch(Tick limit)
                 c = nx;
             }
             const bool wasSorted = b.sorted;
+            const bool hadTimers = b.timers;
             b.head = b.tail = nullptr;
             b.tailCount = 0;
             b.count = 0;
             b.sorted = true;
+            b.timers = false;
             wheelClear(idx);
+            if (hadTimers) {
+                // Drop removed timer cells; note where live ones went.
+                std::size_t w = 0;
+                for (const HeapEntry &e : batch_) {
+                    if (isLiveTimerRef(e.ref)) {
+                        timerOf(e.ref)->where_ = Timer::Where::Batch;
+                    } else if (isTimerRef(e.ref)) {
+                        if (e.ref == kStrandedRef) {
+                            --entryCount_;
+                            stranded_.fetch_sub(1, std::memory_order_relaxed);
+                        }
+                        continue;
+                    }
+                    batch_[w++] = e;
+                }
+                batch_.resize(w);
+                // Only dropped timer cells: time does not move to t.
+                if (batch_.empty())
+                    continue;
+            }
             if (!wasSorted)
                 sortBatchByOrd();
-            if (t > limit) {
-                // Probed a tick past the horizon: re-file the batch
-                // (already in ord order, so the bucket stays sorted)
-                // and stop without advancing time.
-                for (const HeapEntry &e : batch_)
-                    wheelAppend(e);
-                batch_.clear();
-                return false;
-            }
             BLITZ_ASSERT(t >= now_, "event queue went backwards");
             now_ = t;
             batchTick_ = t;
@@ -349,6 +398,37 @@ EventQueue::sortBatchByOrd()
         std::memcpy(batch_.data(), src, n * sizeof(HeapEntry));
 }
 
+inline bool
+EventQueue::execute(std::uintptr_t ref)
+{
+    if (isTimerRef(ref)) {
+        if (!isLiveTimerRef(ref))
+            return false; // dropped in the live batch
+        Timer *t = timerOf(ref);
+        --entryCount_;
+        ++executedTotal_;
+        t->q_ = nullptr; // disarmed first: the callback may re-arm it
+        if (ctx_)
+            ctx_->locus = t->locus_;
+        t->invoke_(t->buf_);
+        return true;
+    }
+    const auto slot = static_cast<std::uint32_t>(ref >> 1);
+    Node *n = node(slot);
+    --entryCount_;
+    struct SlotGuard
+    {
+        EventQueue *eq;
+        std::uint32_t slot;
+        ~SlotGuard() { eq->releaseSlot(slot); }
+    } guard{this, slot};
+    ++executedTotal_;
+    if (ctx_)
+        ctx_->locus = n->locus;
+    n->invoke(n->buf);
+    return true;
+}
+
 bool
 EventQueue::runOne(Tick limit)
 {
@@ -359,20 +439,8 @@ EventQueue::runOne(Tick limit)
         while (batchIdx_ < batch_.size()) {
             if (batchTick_ > limit)
                 return false;
-            const HeapEntry e = batch_[batchIdx_++];
-            Node *n = node(e.slot);
-            --entryCount_;
-            struct SlotGuard
-            {
-                EventQueue *eq;
-                std::uint32_t slot;
-                ~SlotGuard() { eq->releaseSlot(slot); }
-            } guard{this, e.slot};
-            ++executedTotal_;
-            if (ctx_)
-                ctx_->locus = n->locus;
-            n->invoke(n->buf);
-            return true;
+            if (execute(batch_[batchIdx_++].ref))
+                return true;
         }
         if (!refillBatch(limit))
             return false;
@@ -394,7 +462,7 @@ EventQueue::scheduleRaw(Tick when, std::uint64_t ord,
     n.invoke = invoke;
     n.destroy = nullptr; // mailbox payloads are trivially copyable
     std::memcpy(n.buf, payload, bytes);
-    enqueue({when, ord, slot});
+    enqueue({when, ord, slotRef(slot)});
     ++scheduledTotal_;
 }
 
@@ -418,20 +486,7 @@ EventQueue::runUntil(Tick limit)
         while (batchIdx_ < batch_.size()) {
             if (batchTick_ > limit)
                 goto done;
-            const HeapEntry e = batch_[batchIdx_++];
-            Node *n = node(e.slot);
-            --entryCount_;
-            struct SlotGuard
-            {
-                EventQueue *eq;
-                std::uint32_t slot;
-                ~SlotGuard() { eq->releaseSlot(slot); }
-            } guard{this, e.slot};
-            ++executedTotal_;
-            ++executed;
-            if (ctx_)
-                ctx_->locus = n->locus;
-            n->invoke(n->buf);
+            executed += execute(batch_[batchIdx_++].ref);
         }
         if (!refillBatch(limit))
             break;
@@ -442,6 +497,68 @@ done:
     if (limit != maxTick && limit > now_)
         now_ = limit;
     return executed;
+}
+
+void
+Timer::arm(Tick when)
+{
+    // The leaf and key schedule() would give the same call.
+    const ShardBinding &b = eq_->bind_;
+    const ShardContext *c = b.group ? tlsShardContext() : nullptr;
+    const std::uint32_t locus = c ? c->locus : b.nodeCount;
+    EventQueue *leaf = !b.group ? eq_
+                       : c      ? c->queue
+                                : b.leaves[b.shardCount];
+    BLITZ_ASSERT(when >= leaf->now_, "arming a timer in the past (",
+                 when, " < ", leaf->now_, ")");
+    disarm();
+    ord_ = b.group ? EventQueue::packOrdSharded(
+                         prio_, locus, b.locusCounters[locus]++)
+                   : EventQueue::packOrd(prio_, eq_->nextSeq_++);
+    locus_ = locus;
+    q_ = leaf;
+    leaf->enqueue<true>({when, ord_, ref()});
+    ++leaf->scheduledTotal_;
+}
+
+void
+Timer::armIn(Tick delta)
+{
+    arm(eq_->now() + delta);
+}
+
+void
+Timer::detach()
+{
+    EventQueue &q = *q_;
+    q_ = nullptr;
+    // The entry's leaf must be parked or driven by this thread (DESIGN
+    // §7). Mid-phase, the parked serial lane is left by a strand: one
+    // store marks the cell, and the atomic stranded_ keeps pending()
+    // exact until the drain drops it.
+    const ShardBinding &b = eq_->bind_;
+    const ShardContext *c = b.group ? tlsShardContext() : nullptr;
+    if (c && !c->serial && &q != c->queue) {
+        BLITZ_ASSERT(&q == b.leaves[b.shardCount] && where_ != Where::Batch,
+                     "timer moved by shard ", c->shard,
+                     " out of another running shard's leaf");
+        (where_ == Where::Wheel ? cell_ : &q.far_[pos_])->ref =
+            EventQueue::kStrandedRef;
+        q.stranded_.fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    switch (where_) {
+      case Where::Batch:
+        q.batchLowerBound(ord_)->ref = EventQueue::kDeadRef;
+        break;
+      case Where::Wheel:
+        cell_->ref = EventQueue::kDeadRef;
+        break;
+      case Where::Far:
+        q.heapErase(pos_);
+        break;
+    }
+    --q.entryCount_;
 }
 
 } // namespace blitz::sim

@@ -26,9 +26,9 @@
  * meshes affordable. Callbacks are stored in a small inline buffer
  * inside the node (heap fallback only for oversized functors), so
  * scheduling an event performs zero allocations once the slab and the
- * first wheel revolution have warmed up. Events cannot be cancelled
- * (no experiment needs it), so every queued entry runs when its tick
- * is drained.
+ * first wheel revolution have warmed up. A scheduled event always
+ * runs; a wakeup that may be retracted or moved is a sim::Timer, which
+ * keeps at most one queued entry.
  *
  * Sharded mode (see DESIGN.md "BSP-sharded execution"): one queue can
  * act as the *anchor* of a sim::ShardGroup — existing call sites keep
@@ -44,6 +44,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -137,10 +138,101 @@ struct ShardBinding
 };
 
 /**
+ * Queue entry: the complete (when, priority, insertion-seq) sort key
+ * plus what runs. Priority and sequence pack into one word — 16 bits
+ * of priority class over a 48-bit sequence counter (2^48 events ≈
+ * centuries of simulated work) — so ordering is two integer compares
+ * over contiguous memory. `ref` is a slab slot shifted left by one (a
+ * scheduled event) or a Timer's address with the low bit set.
+ */
+struct HeapEntry
+{
+    Tick when;
+    std::uint64_t ord;
+    std::uintptr_t ref;
+};
+
+/**
+ * A re-armable wakeup with at most one queued entry: the model of a
+ * hardware counter register that is reloaded, not queued again.
+ * arm()/armIn() key the entry exactly as schedule()/scheduleIn() would
+ * (same leaf, same insertion counter) and drop the previous one;
+ * disarm() drops it and consumes no key. A firing disarms the timer
+ * before the callback runs, so the callback may re-arm it. The
+ * callback lives in the timer and the entry points back at it, so a
+ * re-arm creates no callable (DESIGN.md §4d, §7).
+ */
+class Timer
+{
+  public:
+    /** @p fn: small trivially copyable callable, typically [this]. */
+    template <typename Fn>
+    Timer(EventQueue &eq, Fn fn, Priority prio = Priority::Default)
+        : eq_(&eq), prio_(prio)
+    {
+        static_assert(std::is_invocable_v<Fn &> &&
+                          std::is_trivially_copyable_v<Fn> &&
+                          sizeof(Fn) <= sizeof buf_ &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "timer callbacks must be small trivially "
+                      "copyable callables");
+        ::new (static_cast<void *>(buf_)) Fn(fn);
+        invoke_ = [](void *p) {
+            (*std::launder(reinterpret_cast<Fn *>(p)))();
+        };
+    }
+    ~Timer() { disarm(); }
+    Timer(const Timer &) = delete;
+    Timer &operator=(const Timer &) = delete;
+
+    void arm(Tick when); ///< (re)arm at @p when, not in the past
+    void armIn(Tick delta);
+    /** Drop the queued entry, if any (the queue may have died first). */
+    void
+    disarm()
+    {
+        if (q_)
+            detach();
+    }
+    bool armed() const { return q_ != nullptr; }
+
+  private:
+    friend class EventQueue;
+
+    /** Where the entry sits in q_: the live batch (found by ord), a
+     *  wheel bucket (at cell_) or the far-heap (at pos_). */
+    enum class Where : std::uint8_t
+    {
+        Batch,
+        Wheel,
+        Far
+    };
+
+    void detach();
+    std::uintptr_t
+    ref() const
+    {
+        return reinterpret_cast<std::uintptr_t>(this) | 1;
+    }
+
+    EventQueue *eq_;          ///< queue or sharded anchor armed on
+    EventQueue *q_ = nullptr; ///< queue/leaf holding the entry
+    std::uint64_t ord_ = 0;   ///< the entry's key
+    HeapEntry *cell_ = nullptr;
+    std::size_t pos_ = 0;
+    void (*invoke_)(void *) = nullptr;
+    std::uint32_t locus_ = 0; ///< execution locus (sharded only)
+    Priority prio_;
+    Where where_ = Where::Batch;
+    alignas(std::max_align_t) unsigned char buf_[16];
+};
+
+/**
  * Time-ordered event queue.
  *
  * Events are arbitrary callables ordered by (tick, priority,
- * insertion order); once scheduled, an event always runs.
+ * insertion order). A scheduled event always runs; a Timer's entry
+ * runs unless the timer is disarmed or re-armed first.
  */
 class EventQueue
 {
@@ -197,7 +289,7 @@ class EventQueue
                      when, " < ", now_, ")");
         const std::uint32_t slot = acquireSlot();
         emplaceCallback(*node(slot), std::forward<Fn>(fn));
-        enqueue({when, packOrd(prio, nextSeq_++), slot});
+        enqueue({when, packOrd(prio, nextSeq_++), slotRef(slot)});
         ++scheduledTotal_;
     }
 
@@ -269,11 +361,11 @@ class EventQueue
         Node &n = *node(slot);
         n.locus = locus;
         emplaceCallback(n, std::forward<Fn>(fn));
-        enqueue({when, ord, slot});
+        enqueue({when, ord, slotRef(slot)});
         ++scheduledTotal_;
     }
 
-    /** Number of events still scheduled. */
+    /** Number of events (armed timers included) still scheduled. */
     std::size_t
     pending() const
     {
@@ -281,28 +373,23 @@ class EventQueue
             return entryCount_;
         std::size_t total = 0;
         for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            total += bind_.leaves[s]->entryCount_;
+            total += bind_.leaves[s]->entryCount_ -
+                     bind_.leaves[s]->stranded_.load(
+                         std::memory_order_relaxed);
         return total;
     }
 
     /** True when no runnable events remain. */
-    bool
-    empty() const
-    {
-        if (!bind_.group)
-            return entryCount_ == 0;
-        for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            if (bind_.leaves[s]->entryCount_ != 0)
-                return false;
-        return true;
-    }
+    bool empty() const { return pending() == 0; }
 
     /**
      * Cumulative events scheduled / executed since construction —
      * always-on observability counters (a plain increment on paths
      * that already write the slab, so they cost nothing measurable).
-     * Summed over the leaves on a sharded anchor (read only between
-     * phases or from the serial lane).
+     * Each Timer::arm() counts as scheduled, so scheduled - executed =
+     * pending + entries a disarm or re-arm dropped. Summed over the
+     * leaves on a sharded anchor (read only between phases or from the
+     * serial lane).
      */
     std::uint64_t
     totalScheduled() const
@@ -393,6 +480,7 @@ class EventQueue
   private:
     friend class ShardGroup; ///< drives the leaf queues directly
     friend class LocusScope; ///< installs setup-time shard contexts
+    friend class Timer;      ///< keys and places its entry
 
     /**
      * One slab slot. Trivial on purpose: the slab never runs
@@ -412,19 +500,27 @@ class EventQueue
         alignas(std::max_align_t) unsigned char buf[kInlineCallback];
     };
 
-    /**
-     * Heap element: the complete (when, priority, insertion-seq) sort
-     * key plus the owning slot. Priority and sequence pack into one
-     * word — 16 bits of priority class over a 48-bit sequence counter
-     * (2^48 events ≈ centuries of simulated work) — so ordering is
-     * two integer compares over contiguous memory.
-     */
-    struct HeapEntry
+    /// HeapEntry::ref of a timer entry dropped in place (the drain
+    /// skips it), and of one dropped while its leaf was parked.
+    static constexpr std::uintptr_t kDeadRef = 1;
+    static constexpr std::uintptr_t kStrandedRef = 3;
+
+    static std::uintptr_t
+    slotRef(std::uint32_t slot)
     {
-        Tick when;
-        std::uint64_t ord;
-        std::uint32_t slot;
-    };
+        return std::uintptr_t{slot} << 1;
+    }
+    static bool isTimerRef(std::uintptr_t ref) { return ref & 1; }
+    static bool
+    isLiveTimerRef(std::uintptr_t ref)
+    {
+        return (ref & 1) && ref > kStrandedRef;
+    }
+    static Timer *
+    timerOf(std::uintptr_t ref)
+    {
+        return reinterpret_cast<Timer *>(ref - 1);
+    }
 
     static std::uint64_t
     packOrd(Priority prio, std::uint64_t seq)
@@ -572,6 +668,7 @@ class EventQueue
         std::uint32_t tailCount = 0;
         std::uint32_t count = 0; ///< total entries in the chain
         bool sorted = true;
+        bool timers = false; ///< holds timer entries
     };
 
     Node *
@@ -627,35 +724,46 @@ class EventQueue
         }
     }
 
+    /** First un-executed batch entry with ord >= @p ord. */
+    std::vector<HeapEntry>::iterator
+    batchLowerBound(std::uint64_t ord)
+    {
+        return std::lower_bound(
+            batch_.begin() + static_cast<std::ptrdiff_t>(batchIdx_),
+            batch_.end(), ord,
+            [](const HeapEntry &a, std::uint64_t o) { return a.ord < o; });
+    }
+
     /**
      * Route a fully keyed entry to its destination: the live batch
      * (same-tick scheduling during that tick's drain — spliced into
      * the un-executed tail by ord so ordering is preserved), a wheel
-     * bucket (within the window), or the far-heap.
+     * bucket (within the window), or the far-heap. A timer's entry
+     * (@p kTimer) records where it landed (Timer::Where).
      */
+    template <bool kTimer = false>
     void
     enqueue(const HeapEntry &e)
     {
         ++entryCount_;
         if (e.when == now_ && batchIdx_ < batch_.size()) {
-            const auto it = std::lower_bound(
-                batch_.begin() +
-                    static_cast<std::ptrdiff_t>(batchIdx_),
-                batch_.end(), e,
-                [](const HeapEntry &a, const HeapEntry &b) {
-                    return a.ord < b.ord;
-                });
-            batch_.insert(it, e);
+            batch_.insert(batchLowerBound(e.ord), e);
+            if constexpr (kTimer)
+                timerOf(e.ref)->where_ = Timer::Where::Batch;
             return;
         }
-        if (e.when - now_ < kWheelTicks)
-            wheelAppend(e);
-        else
-            heapPush(e);
+        if (e.when - now_ >= kWheelTicks) {
+            far_.push_back(e);
+            return siftUp(far_.size() - 1, e);
+        }
+        HeapEntry *cell = wheelAppend(e);
+        if constexpr (kTimer)
+            noteWheel(e, cell);
     }
 
-    /** Append into the bucket of e.when (must be inside the window). */
-    void
+    /** Append into the bucket of e.when (must be inside the window);
+     *  the returned cell is stable until the bucket is drained. */
+    HeapEntry *
     wheelAppend(const HeapEntry &e)
     {
         const std::uint32_t idx =
@@ -668,6 +776,7 @@ class EventQueue
             b.tailCount = 0;
             b.count = 0;
             b.sorted = true;
+            b.timers = false;
         } else {
             if (b.sorted && e.ord < b.lastOrd)
                 b.sorted = false;
@@ -679,9 +788,27 @@ class EventQueue
             }
         }
         b.lastOrd = e.ord;
-        b.tail->e[b.tailCount++] = e;
         ++b.count;
+        HeapEntry *cell = &b.tail->e[b.tailCount++];
+        *cell = e;
+        return cell;
     }
+
+    /** Flag e's bucket as holding a timer cell (see refillBatch);
+     *  a live timer records the cell. */
+    void
+    noteWheel(const HeapEntry &e, HeapEntry *cell)
+    {
+        wheel_[static_cast<std::uint32_t>(e.when) & (kWheelTicks - 1)]
+            .timers = true;
+        if (isLiveTimerRef(e.ref)) {
+            timerOf(e.ref)->where_ = Timer::Where::Wheel;
+            timerOf(e.ref)->cell_ = cell;
+        }
+    }
+
+    /** Run one drained entry; false if it was a dropped timer's. */
+    bool execute(std::uintptr_t ref);
 
     /** Pop an entry chunk from the free pool, growing it if dry. */
     EntryChunk *
@@ -754,8 +881,10 @@ class EventQueue
     void releaseSlot(std::uint32_t slot);
     void addChunk();
     void addEntryChunks();
-    void heapPush(HeapEntry e);
-    void heapPopFront();
+    /** far_[i] = e, recording a timer entry's new position. */
+    void farPlace(std::size_t i, const HeapEntry &e);
+    void heapErase(std::size_t i);
+    void siftUp(std::size_t i, HeapEntry e);
     void siftDown(std::size_t i);
 
     Arena *arena_;
@@ -774,6 +903,7 @@ class EventQueue
     std::size_t batchIdx_ = 0;     ///< next batch entry to execute
     Tick batchTick_ = 0;           ///< tick of the live batch
     std::size_t entryCount_ = 0;   ///< wheel + far + batch remainder
+    std::atomic<std::size_t> stranded_{0}; ///< see Timer::detach
     EntryChunk *freeChunks_ = nullptr; ///< bucket-storage free pool
     std::vector<void *> entryBlocks_;  ///< heap-owned chunk blocks
     std::uint32_t entryChunksAllocated_ = 0;

@@ -19,7 +19,8 @@ pmKindName(PmKind k)
 }
 
 PowerManager::PowerManager(const PmContext &ctx, const PmConfig &cfg)
-    : ctx_(ctx), cfg_(cfg), active_(ctx.soc.size(), false)
+    : ctx_(ctx), cfg_(cfg), active_(ctx.soc.size(), false),
+      probe_(ctx.eq, [this] { probeTick(); }, sim::Priority::Stats)
 {
     if (cfg_.budgetMw <= 0.0)
         sim::fatal("power manager needs a positive budget");
@@ -114,27 +115,19 @@ constexpr sim::Tick kProbePeriod = 16;
 void
 PowerManager::probeTick()
 {
-    if (!awaitingSettle()) {
-        probeArmed_ = false;
+    if (!awaitingSettle())
         return;
-    }
-    if (settleCondition() && tilesSettled()) {
+    if (settleCondition() && tilesSettled())
         noteSettled();
-        probeArmed_ = false;
-        return;
-    }
-    ctx_.eq.scheduleIn(kProbePeriod, [this] { probeTick(); },
-                       sim::Priority::Stats);
+    else
+        probe_.armIn(kProbePeriod);
 }
 
 void
 PowerManager::armSettleProbe()
 {
-    if (probeArmed_)
-        return;
-    probeArmed_ = true;
-    ctx_.eq.scheduleIn(kProbePeriod, [this] { probeTick(); },
-                       sim::Priority::Stats);
+    if (!probe_.armed())
+        probe_.armIn(kProbePeriod);
 }
 
 std::unique_ptr<PowerManager>

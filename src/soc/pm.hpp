@@ -247,7 +247,7 @@ class PowerManager
   private:
     std::optional<sim::Tick> pendingChange_;
     sim::Summary response_;
-    bool probeArmed_ = false;
+    sim::Timer probe_; ///< armed while the settle probe runs
 };
 
 /** Factory over PmConfig::kind. */

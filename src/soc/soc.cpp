@@ -1,6 +1,8 @@
 #include "soc.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 
 #include "record/recorder.hpp"
 #include "sim/logging.hpp"
@@ -10,6 +12,28 @@
 #include "trace/tracer.hpp"
 
 namespace blitz::soc {
+
+namespace {
+
+/** A chain that runs `work` every `period` ticks while armed. */
+struct Chain
+{
+    Chain(sim::EventQueue &eq, sim::Priority prio, sim::Tick period,
+          std::function<void()> work)
+        : work(std::move(work)), period(period),
+          timer(eq, [this] {
+              this->work();
+              timer.armIn(this->period);
+          }, prio)
+    {
+    }
+
+    std::function<void()> work;
+    sim::Tick period;
+    sim::Timer timer;
+};
+
+} // namespace
 
 Soc::Soc(SocConfig config, const PmConfig &pmCfg, std::uint64_t seed)
     : config_(std::move(config))
@@ -341,87 +365,50 @@ Soc::run(const workload::Dag &dag, const SocRunOptions &opts)
         stats.activity.setTargetCoins(id, std::max<coin::Coins>(
             pm_->maxCoins()[id], 1));
 
-    // Periodic power sampling (the paper reconstructs traces the same
-    // way: per-tile frequency -> Fig. 13 curve -> power).
-    // The stored closure keeps only a weak reference to itself so the
-    // self-rescheduling chain cannot form an ownership cycle; the strong
-    // reference below outlives the event loop, and once run() drops it
-    // the `sampling` flag retires any copies still sitting in the queue.
-    auto sampler = std::make_shared<std::function<void()>>();
-    auto sampling = std::make_shared<bool>(true);
-    std::weak_ptr<std::function<void()>> weakSampler = sampler;
-    *sampler = [this, weakSampler, sampling, &stats, accels, opts] {
-        if (!*sampling)
-            return;
+    // The run's periodic chains re-arm timers local to run(), so none
+    // stays queued once it returns. Power sampling: the paper
+    // reconstructs traces the same way (per-tile frequency -> Fig. 13
+    // curve -> power).
+    Chain power(eq_, sim::Priority::Stats, opts.sampleInterval, [&] {
         std::vector<double> row;
         row.reserve(accels.size());
         for (noc::NodeId id : accels)
             row.push_back(tilesByNode_[id]->powerMw());
         stats.trace->record(eq_.now(), std::move(row));
-        if (auto s = weakSampler.lock())
-            eq_.scheduleIn(opts.sampleInterval, *s, sim::Priority::Stats);
-    };
-    eq_.schedule(0, *sampler, sim::Priority::Stats);
-
-    // Metrics sampling rides the same retire flag as the power sampler
-    // so a second run (or destruction) cannot fire a stale closure.
-    // The strong reference must live in run()'s scope — the chain only
-    // holds weak references to itself, so a block-local owner would die
-    // before the loop starts and the tick-0 fire could not reschedule.
-    auto msampler = std::make_shared<std::function<void()>>();
+    });
+    power.timer.arm(0);
+    std::optional<Chain> metrics;
     if (metrics_) {
-        const sim::Tick every =
-            metricsEvery_ > 0 ? metricsEvery_ : opts.sampleInterval;
-        std::weak_ptr<std::function<void()>> weakM = msampler;
-        *msampler = [this, weakM, sampling, every] {
-            if (!*sampling)
-                return;
-            metrics_->sample(eq_.now());
-            if (auto s = weakM.lock())
-                eq_.scheduleIn(every, *s, sim::Priority::Stats);
-        };
-        eq_.schedule(0, *msampler, sim::Priority::Stats);
+        metrics.emplace(eq_, sim::Priority::Stats,
+                        metricsEvery_ > 0 ? metricsEvery_
+                                          : opts.sampleInterval,
+                        [this] { metrics_->sample(eq_.now()); });
+        metrics->timer.arm(0);
     }
-
-    // Physics stepping rides the sampler cadence and retire flag. Each
-    // firing integrates the *preceding* interval, so the chain starts
-    // one interval in (temperatures at t=0 are the initial condition).
+    // Physics stepping rides the sampler cadence. Each firing
+    // integrates the *preceding* interval, so the chain starts one
+    // interval in (temperatures at t=0 are the initial condition).
     // Priority::Stats places it in the serial lane of a sharded run —
     // quiesced, fixed order — so throttle decisions and the tile caps
     // they actuate are bit-identical at every shard count.
-    auto psampler = std::make_shared<std::function<void()>>();
+    std::optional<Chain> physics;
     if (physics_) {
-        const sim::Tick every = opts.sampleInterval;
-        const double dtNs = static_cast<double>(every) * sim::nsPerTick;
-        std::weak_ptr<std::function<void()>> weakP = psampler;
-        *psampler = [this, weakP, sampling, every, dtNs] {
-            if (!*sampling)
-                return;
-            physics_->step(dtNs, eq_.now());
-            if (auto s = weakP.lock())
-                eq_.scheduleIn(every, *s, sim::Priority::Stats);
-        };
-        eq_.scheduleIn(every, *psampler, sim::Priority::Stats);
+        const double dtNs =
+            static_cast<double>(opts.sampleInterval) * sim::nsPerTick;
+        physics.emplace(eq_, sim::Priority::Stats, opts.sampleInterval,
+                        [this, dtNs] { physics_->step(dtNs, eq_.now()); });
+        physics->timer.armIn(opts.sampleInterval);
     }
-
     // Sharded: the serial-lane completion scan. Completion latches are
     // written at tile loci during parallel phases; this chain reads
     // them between supersteps (quiesced, fixed node order) and runs
     // the dispatcher — dispatch latency is quantized to the scan
     // cadence, which is identical at every shard count.
-    auto cpoller = std::make_shared<std::function<void()>>();
+    std::optional<Chain> completions;
     if (group_) {
-        constexpr sim::Tick kCompletionScan = 32;
-        std::weak_ptr<std::function<void()>> weakC = cpoller;
-        *cpoller = [this, weakC, sampling] {
-            if (!*sampling)
-                return;
-            drainCompletions();
-            if (auto s = weakC.lock())
-                eq_.scheduleIn(kCompletionScan, *s,
-                               sim::Priority::Controller);
-        };
-        eq_.schedule(0, *cpoller, sim::Priority::Controller);
+        completions.emplace(eq_, sim::Priority::Controller, /*period=*/32,
+                            [this] { drainCompletions(); });
+        completions->timer.arm(0);
     }
 
     pm_->start();
@@ -455,7 +442,6 @@ Soc::run(const workload::Dag &dag, const SocRunOptions &opts)
         // Capture the post-workload power decay in the trace.
         eq_.runUntil(lastCompletionTick_ + 2000);
     }
-    *sampling = false;
 
     stats.execTime = lastCompletionTick_;
     stats.responseTicks = pm_->responseTimes();

@@ -40,7 +40,9 @@ AcceleratorTile::AcceleratorTile(sim::EventQueue &eq, noc::NodeId id,
           uvfrCfg.ro.vNominal = curve.points().back().voltage;
           uvfrCfg.ldo.vMax = curve.points().back().voltage;
           return uvfrCfg;
-      }())
+      }()),
+      completion_(eq, [this] { finishCheck(); }),
+      loop_(eq, [this] { controlStep(); })
 {
     // A cap asserted before the first PM actuation must clamp the
     // regulator's own initial target, not a stale zero.
@@ -119,28 +121,17 @@ AcceleratorTile::accrueProgress()
 void
 AcceleratorTile::scheduleCompletion()
 {
-    const std::uint64_t gen = ++completionGen_;
-    if (!busy_)
-        return;
     const double rate = cyclesPerTick(accrualFreqMhz_);
-    if (rate <= 0.0)
-        return; // clock parked; completion waits for coins
-    if (remainingCycles_ <= completionEpsilon) {
-        // Degenerate zero-length remainder: finish on the next tick.
-        eq_.scheduleIn(1, [this, gen] {
-            if (gen != completionGen_)
-                return;
-            finishCheck();
-        });
+    if (!busy_ || rate <= 0.0) {
+        completion_.disarm(); // idle, or clock parked until coins arrive
         return;
     }
-    auto ticks = static_cast<sim::Tick>(
-        std::ceil(remainingCycles_ / rate));
-    eq_.scheduleIn(std::max<sim::Tick>(ticks, 1), [this, gen] {
-        if (gen != completionGen_)
-            return;
-        finishCheck();
-    });
+    // A zero-length remainder finishes on the next tick.
+    const auto ticks =
+        remainingCycles_ <= completionEpsilon
+            ? sim::Tick{1}
+            : static_cast<sim::Tick>(std::ceil(remainingCycles_ / rate));
+    completion_.armIn(std::max<sim::Tick>(ticks, 1));
 }
 
 void
@@ -183,32 +174,18 @@ AcceleratorTile::controlStep()
         accrualFreqMhz_ = after;
         scheduleCompletion();
     }
-    if (uvfr_.settled() && after == before) {
-        // Loop reached steady state: stop stepping until the next
-        // target change (kickControlLoop re-arms it).
-        loopActive_ = false;
+    // Loop reached steady state: stop stepping until the next target
+    // change (kickControlLoop re-arms it).
+    if (uvfr_.settled() && after == before)
         return;
-    }
-    const std::uint64_t gen = loopGen_;
-    eq_.scheduleIn(uvfr_.controlPeriod(), [this, gen] {
-        if (gen != loopGen_ || !loopActive_)
-            return;
-        controlStep();
-    });
+    loop_.armIn(uvfr_.controlPeriod());
 }
 
 void
 AcceleratorTile::kickControlLoop()
 {
-    if (loopActive_)
-        return;
-    loopActive_ = true;
-    const std::uint64_t gen = ++loopGen_;
-    eq_.scheduleIn(uvfr_.controlPeriod(), [this, gen] {
-        if (gen != loopGen_ || !loopActive_)
-            return;
-        controlStep();
-    });
+    if (!loop_.armed())
+        loop_.armIn(uvfr_.controlPeriod());
 }
 
 } // namespace blitz::soc

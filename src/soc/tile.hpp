@@ -106,10 +106,10 @@ class AcceleratorTile
     /** Fold elapsed time into task progress at the previous frequency. */
     void accrueProgress();
 
-    /** (Re)schedule the completion event at the current frequency. */
+    /** (Re)arm the completion timer at the current frequency. */
     void scheduleCompletion();
 
-    /** Completion-event body: finish or re-aim after a speed change. */
+    /** Completion-timer body: finish or re-aim after a speed change. */
     void finishCheck();
 
     /** One UVFR control iteration plus execution bookkeeping. */
@@ -134,9 +134,8 @@ class AcceleratorTile
     std::function<void()> onComplete_;
     sim::Tick lastAccrual_ = 0;
     double accrualFreqMhz_ = 0.0;
-    std::uint64_t completionGen_ = 0;
-    bool loopActive_ = false;
-    std::uint64_t loopGen_ = 0;
+    sim::Timer completion_; ///< armed while a running task can finish
+    sim::Timer loop_;       ///< armed while the UVFR loop is stepping
 };
 
 } // namespace blitz::soc

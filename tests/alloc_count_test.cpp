@@ -22,7 +22,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -151,6 +153,96 @@ TEST(AllocCount, EventKernelSteadyStateIsAllocationFree)
     eq.runUntil(65536);
     EXPECT_EQ(gAllocCount.load() - before, 0u)
         << "steady-state event scheduling allocated";
+}
+
+/**
+ * Timer churn, three timers per node: `beat` re-arms itself every few
+ * ticks (wheel), pushes `deadline` another 5000 ticks out (removed
+ * from and re-inserted into the far-heap, never firing) and toggles
+ * `blip` between armed and disarmed (an in-window removal).
+ */
+struct TimerChurn
+{
+    struct Node
+    {
+        std::unique_ptr<sim::Timer> beat, deadline, blip;
+        std::uint64_t beats = 0;
+        std::uint64_t blips = 0;
+    };
+
+    TimerChurn(sim::EventQueue &eq, std::uint32_t count) : nodes(count)
+    {
+        for (std::uint32_t n = 0; n < count; ++n) {
+            Node &s = this->nodes[n];
+            s.beat = std::make_unique<sim::Timer>(
+                eq, [this, n] { beat(n); });
+            s.deadline = std::make_unique<sim::Timer>(eq, [] {});
+            s.blip = std::make_unique<sim::Timer>(
+                eq, [this, n] { ++this->nodes[n].blips; });
+        }
+    }
+
+    void
+    beat(std::uint32_t n)
+    {
+        Node &s = nodes[n];
+        ++s.beats;
+        s.beat->armIn(3 + n % 7);
+        s.deadline->armIn(5000 + n);
+        if (s.beats % 3 == 0)
+            s.blip->disarm();
+        else
+            s.blip->armIn(2);
+    }
+
+    std::uint64_t
+    total(std::uint64_t Node::*field) const
+    {
+        std::uint64_t sum = 0;
+        for (const Node &s : nodes)
+            sum += s.*field;
+        return sum;
+    }
+
+    std::vector<Node> nodes;
+};
+
+TEST(AllocCount, TimerRearmSteadyStateIsAllocationFree)
+{
+    // Arm, re-arm and disarm reuse the timer's one queue entry and its
+    // stored callback: once the wheel and far-heap reach their marks,
+    // neither a plain queue nor a sharded leaf allocates.
+    {
+        sim::EventQueue eq;
+        TimerChurn churn(eq, 36);
+        for (std::uint32_t n = 0; n < 36; ++n)
+            churn.nodes[n].beat->arm(1 + n);
+        eq.runUntil(16384);
+        const std::uint64_t before = gAllocCount.load();
+        const std::uint64_t beats = churn.total(&TimerChurn::Node::beats);
+        eq.runUntil(131072);
+        EXPECT_EQ(gAllocCount.load() - before, 0u)
+            << "steady-state timer churn allocated";
+        EXPECT_GT(churn.total(&TimerChurn::Node::beats) - beats, 500'000u);
+        EXPECT_GT(churn.total(&TimerChurn::Node::blips), 0u);
+    }
+    {
+        sim::EventQueue eq;
+        sim::ShardGroup group(eq, 4, sim::columnBands(6, 6, 4));
+        TimerChurn churn(eq, 36);
+        for (std::uint32_t n = 0; n < 36; ++n) {
+            // Armed at the node's locus: the chain lives in its leaf.
+            sim::LocusScope scope(eq, n);
+            churn.nodes[n].beat->arm(1 + n);
+        }
+        eq.runUntil(16384);
+        const std::uint64_t before = gAllocCount.load();
+        const std::uint64_t beats = churn.total(&TimerChurn::Node::beats);
+        eq.runUntil(131072);
+        EXPECT_EQ(gAllocCount.load() - before, 0u)
+            << "steady-state sharded timer churn allocated";
+        EXPECT_GT(churn.total(&TimerChurn::Node::beats) - beats, 500'000u);
+    }
 }
 
 /** Self-rescheduling sender: sustained cross-mesh traffic. */

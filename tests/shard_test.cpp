@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "soc/pm_impl.hpp"
 #include "soc/scenarios.hpp"
 #include "soc/soc.hpp"
+#include "timer_diff.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
 
@@ -134,6 +136,69 @@ TEST(ShardGroup, CountsEpochsAndCrossEvents)
     EXPECT_EQ(eq.totalExecuted(), 2u);
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.now(), 64u);
+}
+
+/**
+ * Per-node logs of the timer differential workload
+ * (tests/timer_diff.hpp) on a 4x2 mesh at @p shards. Arms from outside
+ * a run land either in a node's leaf (under LocusScope) or in the
+ * serial lane, so node callbacks later re-arm timers out of the serial
+ * lane mid-phase as well as within their own leaf.
+ */
+template <class Timers>
+std::vector<blitz::testing::TimerLog>
+shardedTimerLogs(std::uint32_t shards, std::uint64_t seed)
+{
+    constexpr std::uint32_t kNodes = 8;
+    sim::EventQueue eq;
+    sim::ShardGroup group(eq, shards, sim::columnBands(4, 2, shards));
+    blitz::testing::TimerDrive<Timers> drive(eq, kNodes, seed, 1500);
+    sim::Rng outer(seed);
+    for (int round = 0; round < 60; ++round) {
+        for (int p = 0; p < 6; ++p) {
+            const auto n = static_cast<std::uint32_t>(outer.below(kNodes));
+            if (outer.below(2) == 0) {
+                drive.poke(n);
+            } else {
+                sim::LocusScope scope(eq, n);
+                drive.poke(n);
+            }
+        }
+        eq.runUntil(eq.now() + (round % 2 == 0 ? 1 + outer.below(64)
+                                               : 100 + outer.below(30000)));
+        if constexpr (std::is_same_v<Timers, blitz::testing::RealTimers>) {
+            EXPECT_EQ(eq.totalScheduled() - eq.totalExecuted(),
+                      drive.timers().removed() + eq.pending());
+        }
+    }
+    eq.runUntil(eq.now() + 100'000);
+    std::vector<blitz::testing::TimerLog> logs;
+    for (std::uint32_t n = 0; n < kNodes; ++n)
+        logs.push_back(drive.log(n));
+    return logs;
+}
+
+TEST(ShardedTimer, MatchesTheStampGuardedScheduleIdiomAtShards124)
+{
+    for (std::uint64_t seed : {5u, 7919u}) {
+        const auto want =
+            shardedTimerLogs<blitz::testing::StampedTimers>(1, seed);
+        std::size_t fires = 0;
+        for (const auto &log : want)
+            for (const auto &e : log)
+                fires += e.second < 0;
+        EXPECT_GT(fires, 2000u) << "seed " << seed;
+        for (std::uint32_t shards : {1u, 2u, 4u}) {
+            EXPECT_EQ(shardedTimerLogs<blitz::testing::RealTimers>(shards,
+                                                                    seed),
+                      want)
+                << "seed " << seed << " shards " << shards;
+            EXPECT_EQ(shardedTimerLogs<blitz::testing::StampedTimers>(
+                          shards, seed),
+                      want)
+                << "seed " << seed << " shards " << shards;
+        }
+    }
 }
 
 TEST(ShardGroup, RejectsAShardThatOwnsNoNode)

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -15,6 +18,7 @@
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
+#include "timer_diff.hpp"
 
 namespace {
 
@@ -249,6 +253,165 @@ TEST(EventQueue, PriorityBreaksTiesBeforeFifo)
                 sim::Priority::NocTransfer);
     eq.runUntil();
     EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 0}));
+}
+
+// --------------------------------------------------------------- timers
+
+TEST(Timer, FiresOnceAtItsLastArm)
+{
+    sim::EventQueue eq;
+    std::vector<sim::Tick> fired;
+    sim::Timer t(eq, [&] { fired.push_back(eq.now()); });
+    t.arm(100);
+    t.arm(30);      // wheel -> wheel
+    t.arm(50'000);  // -> far-heap
+    t.arm(70'000);  // far-heap -> far-heap
+    EXPECT_TRUE(t.armed());
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.runUntil();
+    EXPECT_EQ(fired, (std::vector<sim::Tick>{70'000}));
+    EXPECT_FALSE(t.armed());
+    // Each arm counts as scheduled; the three superseded ones were
+    // removed, never executed.
+    EXPECT_EQ(eq.totalScheduled(), 4u);
+    EXPECT_EQ(eq.totalExecuted(), 1u);
+}
+
+TEST(Timer, DisarmedEntryNeverRuns)
+{
+    sim::EventQueue eq;
+    int ran = 0;
+    sim::Timer near(eq, [&] { ++ran; });
+    sim::Timer far(eq, [&] { ++ran; });
+    near.arm(10);
+    far.arm(9'000);
+    near.disarm();
+    far.disarm();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.runUntil(), 0u);
+    EXPECT_EQ(ran, 0);
+    // A removed entry does not move time either.
+    EXPECT_EQ(eq.now(), 0u);
+}
+
+TEST(Timer, SameTickReArmAndDisarmInsideTheLiveBatch)
+{
+    sim::EventQueue eq;
+    std::vector<int> order;
+    sim::Timer a(eq, [&] { order.push_back(1); });
+    sim::Timer b(eq, [&] { order.push_back(2); });
+    eq.schedule(5, [&] {
+        order.push_back(0);
+        b.disarm();   // b sits later in this tick's batch
+        a.arm(5);     // re-keyed behind everything already queued at 5
+    });
+    a.arm(5);
+    b.arm(5);
+    eq.schedule(5, [&] { order.push_back(3); });
+    eq.runUntil();
+    EXPECT_EQ(order, (std::vector<int>{0, 3, 1}));
+}
+
+TEST(Timer, CallbackMayReArmItself)
+{
+    sim::EventQueue eq;
+    struct
+    {
+        sim::EventQueue *eq;
+        sim::Timer *self;
+        std::vector<sim::Tick> fired;
+    } st{&eq, nullptr, {}};
+    sim::Timer t(eq, [&st] {
+        st.fired.push_back(st.eq->now());
+        if (st.fired.size() < 3)
+            st.self->armIn(5'000);
+    });
+    st.self = &t;
+    t.arm(1);
+    eq.runUntil();
+    EXPECT_EQ(st.fired, (std::vector<sim::Tick>{1, 5'001, 10'001}));
+}
+
+TEST(Timer, HonorsRunUntilHorizons)
+{
+    sim::EventQueue eq;
+    bool ran = false;
+    sim::Timer t(eq, [&] { ran = true; });
+    t.arm(10'000);
+    EXPECT_EQ(eq.runUntil(9'999), 0u);
+    EXPECT_TRUE(t.armed());
+    EXPECT_FALSE(eq.runOne(9'999));
+    EXPECT_EQ(eq.runUntil(10'000), 1u);
+    EXPECT_TRUE(ran);
+    EXPECT_THROW(t.arm(9'000), sim::PanicError);
+}
+
+TEST(Timer, OutlivedQueueDetachesIt)
+{
+    auto eq = std::make_unique<sim::EventQueue>();
+    sim::Timer t(*eq, [] {});
+    t.arm(50'000);
+    eq.reset();
+    EXPECT_FALSE(t.armed()); // and its destructor touches nothing
+}
+
+/**
+ * Run the differential workload (tests/timer_diff.hpp) over a plain
+ * queue: runUntil() horizons interleaved with arms/disarms from
+ * outside any event.
+ */
+template <class Timers>
+blitz::testing::TimerLog
+runTimerWorkload(std::uint64_t seed, std::vector<sim::Tick> &nows,
+                 std::uint64_t *removedOut)
+{
+    sim::EventQueue eq;
+    blitz::testing::TimerDrive<Timers> drive(eq, 1, seed, 4000);
+    sim::Rng horizon(seed);
+    for (int round = 0; round < 80; ++round) {
+        for (int p = 0; p < 3; ++p)
+            drive.poke(0);
+        const sim::Tick step = round % 3 == 0 ? 1 + horizon.below(16)
+                               : round % 3 == 1
+                                   ? 100 + horizon.below(5000)
+                                   : 5000 + horizon.below(40000);
+        eq.runUntil(eq.now() + step);
+        nows.push_back(eq.now());
+        if constexpr (std::is_same_v<Timers, blitz::testing::RealTimers>) {
+            // Every arm is scheduled once; it either ran, was removed
+            // by a disarm or re-arm, or is still pending.
+            EXPECT_EQ(eq.totalScheduled() - eq.totalExecuted(),
+                      drive.timers().removed() + eq.pending());
+        }
+    }
+    eq.runUntil(eq.now() + 100'000);
+    if constexpr (std::is_same_v<Timers, blitz::testing::RealTimers>)
+        *removedOut = drive.timers().removed();
+    return drive.log(0);
+}
+
+TEST(Timer, MatchesTheStampGuardedScheduleIdiom)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u, 7919u}) {
+        std::vector<sim::Tick> realNows;
+        std::vector<sim::Tick> refNows;
+        std::uint64_t removed = 0;
+        const blitz::testing::TimerLog real =
+            runTimerWorkload<blitz::testing::RealTimers>(seed, realNows,
+                                                  &removed);
+        const blitz::testing::TimerLog ref =
+            runTimerWorkload<blitz::testing::StampedTimers>(seed, refNows,
+                                                     nullptr);
+        EXPECT_EQ(real, ref) << "seed " << seed;
+        EXPECT_EQ(realNows, refNows) << "seed " << seed;
+        // Non-vacuity: a real workload with timer firings and removals.
+        EXPECT_GT(real.size(), 4000u) << "seed " << seed;
+        EXPECT_GT(std::count_if(real.begin(), real.end(),
+                                [](const auto &e) { return e.second < 0; }),
+                  1000) << "seed " << seed;
+        EXPECT_GT(removed, 1000u) << "seed " << seed;
+    }
 }
 
 // ----------------------------------------------------------------- rng
