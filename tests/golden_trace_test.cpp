@@ -610,6 +610,101 @@ shardedThermalDigest(std::uint32_t shards, bool profiled = false)
     return all.value();
 }
 
+// ------------------------------------------------- MeshSim configuration
+// The behavioral engine paths the fig01 grid never reaches: 4-way
+// rounds, the loss model, thermal plus neighborhood caps, the open
+// mesh, and setMax re-programming between runs and between short
+// slices of one sweep, so a reschedule lands both before and after the
+// tile's pending firing. Both run loops are driven.
+
+struct MeshScenario
+{
+    coin::ExchangeMode mode;
+    bool wrap;
+    double loss;
+    bool capped;
+};
+
+constexpr MeshScenario kMeshScenarios[] = {
+    {coin::ExchangeMode::OneWay, true, 0.00, false},
+    {coin::ExchangeMode::OneWay, false, 0.05, true},
+    {coin::ExchangeMode::FourWay, true, 0.05, false},
+    {coin::ExchangeMode::FourWay, false, 0.00, true},
+    {coin::ExchangeMode::FourWay, true, 0.05, true},
+};
+
+std::uint64_t
+meshSimTrialDigest(const MeshScenario &sc, std::uint64_t seed,
+                   std::uint64_t *losses = nullptr)
+{
+    const noc::Topology topo(9, 7, sc.wrap);
+    const std::size_t n = topo.size();
+    coin::EngineConfig cfg;
+    cfg.mode = sc.mode;
+    cfg.wrap = sc.wrap;
+    cfg.lossRate = sc.loss;
+    if (sc.capped) {
+        cfg.thermalCaps.assign(n, coin::uncapped);
+        for (std::size_t i = 0; i < n; i += 5)
+            cfg.thermalCaps[i] = 6;
+        cfg.neighborhoodCap = 90;
+    }
+    coin::MeshSim sim(topo, cfg, seed);
+    coin::Coins demand = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        coin::Coins m = 8 << (i % 3);
+        sim.setMax(i, m);
+        demand += m;
+    }
+    sim.clusterHas(demand / 2);
+
+    Digest dg;
+    auto fold = [&dg](const coin::RunResult &r) {
+        dg.u64(r.converged ? 1 : 0);
+        dg.u64(r.time);
+        dg.u64(r.packets);
+        dg.u64(r.exchanges);
+    };
+    constexpr sim::Tick budget = 150'000;
+    fold(sim.runUntilConverged(1.0, budget));
+    // A converging run stops at the firing's tick, so tiles due at
+    // that same tick are still pending: re-programming them moves
+    // their firing later, the rest earlier.
+    for (std::size_t i = 0; i < n; i += 3)
+        sim.setMax(i, 0);
+    fold(sim.runFor(20'000));
+    for (std::size_t k = 0; k < n; ++k) {
+        sim.setMax((k * 7) % n, coin::Coins{4} << (k % 4));
+        if (k % 8 == 7)
+            fold(sim.runFor(37));
+    }
+    fold(sim.runUntilConverged(0.5, sim.now() + budget));
+    for (std::size_t i = 1; i < n; i += 4)
+        sim.setMax(i, 24);
+    fold(sim.runFor(10'000));
+    for (std::size_t i = 2; i < n; i += 5)
+        sim.setMax(i, 0);
+    fold(sim.runUntilConverged(1.0, sim.now() + budget));
+
+    for (std::size_t i = 0; i < n; ++i)
+        dg.i64(sim.ledger().has(i));
+    dg.u64(sim.totalLosses());
+    if (losses)
+        *losses += sim.totalLosses();
+    return dg.value();
+}
+
+std::uint64_t
+meshSimDigest(std::uint64_t *losses = nullptr)
+{
+    Digest all;
+    for (const MeshScenario &sc : kMeshScenarios) {
+        for (std::uint64_t seed : {1u, 7919u})
+            all.u64(meshSimTrialDigest(sc, seed, losses));
+    }
+    return all.value();
+}
+
 // Recorded against the reference kernel; see the file comment.
 #include "golden_digests.inc"
 
@@ -618,6 +713,14 @@ TEST(GoldenTrace, Fig01GridMatchesRecordedDigest)
     for (std::size_t threads : {1u, 2u, 4u})
         EXPECT_EQ(fig01Digest(threads), kGoldenFig01)
             << "threads=" << threads;
+}
+
+TEST(GoldenTrace, MeshSimScenariosMatchRecordedDigest)
+{
+    std::uint64_t losses = 0;
+    EXPECT_EQ(meshSimDigest(&losses), kGoldenMeshSim);
+    // Non-vacuity: the lossy scenarios really lost legs.
+    EXPECT_GT(losses, 0u);
 }
 
 TEST(GoldenTrace, ChaosTrialsMatchRecordedDigest)
@@ -786,7 +889,7 @@ TEST(GoldenTrace, RecordedChaosTrialsMatchUnrecordedDigests)
     }
 }
 
-/** Recompute both digests and rewrite golden_digests.inc in place. */
+/** Recompute every digest and rewrite golden_digests.inc in place. */
 int
 regenDigests()
 {
@@ -797,6 +900,7 @@ regenDigests()
     const std::uint64_t byzSharded = shardedByzantineDigest(1);
     const std::uint64_t thermal = thermalDigest(1);
     const std::uint64_t thermalSharded = shardedThermalDigest(1);
+    const std::uint64_t meshSim = meshSimDigest();
     const char *path = BLITZ_GOLDEN_DIGESTS_PATH;
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -816,21 +920,24 @@ regenDigests()
         "constexpr std::uint64_t kGoldenByzantine = %lluull;\n"
         "constexpr std::uint64_t kGoldenByzantineSharded = %lluull;\n"
         "constexpr std::uint64_t kGoldenThermal = %lluull;\n"
-        "constexpr std::uint64_t kGoldenThermalSharded = %lluull;\n",
+        "constexpr std::uint64_t kGoldenThermalSharded = %lluull;\n"
+        "constexpr std::uint64_t kGoldenMeshSim = %lluull;\n",
         static_cast<unsigned long long>(fig01),
         static_cast<unsigned long long>(chaos),
         static_cast<unsigned long long>(sharded),
         static_cast<unsigned long long>(byz),
         static_cast<unsigned long long>(byzSharded),
         static_cast<unsigned long long>(thermal),
-        static_cast<unsigned long long>(thermalSharded));
+        static_cast<unsigned long long>(thermalSharded),
+        static_cast<unsigned long long>(meshSim));
     std::fclose(f);
     std::printf("fig01: %llu (was %llu)\nchaos: %llu (was %llu)\n"
                 "chaos-sharded: %llu (was %llu)\n"
                 "byzantine: %llu (was %llu)\n"
                 "byzantine-sharded: %llu (was %llu)\n"
                 "thermal: %llu (was %llu)\n"
-                "thermal-sharded: %llu (was %llu)\nwrote %s\n",
+                "thermal-sharded: %llu (was %llu)\n"
+                "mesh-sim: %llu (was %llu)\nwrote %s\n",
                 static_cast<unsigned long long>(fig01),
                 static_cast<unsigned long long>(kGoldenFig01),
                 static_cast<unsigned long long>(chaos),
@@ -845,6 +952,8 @@ regenDigests()
                 static_cast<unsigned long long>(kGoldenThermal),
                 static_cast<unsigned long long>(thermalSharded),
                 static_cast<unsigned long long>(kGoldenThermalSharded),
+                static_cast<unsigned long long>(meshSim),
+                static_cast<unsigned long long>(kGoldenMeshSim),
                 path);
     return 0;
 }
