@@ -80,8 +80,12 @@ BM_GroupSplit(benchmark::State &state)
     std::vector<coin::TileCoins> group(5);
     for (auto &t : group)
         t = coin::TileCoins{rng.range(0, 63), rng.range(1, 63)};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(coin::groupSplit(group));
+    std::vector<coin::Coins> split(group.size());
+    for (auto _ : state) {
+        coin::groupSplit(group, {}, split);
+        benchmark::DoNotOptimize(split.data());
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(BM_GroupSplit);
 

@@ -1,7 +1,9 @@
 #include "unit.hpp"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
+#include <span>
 
 #include "guardian.hpp"
 #include "record/recorder.hpp"
@@ -785,12 +787,17 @@ BlitzCoinUnit::completeFourWay()
     for (const auto &[node, tc] : gathered_)
         snapshot_total += tc.has;
     if (!gathered_.empty() && snapshot_total >= 0) {
-        std::vector<coin::TileCoins> group;
-        group.reserve(gathered_.size() + 1);
-        group.push_back(state_);
-        for (const auto &[node, tc] : gathered_)
-            group.push_back(tc);
-        std::vector<coin::Coins> split = coin::groupSplit(group);
+        // A round gathers at most one status per mesh neighbor.
+        const std::size_t n = gathered_.size() + 1;
+        BLITZ_ASSERT(n <= coin::kMaxGroupSize, "4-way round of ", n,
+                     " tiles");
+        std::array<coin::TileCoins, coin::kMaxGroupSize> group{};
+        std::array<coin::Coins, coin::kMaxGroupSize> split{};
+        group[0] = state_;
+        for (std::size_t k = 1; k < n; ++k)
+            group[k] = gathered_[k - 1].second;
+        coin::groupSplit(std::span(group).first(n), {},
+                         std::span(split).first(n));
 
         coin::Coins out_total = 0;
         bool moved = false;

@@ -1,6 +1,7 @@
 #include "engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 
@@ -21,7 +22,7 @@ exchangeModeName(ExchangeMode m)
 MeshSim::MeshSim(const noc::Topology &topo, const EngineConfig &cfg,
                  std::uint64_t seed)
     : topo_(topo.width(), topo.height(), cfg.wrap), cfg_(cfg), rng_(seed),
-      ledger_(topo_.size()), pending_(topo_.size(), 0)
+      ledger_(topo_.size()), firings_(topo_.size())
 {
     BLITZ_ASSERT(cfg_.thermalCaps.empty() ||
                  cfg_.thermalCaps.size() == topo_.size(),
@@ -34,7 +35,7 @@ MeshSim::MeshSim(const noc::Topology &topo, const EngineConfig &cfg,
         selectors_.emplace_back(topo_, i, cfg_.pairing, rng_);
         // Stagger initial firings across one base interval so the mesh
         // does not act in lockstep.
-        scheduleTile(i, 1 + rng_.below(cfg_.backoff.baseInterval));
+        firings_.schedule(i, 1 + rng_.below(cfg_.backoff.baseInterval));
     }
 }
 
@@ -97,7 +98,7 @@ MeshSim::setMax(std::size_t i, Coins max)
     // An activity change triggers an immediate status update from the
     // affected tile (the start/end of execution drives the request or
     // relinquishment of coins, Section III-A).
-    scheduleTile(static_cast<std::uint32_t>(i), now_ + 1);
+    firings_.schedule(static_cast<std::uint32_t>(i), now_ + 1);
 }
 
 void
@@ -139,13 +140,6 @@ MeshSim::clusterHas(Coins pool)
         ledger_.setHas(i, ledger_.has(i) + 1);
     }
     errStale_ = true;
-}
-
-void
-MeshSim::scheduleTile(std::uint32_t tile, sim::Tick when)
-{
-    ++pending_[tile];
-    heap_.push(Firing{when, tile, pending_[tile]});
 }
 
 void
@@ -201,9 +195,11 @@ MeshSim::doFourWay(std::uint32_t center,
 
     const bool capped = !cfg_.thermalCaps.empty() ||
                         cfg_.neighborhoodCap != uncapped;
-    std::vector<Coins> split =
-        groupSplit(group, capped ? std::span<const Coins>(caps)
-                                 : std::span<const Coins>{});
+    std::array<Coins, kMaxGroupSize> split{};
+    groupSplit(group,
+               capped ? std::span<const Coins>(caps)
+                      : std::span<const Coins>{},
+               std::span(split).first(group.size()));
 
     Coins moved = 0;
     for (std::size_t k = 0; k < members.size(); ++k) {
@@ -236,10 +232,10 @@ MeshSim::fire(std::uint32_t tile)
             packets_ += 1;
             timers_[tile].onExchange(false);
             completion = now_ + cfg_.lossRecoveryCycles;
-            scheduleTile(tile,
-                         completion +
-                             timers_[tile].intervalFor(
-                                 discontent(tile) || isolated(tile)));
+            firings_.schedule(tile,
+                              completion +
+                                  timers_[tile].intervalFor(
+                                      discontent(tile) || isolated(tile)));
             return completion;
         }
         bool updateLost =
@@ -263,11 +259,11 @@ MeshSim::fire(std::uint32_t tile)
         // reallocation wave propagates instead of waiting out a
         // backed-off interval.
         if (moved != 0)
-            scheduleTile(partner,
-                         completion +
-                             timers_[partner].intervalFor(
-                                 discontent(partner) ||
-                                 isolated(partner)));
+            firings_.schedule(partner,
+                              completion +
+                                  timers_[partner].intervalFor(
+                                      discontent(partner) ||
+                                      isolated(partner)));
     } else {
         // request + status + update to each of the (up to) 4 neighbors;
         // neighbor hops are distance 1 by construction.
@@ -296,17 +292,42 @@ MeshSim::fire(std::uint32_t tile)
         for (noc::NodeId n : *members) {
             timers_[n].onExchange(moved != 0);
             if (moved != 0)
-                scheduleTile(n, completion +
-                                    timers_[n].intervalFor(
-                                        discontent(n) || isolated(n)));
+                firings_.schedule(n, completion +
+                                         timers_[n].intervalFor(
+                                             discontent(n) || isolated(n)));
         }
     }
     ++exchanges_;
     timers_[tile].onExchange(moved != 0);
-    scheduleTile(tile,
-                 completion + timers_[tile].intervalFor(
-                                  discontent(tile) || isolated(tile)));
+    firings_.schedule(tile,
+                      completion + timers_[tile].intervalFor(
+                                       discontent(tile) || isolated(tile)));
     return completion;
+}
+
+std::optional<sim::Tick>
+MeshSim::drain(sim::Tick limit, std::optional<double> stopBelow)
+{
+    // The queue holds one firing per tile, so the top entry is always
+    // live: fire it where it sits and let fire() re-key it.
+    while (firings_.topWhen() <= limit) {
+#ifndef NDEBUG
+        const std::uint64_t key = firings_.topKey();
+#endif
+        const sim::Tick when = firings_.topWhen();
+        if (metrics_)
+            drainSamples(when);
+        now_ = when;
+        const sim::Tick completion = fire(firings_.topTile());
+#ifndef NDEBUG
+        // A firing that left its tile's key alone would spin forever.
+        BLITZ_ASSERT(firings_.topKey() != key,
+                     "firing at tick ", when, " did not reschedule its tile");
+#endif
+        if (stopBelow && globalError() < *stopBelow)
+            return completion;
+    }
+    return std::nullopt;
 }
 
 RunResult
@@ -322,22 +343,10 @@ MeshSim::runUntilConverged(double errThreshold, sim::Tick maxTime)
         return result;
     }
 
-    while (!heap_.empty() && heap_.top().when <= maxTime) {
-        Firing f = heap_.top();
-        heap_.pop();
-        if (f.stamp != pending_[f.tile])
-            continue; // superseded by an activity-change reschedule
-        if (metrics_)
-            drainSamples(f.when);
-        now_ = f.when;
-        sim::Tick completion = fire(f.tile);
-        if (globalError() < errThreshold) {
-            result.converged = true;
-            result.time = completion;
-            break;
-        }
-    }
-    if (!result.converged) {
+    if (std::optional<sim::Tick> done = drain(maxTime, errThreshold)) {
+        result.converged = true;
+        result.time = *done;
+    } else {
         now_ = std::min(maxTime, now_);
         result.time = now_;
     }
@@ -358,20 +367,10 @@ MeshSim::runFor(sim::Tick duration)
     if (errStale_)
         rebuildError();
 
-    while (!heap_.empty() && heap_.top().when <= deadline) {
-        Firing f = heap_.top();
-        heap_.pop();
-        if (f.stamp != pending_[f.tile])
-            continue;
-        if (metrics_)
-            drainSamples(f.when);
-        now_ = f.when;
-        fire(f.tile);
-    }
+    drain(deadline, std::nullopt);
     now_ = deadline;
     if (metrics_)
         drainSamples(deadline);
-    result.converged = false;
     result.time = now_;
     result.packets = packets_ - packets0;
     result.exchanges = exchanges_ - exchanges0;

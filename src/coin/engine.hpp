@@ -15,11 +15,12 @@
 #define BLITZ_COIN_ENGINE_HPP
 
 #include <cstdint>
-#include <queue>
+#include <optional>
 #include <vector>
 
 #include "backoff.hpp"
 #include "exchange.hpp"
+#include "firing_queue.hpp"
 #include "ledger.hpp"
 #include "noc/topology.hpp"
 #include "pairing.hpp"
@@ -99,8 +100,13 @@ struct RunResult
 /**
  * Step-level mesh simulator for the coin-exchange algorithm.
  *
- * Determinism: all randomness (initial holdings, partner staggering,
- * same-tick ordering) derives from the seed passed at construction.
+ * Every tile has exactly one pending refresh firing (see FiringQueue);
+ * firings run in (tick, tile id) order, so tiles due at the same tick
+ * fire lowest id first.
+ *
+ * Determinism: all randomness (initial holdings, staggered first
+ * firings, partner choice, packet loss) derives from the seed passed
+ * at construction.
  */
 class MeshSim
 {
@@ -188,25 +194,23 @@ class MeshSim
     }
 
   private:
-    struct Firing
-    {
-        sim::Tick when;
-        std::uint32_t tile;
-        std::uint64_t stamp; ///< matches pending_[tile] or it is stale
-
-        bool
-        operator>(const Firing &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            return tile > o.tile;
-        }
-    };
-
     /** Recompute alpha and the cached error sum from scratch. */
     void rebuildError() const;
 
-    /** Execute one firing; returns the exchange completion tick. */
+    /**
+     * The run loop of both runUntilConverged and runFor: fire due
+     * tiles in (tick, tile) order while the next firing is at or
+     * before @p limit. With @p stopBelow set, stop after the firing
+     * that takes Err below it and return that exchange's completion
+     * tick.
+     */
+    std::optional<sim::Tick> drain(sim::Tick limit,
+                                   std::optional<double> stopBelow);
+
+    /**
+     * Execute one firing; returns the exchange completion tick. Every
+     * path reschedules @p tile, which keeps one firing per tile queued.
+     */
     sim::Tick fire(std::uint32_t tile);
 
     /** Perform a pairwise exchange; returns coins moved (absolute). */
@@ -215,8 +219,6 @@ class MeshSim
     /** 4-way group exchange over @p members; returns coins moved. */
     Coins doFourWay(std::uint32_t center,
                     const std::vector<noc::NodeId> &members);
-
-    void scheduleTile(std::uint32_t tile, sim::Tick when);
 
     /** Emit every due snapshot with tick <= @p upTo. */
     void drainSamples(sim::Tick upTo);
@@ -259,9 +261,7 @@ class MeshSim
     std::vector<Coins> capsScratch_;
     std::vector<noc::NodeId> survivorScratch_;
     std::vector<IsolationDetector> iso_;
-    std::vector<std::uint64_t> pending_;
-    std::priority_queue<Firing, std::vector<Firing>,
-                        std::greater<Firing>> heap_;
+    FiringQueue firings_;
     sim::Tick now_ = 0;
     trace::Registry *metrics_ = nullptr;
     sim::Tick sampleEvery_ = 0;

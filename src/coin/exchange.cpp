@@ -1,6 +1,7 @@
 #include "exchange.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -53,12 +54,16 @@ pairwiseDelta(const TileCoins &i, const TileCoins &j, Coins capI,
     return -into_i; // signed flow i -> j
 }
 
-std::vector<Coins>
-groupSplit(std::span<const TileCoins> group, std::span<const Coins> caps)
+void
+groupSplit(std::span<const TileCoins> group, std::span<const Coins> caps,
+           std::span<Coins> out)
 {
     BLITZ_ASSERT(!group.empty(), "empty exchange group");
+    BLITZ_ASSERT(group.size() <= kMaxGroupSize, "exchange group of ",
+                 group.size(), " tiles exceeds ", kMaxGroupSize);
     BLITZ_ASSERT(caps.empty() || caps.size() == group.size(),
                  "cap list size mismatch");
+    BLITZ_ASSERT(out.size() == group.size(), "split buffer size mismatch");
 
     const std::size_t n = group.size();
     Coins total = 0;
@@ -69,7 +74,7 @@ groupSplit(std::span<const TileCoins> group, std::span<const Coins> caps)
     }
     BLITZ_ASSERT(total >= 0, "group exchange with negative coin total");
 
-    std::vector<Coins> out(n);
+    std::fill(out.begin(), out.end(), 0);
 
     // Acceptance limit of a tile: its cap, but never less than what it
     // already holds (caps bound what a tile accepts, not what it has).
@@ -92,20 +97,21 @@ groupSplit(std::span<const TileCoins> group, std::span<const Coins> caps)
         for (std::size_t k = 0; k < n; ++k)
             out[k] = group[k].has;
         BLITZ_CHECK_CONSERVED();
-        return out;
+        return;
     }
 
     // Waterfill: tiles whose fair share exceeds their acceptance limit
     // are frozen at that limit and the remainder is re-split among the
     // rest. Terminates in <= n rounds (each round freezes >= 1 tile).
-    std::vector<bool> frozen(n, false);
+    // Bit k of `frozen` marks tile k as pinned at its limit.
+    std::uint64_t frozen = 0;
     Coins remaining = total;
     Coins mActive = m;
     bool changed = true;
     while (changed) {
         changed = false;
         for (std::size_t k = 0; k < n && mActive > 0; ++k) {
-            if (frozen[k])
+            if (frozen >> k & 1)
                 continue;
             Coins cap = caps.empty() ? uncapped : caps[k];
             // A tile accepts at most up to its cap but always keeps
@@ -118,7 +124,7 @@ groupSplit(std::span<const TileCoins> group, std::span<const Coins> caps)
             Coins fair = roundDiv(group[k].max * remaining, mActive);
             if (fair > limit) {
                 out[k] = limit;
-                frozen[k] = true;
+                frozen |= std::uint64_t{1} << k;
                 remaining -= limit;
                 mActive -= group[k].max;
                 changed = true;
@@ -128,14 +134,17 @@ groupSplit(std::span<const TileCoins> group, std::span<const Coins> caps)
 
     // Fair split of what remains: floor shares plus largest-remainder
     // distribution, deterministic (ties resolve to the lowest index).
-    std::vector<std::size_t> active;
+    // The bookkeeping lives on the stack: a split allocates nothing.
+    std::array<std::size_t, kMaxGroupSize> activeBuf{};
+    std::size_t nActive = 0;
     for (std::size_t k = 0; k < n; ++k) {
-        if (!frozen[k])
-            active.push_back(k);
+        if (!(frozen >> k & 1))
+            activeBuf[nActive++] = k;
     }
+    const std::span<const std::size_t> active(activeBuf.data(), nActive);
     if (active.empty()) {
         BLITZ_CHECK_CONSERVED();
-        return out;
+        return;
     }
 
     if (mActive == 0) {
@@ -159,45 +168,48 @@ groupSplit(std::span<const TileCoins> group, std::span<const Coins> caps)
         if (residue > 0)
             out[active.front()] += residue;
         BLITZ_CHECK_CONSERVED();
-        return out;
+        return;
     }
 
     Coins assigned = 0;
-    std::vector<std::pair<Coins, std::size_t>> fracs; // (remainder, idx)
+    std::array<Coins, kMaxGroupSize> remainder{}; // per tile index
     for (std::size_t k : active) {
         Coins num = group[k].max * remaining;
         Coins share = num >= 0 ? num / mActive
                                : -((-num + mActive - 1) / mActive);
         out[k] = share;
         assigned += share;
-        fracs.emplace_back(num - share * mActive, k);
+        remainder[k] = num - share * mActive;
     }
     Coins leftover = remaining - assigned;
-    std::sort(fracs.begin(), fracs.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first > b.first;
-                  return a.second < b.second;
-              });
+    // Order by remainder, largest first; the insertion sort is stable
+    // and `active` is ascending, so ties keep the lower index first.
+    std::array<std::size_t, kMaxGroupSize> order{};
+    for (std::size_t a = 0; a < nActive; ++a) {
+        const std::size_t k = active[a];
+        std::size_t b = a;
+        for (; b > 0 && remainder[order[b - 1]] < remainder[k]; --b)
+            order[b] = order[b - 1];
+        order[b] = k;
+    }
     // Largest-remainder distribution, skipping tiles already at their
     // acceptance limit so the +1 never breaches a cap.
     std::size_t stuck = 0;
     for (std::size_t r = 0; leftover > 0; ++r) {
-        std::size_t k = fracs[r % fracs.size()].second;
+        std::size_t k = order[r % nActive];
         if (out[k] < limit_of(k)) {
             ++out[k];
             --leftover;
             stuck = 0;
-        } else if (++stuck >= fracs.size()) {
+        } else if (++stuck >= nActive) {
             // Every unfrozen tile is at its limit: conservation wins
             // and the residue stays with the first of them.
-            out[fracs[0].second] += leftover;
+            out[order[0]] += leftover;
             leftover = 0;
         }
     }
 
     BLITZ_CHECK_CONSERVED();
-    return out;
 }
 #undef BLITZ_CHECK_CONSERVED
 

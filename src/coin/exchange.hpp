@@ -16,10 +16,10 @@
 #ifndef BLITZ_COIN_EXCHANGE_HPP
 #define BLITZ_COIN_EXCHANGE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 #include "ledger.hpp"
 
@@ -45,20 +45,27 @@ inline constexpr Coins uncapped = std::numeric_limits<Coins>::max();
 Coins pairwiseDelta(const TileCoins &i, const TileCoins &j,
                     Coins capI = uncapped, Coins capJ = uncapped);
 
+/** Largest group groupSplit accepts; a tile and its four mesh
+ *  neighbors are five. */
+inline constexpr std::size_t kMaxGroupSize = 8;
+
 /**
  * Group (4-way) exchange arithmetic over a center tile and neighbors.
  *
  * @param group states of the participating tiles (center first by
- *        convention, though the math is symmetric).
- * @param caps optional per-tile caps (empty = uncapped).
- * @return new `has` value per tile, same order; sums to the group total.
+ *        convention, though the math is symmetric); at most
+ *        ::kMaxGroupSize of them.
+ * @param caps per-tile caps, or empty for uncapped.
+ * @param out receives the new `has` value per tile, same order and
+ *        size as @p group; sums to the group total. The caller owns
+ *        it, so a split allocates nothing.
  *
  * Coins are assigned as floor(max_i * total / M) with the remainder
  * distributed by largest fractional part (ties to the lower index), the
  * deterministic analog of the paper's "within rounding error" fairness.
  */
-std::vector<Coins> groupSplit(std::span<const TileCoins> group,
-                              std::span<const Coins> caps = {});
+void groupSplit(std::span<const TileCoins> group,
+                std::span<const Coins> caps, std::span<Coins> out);
 
 } // namespace blitz::coin
 

@@ -130,17 +130,13 @@ FlushGuard::flushAll() noexcept
     bool expected = false;
     if (!s.flushing.compare_exchange_strong(expected, true))
         return;
-    // Snapshot under the lock if we can take it; from a signal
-    // handler the lock may be held by the interrupted thread — run
-    // from the live vector then (best-effort by design).
-    std::vector<Entry> snapshot;
-    if (s.mu.try_lock()) {
-        snapshot = s.entries;
-        s.mu.unlock();
-    } else {
-        snapshot = s.entries;
-    }
-    for (Entry &e : snapshot) {
+    // Run the actions in place: a copy of the registry would allocate,
+    // and a signal that lands inside malloc would deadlock on it before
+    // any flush ran. Hold the lock if we can take it; from a signal
+    // handler the interrupted thread may hold it — run from the live
+    // vector then (best-effort by design).
+    const bool locked = s.mu.try_lock();
+    for (Entry &e : s.entries) {
         try {
             if (e.fn)
                 e.fn();
@@ -148,6 +144,8 @@ FlushGuard::flushAll() noexcept
             // A failed flush must not mask the original crash.
         }
     }
+    if (locked)
+        s.mu.unlock();
     s.flushes.fetch_add(1, std::memory_order_relaxed);
     s.flushing.store(false);
 }

@@ -66,7 +66,11 @@ class FlushGuard
         bool armed_ = false;
     };
 
-    /** Register an arbitrary flush action (tracer, recorder, ...). */
+    /**
+     * Register an arbitrary flush action (tracer, recorder, ...).
+     * flushAll() runs actions under the registry lock, so an action
+     * must not add or release registrations itself.
+     */
     [[nodiscard]] static Registration add(Flush fn);
 
     /** Guard @p t: on flush, write its JSON document to @p path. */
@@ -80,7 +84,8 @@ class FlushGuard
     /**
      * Run every registered action once, in registration order. Safe
      * to call multiple times (each call re-runs the current set);
-     * reentrant calls — a flush action crashing — are ignored.
+     * reentrant calls — a flush action crashing — are ignored. The
+     * guard itself allocates nothing here (the actions may).
      */
     static void flushAll() noexcept;
 

@@ -37,6 +37,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/shard.hpp"
 #include "soc/throttler.hpp"
+#include "trace/flush_guard.hpp"
 #include "trace/prof.hpp"
 
 namespace {
@@ -497,6 +498,55 @@ TEST(AllocCount, RingRecorderSteadyStateIsAllocationFree)
     // and maxChunks full chunks, depending on ring position.
     EXPECT_LE(rec.size(), cfg.chunkRecords * cfg.maxChunks);
     EXPECT_GT(rec.size(), cfg.chunkRecords * (cfg.maxChunks - 1));
+}
+
+TEST(AllocCount, MeshSimRunLoopIsAllocationFree)
+{
+    // The behavioral engine re-keys one queued firing per tile and
+    // reuses its exchange buffers (4-way group, caps, split, the lossy
+    // round's survivors), so once a warm-up run has sized them neither
+    // the run loop nor setMax re-programming touches the heap.
+    for (coin::ExchangeMode mode :
+         {coin::ExchangeMode::OneWay, coin::ExchangeMode::FourWay}) {
+        coin::EngineConfig cfg;
+        cfg.mode = mode;
+        cfg.lossRate = 0.05;
+        coin::MeshSim sim(noc::Topology::square(32), cfg, 7);
+        const std::size_t n = sim.ledger().size();
+        coin::Coins demand = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const coin::Coins m = 8 << (i % 3);
+            sim.setMax(i, m);
+            demand += m;
+        }
+        sim.clusterHas(demand / 2);
+        sim.runFor(20'000);
+
+        const std::uint64_t exchanges0 = sim.totalExchanges();
+        const std::uint64_t before = gAllocCount.load();
+        sim.runFor(20'000);
+        for (std::size_t i = 0; i < n; i += 3)
+            sim.setMax(i, 0);
+        sim.runFor(5'000);
+        EXPECT_EQ(gAllocCount.load() - before, 0u)
+            << coin::exchangeModeName(mode)
+            << " engine allocated in steady state";
+        EXPECT_GT(sim.totalExchanges() - exchanges0, 0u);
+    }
+}
+
+TEST(AllocCount, FlushAllIsAllocationFree)
+{
+    // flushAll runs from the fatal-signal handler; an allocation there
+    // can deadlock on the allocator lock the crashed thread holds, so
+    // the guard runs its registered actions without allocating.
+    int runs = 0;
+    auto a = trace::FlushGuard::add([&runs] { ++runs; });
+    auto b = trace::FlushGuard::add([&runs] { ++runs; });
+    const std::uint64_t before = gAllocCount.load();
+    trace::FlushGuard::flushAll();
+    EXPECT_EQ(gAllocCount.load() - before, 0u);
+    EXPECT_EQ(runs, 2);
 }
 
 /** Heap bytes requested while @p build runs (frees not netted). */

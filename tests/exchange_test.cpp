@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "coin/exchange.hpp"
@@ -160,11 +161,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairwiseProperty,
 
 // ----------------------------------------------------------- groupSplit
 
+/** groupSplit into a fresh vector, for assertions on the result. */
+std::vector<Coins>
+split(std::span<const TileCoins> g, std::span<const Coins> caps = {})
+{
+    std::vector<Coins> out(g.size());
+    coin::groupSplit(g, caps, out);
+    return out;
+}
+
 TEST(GroupSplit, FiveTileFairSplit)
 {
     // 4-way exchange: center + 4 neighbors, heterogeneous maxes.
     std::vector<TileCoins> g{{10, 8}, {0, 8}, {6, 16}, {2, 4}, {2, 4}};
-    auto out = coin::groupSplit(g);
+    auto out = split(g);
     Coins total = 0;
     for (const auto &t : g)
         total += t.has;
@@ -178,21 +188,21 @@ TEST(GroupSplit, RemainderGoesToLargestFraction)
     // total 10 over maxes {3,3,3}: alpha=10/9, shares 3.33 each ->
     // floors 3,3,3, remainder 1 to the lowest index on a tie.
     std::vector<TileCoins> g{{10, 3}, {0, 3}, {0, 3}};
-    auto out = coin::groupSplit(g);
+    auto out = split(g);
     EXPECT_EQ(out, (std::vector<Coins>{4, 3, 3}));
 }
 
 TEST(GroupSplit, AllInactiveKeepsState)
 {
     std::vector<TileCoins> g{{5, 0}, {3, 0}};
-    auto out = coin::groupSplit(g);
+    auto out = split(g);
     EXPECT_EQ(out, (std::vector<Coins>{5, 3}));
 }
 
 TEST(GroupSplit, InactiveMembersDrained)
 {
     std::vector<TileCoins> g{{6, 0}, {0, 12}, {6, 12}};
-    auto out = coin::groupSplit(g);
+    auto out = split(g);
     EXPECT_EQ(out, (std::vector<Coins>{0, 6, 6}));
 }
 
@@ -200,7 +210,7 @@ TEST(GroupSplit, CapsFreezeAndRedistribute)
 {
     std::vector<TileCoins> g{{20, 10}, {0, 10}, {0, 10}};
     std::vector<Coins> caps{coin::uncapped, 2, coin::uncapped};
-    auto out = coin::groupSplit(g, caps);
+    auto out = split(g, caps);
     EXPECT_EQ(std::accumulate(out.begin(), out.end(), Coins{0}), 20);
     EXPECT_LE(out[1], 2);
     // The frozen tile's share spills to the others.
@@ -217,7 +227,7 @@ TEST(GroupSplit, ResidualParkingRespectsCaps)
     // residual coins must overflow past tile 1's cap into tile 2.
     std::vector<TileCoins> g{{0, 10}, {1, 0}, {11, 0}};
     std::vector<Coins> caps{3, 2, coin::uncapped};
-    auto out = coin::groupSplit(g, caps);
+    auto out = split(g, caps);
     EXPECT_EQ(std::accumulate(out.begin(), out.end(), Coins{0}), 12);
     EXPECT_EQ(out[0], 3);
     EXPECT_LE(out[1], 2) << "capped idle tile ended above its cap";
@@ -231,7 +241,7 @@ TEST(GroupSplit, ResidualParkingNeverExceedsAcceptanceLimits)
     // tiles without lifting any of them past max(has, cap).
     std::vector<TileCoins> g{{12, 10}, {3, 0}, {0, 0}};
     std::vector<Coins> caps{4, 0, 0};
-    auto out = coin::groupSplit(g, caps);
+    auto out = split(g, caps);
     EXPECT_EQ(std::accumulate(out.begin(), out.end(), Coins{0}), 15);
     for (std::size_t k = 0; k < g.size(); ++k)
         EXPECT_LE(out[k], std::max(g[k].has, caps[k]))
@@ -242,7 +252,27 @@ TEST(GroupSplit, ResidualParkingNeverExceedsAcceptanceLimits)
 TEST(GroupSplit, EmptyGroupPanics)
 {
     std::vector<TileCoins> g;
-    EXPECT_THROW(coin::groupSplit(g), sim::PanicError);
+    EXPECT_THROW(split(g), sim::PanicError);
+}
+
+TEST(GroupSplit, OversizedGroupPanics)
+{
+    std::vector<TileCoins> g(coin::kMaxGroupSize + 1, TileCoins{1, 1});
+    EXPECT_THROW(split(g), sim::PanicError);
+    g.pop_back();
+    EXPECT_EQ(split(g), std::vector<Coins>(coin::kMaxGroupSize, 1));
+}
+
+TEST(GroupSplit, OverwritesCallerBuffer)
+{
+    // A reused buffer carries the previous round's values; the split
+    // must replace every one, and the buffer must match the group.
+    std::vector<Coins> out{99, 99, 99, 99, 99};
+    std::vector<TileCoins> g{{6, 0}, {0, 12}, {6, 12}, {0, 0}, {0, 0}};
+    coin::groupSplit(g, {}, out);
+    EXPECT_EQ(out, (std::vector<Coins>{0, 6, 6, 0, 0}));
+    out.push_back(99);
+    EXPECT_THROW(coin::groupSplit(g, {}, out), sim::PanicError);
 }
 
 /** Property: group splits conserve exactly and equalize within one
@@ -262,7 +292,7 @@ TEST_P(GroupProperty, ConservesAndEqualizes)
             total += g.back().has;
             tmax += g.back().max;
         }
-        auto out = coin::groupSplit(g);
+        auto out = split(g);
         ASSERT_EQ(std::accumulate(out.begin(), out.end(), Coins{0}),
                   total);
         if (tmax == 0)
@@ -306,7 +336,7 @@ TEST_P(CappedGroupProperty, ConservesAndRespectsCaps)
             caps.push_back(rng.chance(0.5) ? coin::uncapped
                                            : rng.range(0, 30));
         }
-        auto out = coin::groupSplit(g, caps);
+        auto out = split(g, caps);
         ASSERT_EQ(std::accumulate(out.begin(), out.end(), Coins{0}),
                   total)
             << "trial " << trial;
