@@ -12,8 +12,6 @@ recordKindName(RecordKind k)
     switch (k) {
     case RecordKind::Mint:
         return "mint";
-    case RecordKind::Transfer:
-        return "transfer";
     case RecordKind::Burn:
         return "burn";
     case RecordKind::Remint:

@@ -32,8 +32,8 @@ enum class RecordKind : std::uint8_t
 {
     /** Coins created from nothing (provisioning, restart restore). */
     Mint = 0,
-    /** Coins moved between two tiles by a resolved exchange. */
-    Transfer = 1,
+    // 1 was Transfer, which nothing emits any more. Old .blzr logs may
+    // still hold it, so the value is retired: never reuse it.
     /** Coins destroyed (audit negative correction). */
     Burn = 2,
     /** Audit watchdog re-created coins lost to a crash. */
@@ -102,7 +102,6 @@ enum : std::uint8_t
  * kind-specific payload. Field conventions per kind:
  *
  *   Mint/Remint    p0=tile p1=amount p2=p3=-1 (no coin lineage)
- *   Transfer       p0=from p1=to p2=amount p3=xid
  *   Burn           p0=tile p1=amount
  *   Exchange       p0=initiator p1=partner p2=xid p3=delta
  *                  flag=outcome code

@@ -67,7 +67,6 @@ recordTiles(const Record &r, std::int64_t out[2])
       case RecordKind::Snapshot:
         out[0] = r.p0;
         break;
-      case RecordKind::Transfer:
       case RecordKind::Exchange:
       case RecordKind::FaultDrop:
       case RecordKind::FaultDelay:
@@ -444,13 +443,6 @@ describeRecord(const Record &r, std::uint64_t index)
       case RecordKind::Mint:
       case RecordKind::Remint:
         rest(" tile %lld amount %lld lineage %lld..%lld",
-             static_cast<long long>(r.p0),
-             static_cast<long long>(r.p1),
-             static_cast<long long>(r.p2),
-             static_cast<long long>(r.p3));
-        break;
-      case RecordKind::Transfer:
-        rest(" %lld -> %lld amount %lld xid %lld",
              static_cast<long long>(r.p0),
              static_cast<long long>(r.p1),
              static_cast<long long>(r.p2),

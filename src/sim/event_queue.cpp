@@ -297,10 +297,6 @@ EventQueue::refillBatch(Tick limit)
                     if (isLiveTimerRef(e.ref)) {
                         timerOf(e.ref)->where_ = Timer::Where::Batch;
                     } else if (isTimerRef(e.ref)) {
-                        if (e.ref == kStrandedRef) {
-                            --entryCount_;
-                            stranded_.fetch_sub(1, std::memory_order_relaxed);
-                        }
                         continue;
                     }
                     batch_[w++] = e;
@@ -533,20 +529,11 @@ Timer::detach()
     EventQueue &q = *q_;
     q_ = nullptr;
     // The entry's leaf must be parked or driven by this thread (DESIGN
-    // §7). Mid-phase, the parked serial lane is left by a strand: one
-    // store marks the cell, and the atomic stranded_ keeps pending()
-    // exact until the drain drops it.
-    const ShardBinding &b = eq_->bind_;
-    const ShardContext *c = b.group ? tlsShardContext() : nullptr;
-    if (c && !c->serial && &q != c->queue) {
-        BLITZ_ASSERT(&q == b.leaves[b.shardCount] && where_ != Where::Batch,
-                     "timer moved by shard ", c->shard,
-                     " out of another running shard's leaf");
-        (where_ == Where::Wheel ? cell_ : &q.far_[pos_])->ref =
-            EventQueue::kStrandedRef;
-        q.stranded_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
+    // §7): inside a parallel phase that is the thread's own leaf only.
+    const ShardContext *c = eq_->bind_.group ? tlsShardContext() : nullptr;
+    BLITZ_ASSERT(!c || c->serial || &q == c->queue, "timer moved by shard ",
+                 c->shard, " out of a leaf it does not drive: a parallel "
+                 "phase may move only its own leaf's timers");
     switch (where_) {
       case Where::Batch:
         q.batchLowerBound(ord_)->ref = EventQueue::kDeadRef;

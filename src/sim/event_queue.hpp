@@ -44,7 +44,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -373,9 +372,7 @@ class EventQueue
             return entryCount_;
         std::size_t total = 0;
         for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            total += bind_.leaves[s]->entryCount_ -
-                     bind_.leaves[s]->stranded_.load(
-                         std::memory_order_relaxed);
+            total += bind_.leaves[s]->entryCount_;
         return total;
     }
 
@@ -501,9 +498,8 @@ class EventQueue
     };
 
     /// HeapEntry::ref of a timer entry dropped in place (the drain
-    /// skips it), and of one dropped while its leaf was parked.
+    /// skips it).
     static constexpr std::uintptr_t kDeadRef = 1;
-    static constexpr std::uintptr_t kStrandedRef = 3;
 
     static std::uintptr_t
     slotRef(std::uint32_t slot)
@@ -514,7 +510,7 @@ class EventQueue
     static bool
     isLiveTimerRef(std::uintptr_t ref)
     {
-        return (ref & 1) && ref > kStrandedRef;
+        return (ref & 1) && ref != kDeadRef;
     }
     static Timer *
     timerOf(std::uintptr_t ref)
@@ -903,7 +899,6 @@ class EventQueue
     std::size_t batchIdx_ = 0;     ///< next batch entry to execute
     Tick batchTick_ = 0;           ///< tick of the live batch
     std::size_t entryCount_ = 0;   ///< wheel + far + batch remainder
-    std::atomic<std::size_t> stranded_{0}; ///< see Timer::detach
     EntryChunk *freeChunks_ = nullptr; ///< bucket-storage free pool
     std::vector<void *> entryBlocks_;  ///< heap-owned chunk blocks
     std::uint32_t entryChunksAllocated_ = 0;

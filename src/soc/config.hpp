@@ -58,17 +58,6 @@ struct SocConfig
     int height = 0;
     std::vector<TileSpec> tiles; ///< row-major, size width*height
     noc::NodeId cpuTile = 0;     ///< controller seat for central schemes
-    /**
-     * BSP shard count for the event kernel. 0 (the default) keeps the
-     * legacy single-queue path; >= 1 partitions the mesh into that many
-     * contiguous column bands run bulk-synchronously (1 is the
-     * bit-identity baseline; counts above the mesh width are clamped
-     * to it). Sharding requires the fully decentralized
-     * BlitzCoin manager — the centralized schemes funnel every packet
-     * through one controller object and cannot be partitioned. Pass
-     * sim::defaultShards() to honor the BLITZ_SHARDS environment knob.
-     */
-    std::uint32_t shards = 0;
 
     std::size_t
     size() const

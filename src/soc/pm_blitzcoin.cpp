@@ -140,23 +140,17 @@ BlitzCoinPm::start()
         coin::Coins grant = base + (leftover > 0 ? 1 : 0);
         if (leftover > 0)
             --leftover;
-        // Pin each unit's timer chains to its own node's shard; no-op
-        // on an unsharded queue.
         // The initial spread is a legitimate grant; without this the
         // guardian's shadow books would read it as counterfeit.
         if (guardian_)
             guardian_->noteGrant(id, grant);
-        sim::LocusScope scope(ctx_.eq, id);
         pt.unit->setHas(grant);
         pt.unit->start();
     }
-    // Sharded: the recurring audit sweep is armed up front from setup
-    // context so its chain lives in the serial lane — the only place
-    // reconcile() (which reads and repairs every unit) may run. The
-    // legacy path keeps the lazy arm on first crash recovery — unless
+    // The audit sweep arms lazily on the first crash recovery — unless
     // the guardian is on, whose sweeps ride the same cadence and must
     // run from tick one regardless of crashes.
-    if (ctx_.eq.binding().group || guardian_)
+    if (guardian_)
         armAuditSweep();
 }
 
@@ -164,13 +158,7 @@ void
 BlitzCoinPm::onTaskStart(noc::NodeId tile)
 {
     noteActivityChange();
-    {
-        // The max-register write can kick off exchange traffic; charge
-        // it to the tile's own locus so its ordering key (and shard)
-        // is partition-independent.
-        sim::LocusScope scope(ctx_.eq, tile);
-        unit(tile).setMax(maxCoins()[tile]);
-    }
+    unit(tile).setMax(maxCoins()[tile]);
     active_[tile] = true;
     armSettleProbe();
 }
@@ -179,10 +167,7 @@ void
 BlitzCoinPm::onTaskEnd(noc::NodeId tile)
 {
     noteActivityChange();
-    {
-        sim::LocusScope scope(ctx_.eq, tile);
-        unit(tile).setMax(0);
-    }
+    unit(tile).setMax(0);
     active_[tile] = false;
     armSettleProbe();
 }
@@ -257,9 +242,6 @@ BlitzCoinPm::onNodeCrash(noc::NodeId tile)
     auto it = units_.find(tile);
     if (it == units_.end())
         return; // outage on an unmanaged node: packets drop, no PM state
-    // No LocusScope here: the fault plane schedules outage edges at the
-    // affected node's own locus, so this already executes in the right
-    // shard (and a scope would trip the parallel-phase assert).
     it->second.unit->crash();
 }
 
@@ -270,19 +252,13 @@ BlitzCoinPm::onNodeRestart(noc::NodeId tile)
     if (it == units_.end())
         return;
     blitzcoin::BlitzCoinUnit &u = *it->second.unit;
-    // Executes at the tile's own locus (the fault plane pins outage
-    // edges there), so the unit mutations land in the owning shard.
     u.restart();
     // The max target is architectural configuration re-applied by the
     // scheduler side at power-up; the coins the tile held are gone and
     // only the audit sweep can remint them.
     u.setMax(active_[tile] ? maxCoins()[tile] : 0);
     u.start();
-    // Sharded runs armed the sweep at start() — arming here would pin
-    // the recurring audit chain to this tile's locus, and reconcile()
-    // must only ever run in the serial lane (it touches every unit).
-    if (!ctx_.eq.binding().group)
-        armAuditSweep();
+    armAuditSweep();
 }
 
 void
@@ -290,7 +266,7 @@ BlitzCoinPm::onNodeFrozen(noc::NodeId tile)
 {
     auto it = units_.find(tile);
     if (it != units_.end())
-        it->second.unit->stop(); // already at the tile's locus
+        it->second.unit->stop();
 }
 
 void
@@ -298,7 +274,7 @@ BlitzCoinPm::onNodeThawed(noc::NodeId tile)
 {
     auto it = units_.find(tile);
     if (it != units_.end())
-        it->second.unit->start(); // already at the tile's locus
+        it->second.unit->start();
 }
 
 void
@@ -332,15 +308,7 @@ BlitzCoinPm::coinsMoved()
 {
     // Fast path between probe samples: a movement that brings the
     // cluster under threshold (with actuation already done) is
-    // credited immediately. Sharded runs must not take it — the
-    // callback fires at the moving unit's locus, and summing every
-    // unit's registers from there reads other shards mid-superstep.
-    // There the serial-lane probe is the sole settle observer, which
-    // also makes the measured response partition-independent (the
-    // probe samples quiesced state on a fixed cadence, exactly the
-    // external-scope methodology the paper uses, Fig. 20).
-    if (ctx_.eq.binding().group)
-        return;
+    // credited immediately.
     if (awaitingSettle() && settleCondition() && tilesSettled())
         noteSettled();
 }

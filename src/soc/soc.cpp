@@ -42,24 +42,6 @@ Soc::Soc(SocConfig config, const PmConfig &pmCfg, std::uint64_t seed)
     noc::Topology topo(config_.width, config_.height, /*wrap=*/false);
     net_ = std::make_unique<noc::Network>(eq_, topo);
 
-    if (config_.shards >= 1) {
-        // Sharding is only sound for the fully decentralized manager:
-        // per-node units own their state and packets execute at their
-        // destination's locus. The centralized schemes mutate one
-        // controller object from every node's deliveries.
-        BLITZ_ASSERT(pmCfg.kind == PmKind::BlitzCoin,
-                     "sharded Soc requires the decentralized BC manager");
-        // Column bands: more shards than columns would own no node.
-        const auto width = static_cast<std::uint32_t>(config_.width);
-        const std::uint32_t shards = std::min(config_.shards, width);
-        group_ = std::make_unique<sim::ShardGroup>(
-            eq_, shards,
-            sim::columnBands(width,
-                             static_cast<std::uint32_t>(config_.height),
-                             shards));
-        net_->enableSharding(*group_);
-    }
-
     tilesByNode_.assign(config_.size(), nullptr);
     for (noc::NodeId id = 0; id < config_.size(); ++id) {
         const TileSpec &spec = config_.tile(id);
@@ -96,8 +78,6 @@ Soc::installFaultPlane(fault::FaultPlane &plane)
     plane.onNodeUp = [this](noc::NodeId n) { pm_->onNodeRestart(n); };
     plane.onNodeFrozen = [this](noc::NodeId n) { pm_->onNodeFrozen(n); };
     plane.onNodeThawed = [this](noc::NodeId n) { pm_->onNodeThawed(n); };
-    if (group_)
-        plane.enableKeyedStreams(group_->shards());
     plane.armOutageSchedule(eq_);
     rewire();
 }
@@ -190,10 +170,6 @@ Soc::attachRecorder(record::FlightRecorder *rec)
 void
 Soc::rewire()
 {
-    // Sharded deliveries append from parallel phases; flip the
-    // recorder's mutex on before the first concurrent append.
-    if (recorder_ && group_)
-        recorder_->setConcurrent(true);
     // The PM (and, for BC, its coin units) sees the tracer only: the
     // recorder journals actuations at the tile funnel instead.
     pm_->setTrace(tracer_);
@@ -242,8 +218,6 @@ Soc::fillHealth(trace::HealthReport &report) const
     if (physics_)
         physics_->fillHealth(report);
     trace::fillQueueHealth(report, eq_);
-    if (group_)
-        trace::fillShardHealth(report, *group_);
 }
 
 void
@@ -275,57 +249,23 @@ Soc::dispatchReady()
         pm_->onTaskStart(node);
         if (activityTrace_)
             activityTrace_->record(eq_.now(), node, true);
-        if (group_) {
-            // The completion event fires at the tile's own locus (a
-            // coin arrival can re-aim it from there), where the global
-            // scheduler state is off-limits. Park the completion in
-            // the node's latch; the serial-lane scan picks it up.
-            tile->beginTask(t.workCycles, [this, id, node] {
-                pendingDoneTask_[node] = static_cast<std::uint32_t>(id) + 1;
-                pendingDoneTick_[node] = eq_.now();
-            });
-        } else {
-            tile->beginTask(t.workCycles,
-                            [this, id] { onTaskDone(id, eq_.now()); });
-        }
+        tile->beginTask(t.workCycles, [this, id] { onTaskDone(id); });
     }
 }
 
 void
-Soc::drainCompletions()
-{
-    // Latches are written at tile loci, so a single scan can hold
-    // completions from different ticks in any node order; process them
-    // in (tick, node) order — the activity trace requires monotonic
-    // edges, and the deterministic sort keeps the drain shard-count
-    // invariant.
-    drainBuf_.clear();
-    for (noc::NodeId node = 0; node < pendingDoneTask_.size(); ++node) {
-        if (pendingDoneTask_[node] == 0)
-            continue;
-        drainBuf_.push_back({pendingDoneTick_[node],
-                             static_cast<std::uint64_t>(node),
-                             pendingDoneTask_[node] - 1});
-        pendingDoneTask_[node] = 0;
-    }
-    std::sort(drainBuf_.begin(), drainBuf_.end());
-    for (const auto &d : drainBuf_)
-        onTaskDone(static_cast<workload::TaskId>(d[2]), d[0]);
-}
-
-void
-Soc::onTaskDone(workload::TaskId id, sim::Tick completedAt)
+Soc::onTaskDone(workload::TaskId id)
 {
     const workload::Task &t = dag_->task(id);
     taskDone_[id] = true;
     ++tasksCompleted_;
-    lastCompletionTick_ = completedAt;
+    lastCompletionTick_ = eq_.now();
 
     // The tile goes idle unless more work is queued on it; either way
     // the manager sees the activity edge.
     pm_->onTaskEnd(t.tile);
     if (activityTrace_)
-        activityTrace_->record(completedAt, t.tile, false);
+        activityTrace_->record(eq_.now(), t.tile, false);
 
     for (workload::TaskId s : dag_->successors(id)) {
         BLITZ_ASSERT(remainingDeps_[s] > 0, "dependency underflow");
@@ -344,8 +284,6 @@ Soc::run(const workload::Dag &dag, const SocRunOptions &opts)
     remainingDeps_.assign(dag.size(), 0);
     taskDone_.assign(dag.size(), false);
     tileQueues_.assign(config_.size(), {});
-    pendingDoneTask_.assign(config_.size(), 0);
-    pendingDoneTick_.assign(config_.size(), 0);
     tasksCompleted_ = 0;
     lastCompletionTick_ = 0;
     for (const workload::Task &t : dag.tasks())
@@ -388,9 +326,6 @@ Soc::run(const workload::Dag &dag, const SocRunOptions &opts)
     // Physics stepping rides the sampler cadence. Each firing
     // integrates the *preceding* interval, so the chain starts one
     // interval in (temperatures at t=0 are the initial condition).
-    // Priority::Stats places it in the serial lane of a sharded run —
-    // quiesced, fixed order — so throttle decisions and the tile caps
-    // they actuate are bit-identical at every shard count.
     std::optional<Chain> physics;
     if (physics_) {
         const double dtNs =
@@ -399,42 +334,16 @@ Soc::run(const workload::Dag &dag, const SocRunOptions &opts)
                         [this, dtNs] { physics_->step(dtNs, eq_.now()); });
         physics->timer.armIn(opts.sampleInterval);
     }
-    // Sharded: the serial-lane completion scan. Completion latches are
-    // written at tile loci during parallel phases; this chain reads
-    // them between supersteps (quiesced, fixed node order) and runs
-    // the dispatcher — dispatch latency is quantized to the scan
-    // cadence, which is identical at every shard count.
-    std::optional<Chain> completions;
-    if (group_) {
-        completions.emplace(eq_, sim::Priority::Controller, /*period=*/32,
-                            [this] { drainCompletions(); });
-        completions->timer.arm(0);
-    }
 
     pm_->start();
     eq_.scheduleIn(opts.dispatchLatency, [this] { dispatchReady(); },
                    sim::Priority::Controller);
 
-    // Drive the event loop; stop pumping once all tasks completed and
-    // the trailing PM traffic has had a short settling window.
-    if (group_) {
-        // A sharded anchor has no runOne() (events live in leaf queues
-        // on worker threads), so pump bounded supersteps and test the
-        // completion predicate at each barrier. The stride only decides
-        // how far past completion the run coasts; it is identical at
-        // every shard count, so sharded results stay shard-count
-        // invariant (they differ from the legacy path, which stops on
-        // the exact completion event).
-        constexpr sim::Tick kStride = 512;
-        while (tasksCompleted_ < dag.size() && eq_.now() < opts.maxTime &&
-               !eq_.empty()) {
-            eq_.runUntil(std::min(opts.maxTime, eq_.now() + kStride));
-        }
-    } else {
-        while (tasksCompleted_ < dag.size() && eq_.now() < opts.maxTime &&
-               !eq_.empty()) {
-            eq_.runOne();
-        }
+    // Drive the event loop up to the exact completion event; the
+    // trailing PM traffic then gets a short settling window.
+    while (tasksCompleted_ < dag.size() && eq_.now() < opts.maxTime &&
+           !eq_.empty()) {
+        eq_.runOne();
     }
     stats.completed = tasksCompleted_ == dag.size();
     if (stats.completed && lastCompletionTick_ + 2000 < opts.maxTime &&

@@ -13,7 +13,6 @@
 #ifndef BLITZ_SOC_SOC_HPP
 #define BLITZ_SOC_SOC_HPP
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "pm.hpp"
 #include "power/power_trace.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard.hpp"
 #include "throttler.hpp"
 #include "tile.hpp"
 #include "workload/dag.hpp"
@@ -106,9 +104,6 @@ class Soc
     noc::Network &network() { return *net_; }
     sim::EventQueue &eventQueue() { return eq_; }
 
-    /** The shard group driving a sharded instance (null when legacy). */
-    sim::ShardGroup *shardGroup() { return group_.get(); }
-
     /** Accelerator tile at a node. @pre the node hosts an accelerator. */
     AcceleratorTile &tile(noc::NodeId id);
 
@@ -135,13 +130,12 @@ class Soc
     /**
      * Attach the physics plane: the RC thermal network, shared
      * regulator rails, and throttler arbiter step on the run's power
-     * sampling cadence (the serial lane in a sharded run, so throttle
-     * decisions stay bit-identical at every shard count) and clamp
-     * tile frequencies through the setThrottleCapMhz funnel. Call
-     * before run(); the plane must outlive this Soc, and at most one
-     * plane may be attached. A Soc without a plane pays one null
-     * check per run; a plane with enforce=false observes without
-     * actuating, digest-identical to a detached run.
+     * sampling cadence and clamp tile frequencies through the
+     * setThrottleCapMhz funnel. Call before run(); the plane must
+     * outlive this Soc, and at most one plane may be attached. A Soc
+     * without a plane pays one null check per run; a plane with
+     * enforce=false observes without actuating, digest-identical to
+     * a detached run.
      */
     void attachPhysics(PhysicsPlane &plane);
 
@@ -181,16 +175,15 @@ class Soc
 
     /**
      * Sum the instance's deterministic outcome counters into
-     * @p report: NoC totals, event-kernel gauges, shard gauges, fault
-     * totals when a plane is installed, and throttle residency when a
-     * physics plane is attached. Call after run().
+     * @p report: NoC totals, event-kernel gauges, fault totals when a
+     * plane is installed, and throttle residency when a physics plane
+     * is attached. Call after run().
      */
     void fillHealth(trace::HealthReport &report) const;
 
   private:
     void dispatchReady();
-    void onTaskDone(workload::TaskId id, sim::Tick completedAt);
-    void drainCompletions();
+    void onTaskDone(workload::TaskId id);
     void registerPhysicsMetrics(trace::Registry &reg);
     /**
      * The one place that says which component sees the tracer and
@@ -221,24 +214,6 @@ class Soc
     std::vector<std::vector<workload::TaskId>> tileQueues_; ///< by node
     std::size_t tasksCompleted_ = 0;
     sim::Tick lastCompletionTick_ = 0;
-    /**
-     * Sharded completion latches, one per node: task id + 1 (0 =
-     * none) and the completion tick. A tile's completion event fires
-     * at its own node's locus, where the global scheduler state must
-     * not be touched — the completion is parked here (single writer:
-     * the owning shard) and collected by the serial-lane scan in
-     * drainCompletions(), the model of a CPU taking a completion
-     * interrupt off a per-device status register.
-     */
-    std::vector<std::uint32_t> pendingDoneTask_;
-    std::vector<sim::Tick> pendingDoneTick_;
-    /** Scratch for drainCompletions: (tick, node, task id) triples. */
-    std::vector<std::array<std::uint64_t, 3>> drainBuf_;
-
-    // Declared last: destruction must unbind the anchor and join the
-    // worker threads before any component the group routes events for
-    // (network, tiles, manager) is torn down.
-    std::unique_ptr<sim::ShardGroup> group_;
 };
 
 } // namespace blitz::soc

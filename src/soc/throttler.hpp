@@ -24,10 +24,9 @@
  * physics without ever touching a tile — bit-identical to a detached
  * run (pinned by golden_trace_test).
  *
- * Determinism: step() runs at sim::Priority::Stats, which in a
- * sharded run lands in the BSP serial lane — between supersteps,
- * quiesced, fixed iteration order — so throttle decisions are
- * bit-identical at every shard count.
+ * Determinism: step() runs at sim::Priority::Stats, after the
+ * tick's state updates, and visits tiles in a fixed order, so
+ * throttle decisions are a pure function of the seed.
  */
 
 #ifndef BLITZ_SOC_THROTTLER_HPP

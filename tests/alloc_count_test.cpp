@@ -478,7 +478,7 @@ TEST(AllocCount, RingRecorderSteadyStateIsAllocationFree)
     blitz::record::FlightRecorder rec(cfg);
 
     blitz::record::Record r{};
-    r.kind = blitz::record::RecordKind::Transfer;
+    r.kind = blitz::record::RecordKind::Exchange;
     // Warmup: allocate every chunk and enter recycling.
     for (std::uint64_t i = 0; i < cfg.chunkRecords * cfg.maxChunks + 1;
          ++i) {

@@ -472,8 +472,8 @@ shardedByzantineDigest(std::uint32_t shards, bool profiled = false)
 // supplies at the latch, and a board TDP just below the budget. The
 // constant freezes the coupled closed loop (power -> RC junctions ->
 // arbiter -> tile caps -> BlitzCoin reflow) at every sweep thread
-// count and every shard count; the observer/detached pair additionally
-// pins that a non-enforcing plane is invisible to the run.
+// count; the observer/detached pair additionally pins that a
+// non-enforcing plane is invisible to the run.
 
 enum PhysicsMode
 {
@@ -512,20 +512,13 @@ goldenPhysicsConfig()
 }
 
 std::uint64_t
-thermalTrialDigest(std::uint64_t seed, std::uint32_t shards = 0,
-                   PhysicsMode mode = kEnforcingPhysics,
-                   ThermalProbe *probe = nullptr, bool profiled = false)
+thermalTrialDigest(std::uint64_t seed, PhysicsMode mode = kEnforcingPhysics,
+                   ThermalProbe *probe = nullptr)
 {
-    soc::SocConfig cfg = soc::make4x4VisionSoc();
-    cfg.shards = shards;
     soc::PmConfig pm;
     pm.kind = soc::PmKind::BlitzCoin;
     pm.budgetMw = soc::budgets::vision33Percent;
-    soc::Soc s(cfg, pm, seed);
-
-    trace::SuperstepProfiler prof;
-    if (profiled && s.shardGroup())
-        prof.attach(*s.shardGroup());
+    soc::Soc s(soc::make4x4VisionSoc(), pm, seed);
 
     soc::PhysicsConfig phys = goldenPhysicsConfig();
     phys.enforce = mode == kEnforcingPhysics;
@@ -596,17 +589,6 @@ thermalDigest(std::size_t threads)
     Digest all;
     for (std::uint64_t d : trials)
         all.u64(d);
-    return all.value();
-}
-
-/** Sharded thermal pin; same caveat as shardedChaosDigest. */
-std::uint64_t
-shardedThermalDigest(std::uint32_t shards, bool profiled = false)
-{
-    Digest all;
-    for (std::uint64_t rep = 0; rep < 2; ++rep)
-        all.u64(thermalTrialDigest(sweep::streamSeed(2061, rep), shards,
-                                   kEnforcingPhysics, nullptr, profiled));
     return all.value();
 }
 
@@ -758,13 +740,6 @@ TEST(GoldenTrace, ThermalTrialsMatchRecordedDigest)
             << "threads=" << threads;
 }
 
-TEST(GoldenTrace, ShardedThermalTrialsMatchRecordedDigestAtEveryShardCount)
-{
-    for (std::uint32_t shards : {1u, 2u, 4u})
-        EXPECT_EQ(shardedThermalDigest(shards), kGoldenThermalSharded)
-            << "shards=" << shards;
-}
-
 // The introspection plane is an observer: attaching a SuperstepProfiler
 // must reproduce the *same* pinned constants as the detached runs, at
 // every shard count. Any drift here means wall-clock measurement leaked
@@ -786,30 +761,23 @@ TEST(GoldenTrace, ProfiledShardedByzantineMatchesDetachedPinAtEveryShardCount)
             << "shards=" << shards;
 }
 
-TEST(GoldenTrace, ProfiledShardedThermalMatchesDetachedPinAtEveryShardCount)
-{
-    for (std::uint32_t shards : {1u, 2u, 4u})
-        EXPECT_EQ(shardedThermalDigest(shards, /*profiled=*/true),
-                  kGoldenThermalSharded)
-            << "shards=" << shards;
-}
-
 TEST(GoldenTrace, ProfiledShardedSweepBitIdenticalAcrossThreadCounts)
 {
     // Thread axis with the profiler attached: each trial is a sharded
-    // thermal run with its own profiler, dispatched through runSweep at
-    // 1, 2 and 4 sweep threads. No pin — the contract is that the three
-    // thread counts agree bit-for-bit even while every worker is timing
-    // itself.
+    // chaos run (one per scenario) with its own profiler, dispatched
+    // through runSweep at 1, 2 and 4 sweep threads. No pin — the
+    // contract is that the three thread counts agree bit-for-bit even
+    // while every worker is timing itself.
     auto sweepDigest = [](std::size_t threads) {
         sweep::SweepOptions opts;
         opts.threads = threads;
         auto trials = sweep::runSweep(
-            /*trials=*/3, sweep::streamSeed(2068, 0),
-            [](std::size_t, std::uint64_t seed) {
-                return thermalTrialDigest(seed, /*shards=*/2,
-                                          kEnforcingPhysics, nullptr,
-                                          /*profiled=*/true);
+            std::size(kScenarios), sweep::streamSeed(2068, 0),
+            [](std::size_t i, std::uint64_t seed) {
+                return chaosTrialDigest(kScenarios[i], seed,
+                                        /*observed=*/false,
+                                        /*rec=*/nullptr, /*shards=*/2,
+                                        /*profiled=*/true);
             },
             opts);
         Digest all;
@@ -831,7 +799,7 @@ TEST(GoldenTrace, ThermalGoldenScenarioActuallyThrottles)
     // trial 0 of thermalDigest().
     ThermalProbe probe;
     thermalTrialDigest(sweep::streamSeed(sweep::streamSeed(2054, 0), 0),
-                       /*shards=*/0, kEnforcingPhysics, &probe);
+                       kEnforcingPhysics, &probe);
     EXPECT_GT(probe.engages, 0u);
     EXPECT_GT(probe.releases, 0u);
     EXPECT_GT(probe.peakTempC, 52.0);
@@ -843,8 +811,8 @@ TEST(GoldenTrace, DetachedPhysicsMatchesUnenforcedAttachedDigests)
     // attached plane in observer mode (enforce = false) integrates its
     // models without perturbing the run: both digests are bit-equal.
     for (std::uint64_t seed : {3u, 11u})
-        EXPECT_EQ(thermalTrialDigest(seed, 0, kDetachedPhysics),
-                  thermalTrialDigest(seed, 0, kObserverPhysics))
+        EXPECT_EQ(thermalTrialDigest(seed, kDetachedPhysics),
+                  thermalTrialDigest(seed, kObserverPhysics))
             << "seed=" << seed;
 }
 
@@ -899,7 +867,6 @@ regenDigests()
     const std::uint64_t byz = byzantineDigest(1);
     const std::uint64_t byzSharded = shardedByzantineDigest(1);
     const std::uint64_t thermal = thermalDigest(1);
-    const std::uint64_t thermalSharded = shardedThermalDigest(1);
     const std::uint64_t meshSim = meshSimDigest();
     const char *path = BLITZ_GOLDEN_DIGESTS_PATH;
     std::FILE *f = std::fopen(path, "w");
@@ -920,7 +887,6 @@ regenDigests()
         "constexpr std::uint64_t kGoldenByzantine = %lluull;\n"
         "constexpr std::uint64_t kGoldenByzantineSharded = %lluull;\n"
         "constexpr std::uint64_t kGoldenThermal = %lluull;\n"
-        "constexpr std::uint64_t kGoldenThermalSharded = %lluull;\n"
         "constexpr std::uint64_t kGoldenMeshSim = %lluull;\n",
         static_cast<unsigned long long>(fig01),
         static_cast<unsigned long long>(chaos),
@@ -928,7 +894,6 @@ regenDigests()
         static_cast<unsigned long long>(byz),
         static_cast<unsigned long long>(byzSharded),
         static_cast<unsigned long long>(thermal),
-        static_cast<unsigned long long>(thermalSharded),
         static_cast<unsigned long long>(meshSim));
     std::fclose(f);
     std::printf("fig01: %llu (was %llu)\nchaos: %llu (was %llu)\n"
@@ -936,7 +901,6 @@ regenDigests()
                 "byzantine: %llu (was %llu)\n"
                 "byzantine-sharded: %llu (was %llu)\n"
                 "thermal: %llu (was %llu)\n"
-                "thermal-sharded: %llu (was %llu)\n"
                 "mesh-sim: %llu (was %llu)\nwrote %s\n",
                 static_cast<unsigned long long>(fig01),
                 static_cast<unsigned long long>(kGoldenFig01),
@@ -950,8 +914,6 @@ regenDigests()
                 static_cast<unsigned long long>(kGoldenByzantineSharded),
                 static_cast<unsigned long long>(thermal),
                 static_cast<unsigned long long>(kGoldenThermal),
-                static_cast<unsigned long long>(thermalSharded),
-                static_cast<unsigned long long>(kGoldenThermalSharded),
                 static_cast<unsigned long long>(meshSim),
                 static_cast<unsigned long long>(kGoldenMeshSim),
                 path);

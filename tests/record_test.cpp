@@ -24,7 +24,7 @@ numbered(std::uint64_t i)
 {
     Record r;
     r.tick = i;
-    r.kind = RecordKind::Transfer;
+    r.kind = RecordKind::Exchange;
     r.p0 = static_cast<std::int64_t>(i);
     r.p1 = static_cast<std::int64_t>(i * 3);
     return r;

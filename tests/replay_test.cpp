@@ -134,4 +134,43 @@ TEST(Replay, TamperIndexOutOfRangeIsRejected)
     EXPECT_FALSE(record::tamperRecord(rec, 1));
 }
 
+TEST(Replay, RetiredKindOneReadsAsAnUnassignedKind)
+{
+    // Kind byte 1 (the retired Transfer) may still sit in old logs. It
+    // must read like any other unassigned byte: no name, no payload in
+    // the rendered line, and no tiles, so a bisection at such a record
+    // quotes none of the earlier records about tiles 1 and 2.
+    for (unsigned byte : {1u, 200u}) {
+        record::Record r;
+        r.tick = 5;
+        r.kind = static_cast<record::RecordKind>(byte);
+        r.p0 = 1;
+        r.p1 = 2;
+        r.p2 = 3;
+        r.p3 = 4;
+        EXPECT_STREQ(record::recordKindName(r.kind), "?") << byte;
+        EXPECT_EQ(record::describeRecord(r, 0),
+                  "#0 @5 lane 0 ?" + std::string(12, ' '))
+            << byte;
+
+        record::Record mint;
+        mint.kind = record::RecordKind::Mint;
+        FlightRecorder a;
+        FlightRecorder b;
+        for (std::int64_t tile : {1, 2}) {
+            mint.p0 = tile;
+            a.append(mint);
+            b.append(mint);
+        }
+        a.append(r);
+        ++r.p3;
+        b.append(r);
+        const auto bisect = record::bisectRecordings(a, b);
+        ASSERT_TRUE(bisect.diverged) << byte;
+        EXPECT_EQ(bisect.firstDiff, 2u) << byte;
+        EXPECT_EQ(bisect.context.find("..."), std::string::npos)
+            << byte << ": " << bisect.context;
+    }
+}
+
 } // namespace

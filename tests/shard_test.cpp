@@ -7,8 +7,8 @@
  * worker threads, so every assertion here doubles as a race probe.
  */
 
-#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <type_traits>
@@ -22,9 +22,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/logging.hpp"
 #include "sim/shard.hpp"
-#include "soc/pm_impl.hpp"
-#include "soc/scenarios.hpp"
-#include "soc/soc.hpp"
 #include "timer_diff.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
@@ -140,10 +137,9 @@ TEST(ShardGroup, CountsEpochsAndCrossEvents)
 
 /**
  * Per-node logs of the timer differential workload
- * (tests/timer_diff.hpp) on a 4x2 mesh at @p shards. Arms from outside
- * a run land either in a node's leaf (under LocusScope) or in the
- * serial lane, so node callbacks later re-arm timers out of the serial
- * lane mid-phase as well as within their own leaf.
+ * (tests/timer_diff.hpp) on a 4x2 mesh at @p shards. Every arm from
+ * outside a run goes through LocusScope, so each timer lives in its
+ * node's leaf and node callbacks re-arm it within that leaf only.
  */
 template <class Timers>
 std::vector<blitz::testing::TimerLog>
@@ -157,12 +153,8 @@ shardedTimerLogs(std::uint32_t shards, std::uint64_t seed)
     for (int round = 0; round < 60; ++round) {
         for (int p = 0; p < 6; ++p) {
             const auto n = static_cast<std::uint32_t>(outer.below(kNodes));
-            if (outer.below(2) == 0) {
-                drive.poke(n);
-            } else {
-                sim::LocusScope scope(eq, n);
-                drive.poke(n);
-            }
+            sim::LocusScope scope(eq, n);
+            drive.poke(n);
         }
         eq.runUntil(eq.now() + (round % 2 == 0 ? 1 + outer.below(64)
                                                : 100 + outer.below(30000)));
@@ -199,6 +191,31 @@ TEST(ShardedTimer, MatchesTheStampGuardedScheduleIdiomAtShards124)
                 << "seed " << seed << " shards " << shards;
         }
     }
+}
+
+TEST(ShardedTimerDeathTest, ReArmOutOfTheParkedSerialLanePanics)
+{
+    // A timer armed with no locus lives in the serial lane, which is
+    // parked for the whole parallel phase: a shard thread must not
+    // move it. Node 1's event runs on shard 1's worker thread while
+    // shard 0 runs node 0's event at the same tick.
+    auto run = [] {
+        try {
+            sim::EventQueue eq;
+            sim::ShardGroup group(eq, 2, sim::columnBands(2, 1, 2));
+            sim::Timer timer(eq, [] {});
+            timer.arm(100);
+            eq.scheduleAtNode(0, 10, [] {});
+            eq.scheduleAtNode(1, 10, [&timer] { timer.arm(50); });
+            eq.runUntil(64);
+        } catch (const sim::PanicError &e) {
+            // Surfaced on the driving thread instead of a worker.
+            std::fprintf(stderr, "%s\n", e.what());
+            std::abort();
+        }
+    };
+    EXPECT_DEATH(run(), "a parallel phase may move only its own leaf's "
+                        "timers");
 }
 
 TEST(ShardGroup, RejectsAShardThatOwnsNoNode)
@@ -338,59 +355,6 @@ TEST(ShardedChaos, RecorderCountsAreShardCountInvariant)
     EXPECT_EQ(rec1.totalAppended(), rec4.totalAppended());
 }
 
-// ------------------------------------------------------- full-SoC runs
-
-/**
- * Digest of one full SoC workload run at @p shards: the 4x4 vision SoC
- * under the decentralized BC manager, with a mid-run crash+restart of
- * an accelerator tile so the fault plane's keyed streams and the
- * onNodeCrash/Restart locus pinning are on the measured path.
- */
-std::uint64_t
-socRunDigest(std::uint32_t shards)
-{
-    soc::SocConfig cfg = soc::make4x4VisionSoc();
-    cfg.shards = shards;
-    soc::PmConfig pm;
-    pm.kind = soc::PmKind::BlitzCoin;
-    pm.budgetMw = 220.0;
-    soc::Soc s(cfg, pm, /*seed=*/23);
-
-    fault::FaultConfig fc;
-    fc.seed = 23;
-    fc.base.drop = 0.01;
-    fc.base.duplicate = 0.01;
-    fc.outages.push_back({5, 4'000, 20'000, /*freeze=*/false});
-    fault::FaultPlane plane(fc);
-    s.installFaultPlane(plane);
-
-    auto st = s.run(soc::visionDependent(s.config(), 2));
-
-    sim::Fnv1a dg;
-    dg.u64(st.completed ? 1 : 0);
-    dg.u64(st.execTime);
-    dg.u64(st.nocPackets);
-    dg.u64(st.responseTicks.count());
-    dg.f64(st.responseTicks.mean());
-    dg.f64(st.responseTicks.max());
-    dg.u64(s.eventQueue().now());
-    dg.u64(s.eventQueue().totalExecuted());
-    const auto &net = s.network();
-    dg.u64(net.packetsSent());
-    dg.u64(net.packetsDelivered());
-    dg.u64(net.packetsDropped());
-    dg.u64(net.totalHops());
-    const auto fs = plane.stats();
-    dg.u64(fs.drops);
-    dg.u64(fs.duplicates);
-    dg.u64(fs.outageDrops);
-    dg.f64(s.totalAccelPowerMw());
-    auto &bc = dynamic_cast<soc::BlitzCoinPm &>(s.pm());
-    dg.i64(bc.clusterCoins());
-    dg.f64(bc.clusterError());
-    return dg.value();
-}
-
 TEST(ShardedChaos, ShardCountIsClampedToTheMeshWidth)
 {
     fault::ChaosConfig cc;
@@ -400,43 +364,6 @@ TEST(ShardedChaos, ShardCountIsClampedToTheMeshWidth)
     fault::ChaosCluster cluster(cc);
     ASSERT_NE(cluster.shardGroup(), nullptr);
     EXPECT_EQ(cluster.shardGroup()->shards(), 4u);
-}
-
-TEST(ShardedSoc, ShardCountIsClampedToTheMeshWidth)
-{
-    soc::SocConfig cfg = soc::make3x3AvSoc();
-    cfg.shards = 0xFFFF'FFFFu;
-    soc::PmConfig pm;
-    pm.kind = soc::PmKind::BlitzCoin;
-    pm.budgetMw = soc::budgets::av30Percent;
-    soc::Soc s(cfg, pm, 23);
-    ASSERT_NE(s.shardGroup(), nullptr);
-    EXPECT_EQ(s.shardGroup()->shards(), 3u);
-    EXPECT_TRUE(s.run(soc::avParallel(s.config())).completed);
-}
-
-TEST(ShardedSoc, ShardCounts124AreBitIdentical)
-{
-    // The whole stack — dispatcher, BC units, UVFR tiles, fault plane,
-    // settle probe — produces the same run at every partition. The
-    // sharded mode is NOT compared against shards=0: the legacy loop
-    // stops on the exact completion event while the sharded loop coasts
-    // to the next superstep stride, which is a documented difference.
-    const std::uint64_t one = socRunDigest(1);
-    EXPECT_EQ(socRunDigest(2), one);
-    EXPECT_EQ(socRunDigest(4), one);
-}
-
-TEST(ShardedSoc, LegacySocIsUntouchedByDefault)
-{
-    soc::SocConfig cfg = soc::make4x4VisionSoc();
-    soc::PmConfig pm;
-    pm.kind = soc::PmKind::BlitzCoin;
-    pm.budgetMw = 220.0;
-    soc::Soc s(cfg, pm, 23);
-    EXPECT_EQ(s.shardGroup(), nullptr);
-    auto st = s.run(soc::visionParallel(s.config()));
-    EXPECT_TRUE(st.completed);
 }
 
 TEST(DefaultShards, ParsesTheWholeValue)
