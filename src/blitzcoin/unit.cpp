@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
+#include <limits>
 #include <span>
 
 #include "guardian.hpp"
@@ -128,7 +128,8 @@ BlitzCoinUnit::crash()
     pending_.reset();
     updateTimeout_.disarm();
     unresolved_.clear();
-    servedLog_.clear();
+    servedKeys_.clear();
+    servedRecords_.clear();
     groupSeen_.clear();
     gathered_.clear();
     awaitedStatuses_ = 0;
@@ -430,10 +431,11 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
             ++th->second.used;
         }
         const std::uint64_t xid = tagValue(pkt.payload[3]);
-        auto [first, last] = servedRun(pkt.src);
-        const std::size_t logSize = servedLog_.size();
-        for (auto e = first; e != last; ++e) {
-            if (e->xid == xid) {
+        const ServedRun run = servedRun(pkt.src);
+        const std::size_t logSize = servedKeys_.size();
+        for (std::size_t i = run.first; i != run.last; ++i) {
+            const ServedRecord &e = servedRecords_[i];
+            if (e.xid == xid) {
                 // Duplicated CoinStatus: the rebalance already ran.
                 // Replay the recorded update instead of applying the
                 // exchange a second time.
@@ -447,7 +449,7 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
                           static_cast<std::int64_t>(pkt.src)}});
                 if (sentry_)
                     sentry_->noteServed(pkt.src);
-                sendOneWayUpdate(pkt.src, xid, e->delta, FlagOneWay);
+                sendOneWayUpdate(pkt.src, xid, e.delta, FlagOneWay);
                 return;
             }
         }
@@ -496,9 +498,9 @@ BlitzCoinUnit::serveStatus(const noc::Packet &pkt)
         // above is still valid: nothing since touched the log (the
         // adversary hook is pure, and the observers and onCoinsChanged
         // do not call back into this unit).
-        BLITZ_ASSERT(servedLog_.size() == logSize,
+        BLITZ_ASSERT(servedKeys_.size() == logSize,
                      "served log changed during a serve");
-        recordServed(first, last, ServedExchange{pkt.src, xid, reported});
+        recordServed(run, pkt.src, ServedRecord{xid, reported});
         sendOneWayUpdate(pkt.src, xid, reported, FlagOneWay);
     });
 }
@@ -511,15 +513,17 @@ BlitzCoinUnit::serveRecover(const noc::Packet &pkt)
             return;
         const std::uint64_t xid =
             static_cast<std::uint64_t>(pkt.payload[0]);
-        auto [first, last] = servedRun(pkt.src);
-        for (auto e = first; e != last; ++e) {
-            if (e->xid == xid) {
+        const ServedRun run = servedRun(pkt.src);
+        for (std::size_t i = run.first; i != run.last; ++i) {
+            const ServedRecord &e = servedRecords_[i];
+            if (e.xid == xid) {
                 // The exchange ran here; replay its recorded delta.
-                sendOneWayUpdate(pkt.src, xid, e->delta, FlagOneWay);
+                sendOneWayUpdate(pkt.src, xid, e.delta, FlagOneWay);
                 return;
             }
         }
-        if (first != last && xid < std::prev(last)->xid) {
+        if (run.first != run.last &&
+            xid < servedRecords_[run.last - 1].xid) {
             // Older than the log's horizon: the outcome was served and
             // since evicted. Only the audit can close this.
             sendOneWayUpdate(pkt.src, xid, 0, FlagUnknown);
@@ -531,42 +535,52 @@ BlitzCoinUnit::serveRecover(const noc::Packet &pkt)
     });
 }
 
-std::pair<BlitzCoinUnit::ServedIter, BlitzCoinUnit::ServedIter>
-BlitzCoinUnit::servedRun(noc::NodeId initiator)
+BlitzCoinUnit::ServedRun
+BlitzCoinUnit::servedRun(noc::NodeId initiator) const
 {
-    // Branch-free lower bound: every serve and recover probe searches
-    // a log of up to a few hundred entries, where a mispredicted
-    // branch per step would cost more than the compare.
-    auto first = servedLog_.begin();
-    std::size_t n = servedLog_.size();
-    if (n != 0) {
-        while (n > 1) {
-            const std::size_t half = n / 2;
-            first = first[half].initiator < initiator ? first + half : first;
-            n -= half;
-        }
-        first += first->initiator < initiator;
-    }
-    auto last = first;
-    while (last != servedLog_.end() && last->initiator == initiator)
-        ++last;
-    return {first, last};
+    // Count the keys below the initiator: one branch-free pass over the
+    // 4-byte keys whose loads do not depend on each other, where a
+    // binary search would chain each load on the last. The count is as
+    // wide as a key, so the pass vectorizes without widening.
+    std::uint32_t below = 0;
+    for (const noc::NodeId k : servedKeys_)
+        below += k < initiator;
+    ServedRun run{below, below};
+    while (run.last != servedKeys_.size() &&
+           servedKeys_[run.last] == initiator)
+        ++run.last;
+    return run;
 }
 
 void
-BlitzCoinUnit::recordServed(ServedIter first, ServedIter last,
-                            const ServedExchange &e)
+BlitzCoinUnit::recordServed(ServedRun run, noc::NodeId initiator,
+                            const ServedRecord &rec)
 {
-    const auto depth = static_cast<std::ptrdiff_t>(cfg_.servedLogDepth);
+    const std::size_t depth = cfg_.servedLogDepth;
     if (depth == 0)
         return;
-    if (last - first == depth) {
-        // Full run: the oldest entry goes, the rest shift up one.
-        std::move(std::next(first), last, first);
-        *std::prev(last) = e;
+    if (run.last - run.first == depth) {
+        // Full run: the oldest record goes, the rest shift up one; the
+        // run's keys are all the same and stay put.
+        ServedRecord *r = servedRecords_.data();
+        std::move(r + run.first + 1, r + run.last, r + run.first);
+        r[run.last - 1] = rec;
         return;
     }
-    servedLog_.insert(last, e);
+    // Grow by one full run, not by doubling: the log fills one
+    // initiator at a time, and doubling would leave up to half of it
+    // empty.
+    if (servedKeys_.size() == servedKeys_.capacity()) {
+        BLITZ_ASSERT(servedKeys_.size() + depth <=
+                         std::numeric_limits<std::uint32_t>::max(),
+                     "served log outgrew servedRun's 32-bit count");
+        servedKeys_.reserve(servedKeys_.size() + depth);
+    }
+    if (servedRecords_.size() == servedRecords_.capacity())
+        servedRecords_.reserve(servedRecords_.size() + depth);
+    const auto at = static_cast<std::ptrdiff_t>(run.last);
+    servedKeys_.insert(servedKeys_.begin() + at, initiator);
+    servedRecords_.insert(servedRecords_.begin() + at, rec);
 }
 
 void

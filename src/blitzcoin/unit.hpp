@@ -364,14 +364,23 @@ class BlitzCoinUnit
         sim::Tick startTick = 0; ///< initiation time, for trace spans
     };
 
-    /** One served exchange: (stamp, delta-for-initiator). */
-    struct ServedExchange
+    /** One served exchange: (stamp, delta-for-initiator). Its
+     *  initiator is the parallel entry of servedKeys_. Both fields stay
+     *  full width: a Byzantine initiator picks its own stamps. */
+    struct ServedRecord
     {
-        noc::NodeId initiator = 0;
         std::uint64_t xid = 0;
         coin::Coins delta = 0;
     };
-    using ServedIter = std::vector<ServedExchange>::iterator;
+    static_assert(sizeof(ServedRecord) == 16,
+                  "served record must stay 16 bytes");
+
+    /** Index range [first, last) of one initiator's served run. */
+    struct ServedRun
+    {
+        std::size_t first = 0;
+        std::size_t last = 0;
+    };
 
     /**
      * Locally computable imbalance: holding coins with no need, or
@@ -419,14 +428,14 @@ class BlitzCoinUnit
                             noc::NodeId partner);
 
     /** @p initiator's entries in the served log, oldest first. */
-    std::pair<ServedIter, ServedIter> servedRun(noc::NodeId initiator);
+    ServedRun servedRun(noc::NodeId initiator) const;
 
     /**
-     * Append @p e to its initiator's run [first, last) (as found by
-     * servedRun), dropping the run's oldest entry past servedLogDepth.
+     * Append @p rec to @p initiator's run (as found by servedRun),
+     * dropping the run's oldest record past servedLogDepth.
      */
-    void recordServed(ServedIter first, ServedIter last,
-                      const ServedExchange &e);
+    void recordServed(ServedRun run, noc::NodeId initiator,
+                      const ServedRecord &rec);
 
     /** Emit the exchange span for @p p resolving now as @p outcome. */
     void traceExchange(const PendingExchange &p, coin::Coins delta,
@@ -466,9 +475,12 @@ class BlitzCoinUnit
     /**
      * Recently served exchanges (partner side): the last
      * servedLogDepth per initiator, sorted by initiator and then by
-     * age, so each initiator's entries form one contiguous run.
+     * age, so each initiator's entries form one contiguous run. The
+     * initiator keys and the records are parallel arrays: a lookup
+     * scans only the 4-byte keys.
      */
-    std::vector<ServedExchange> servedLog_;
+    std::vector<noc::NodeId> servedKeys_;
+    std::vector<ServedRecord> servedRecords_;
     /** Per-center stamp of the last applied group update (dedup),
      *  sorted by center. */
     std::vector<std::pair<noc::NodeId, std::uint64_t>> groupSeen_;

@@ -81,11 +81,11 @@ EventQueue::addEntryChunks()
     void *mem = arena_ ? arena_->allocate(n * sizeof(EntryChunk),
                                           alignof(EntryChunk))
                        : ::operator new(n * sizeof(EntryChunk));
-    auto *block = static_cast<EntryChunk *>(mem);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        block[i].next = freeChunks_;
-        freeChunks_ = &block[i];
-    }
+    // takeChunk carves the block one chunk at a time, only once the
+    // free list is dry: a chunk no bucket ever needed is never
+    // written, so its pages never become resident.
+    carve_ = static_cast<EntryChunk *>(mem);
+    carveLeft_ = n;
     entryChunksAllocated_ += n;
     if (!arena_)
         entryBlocks_.push_back(mem);

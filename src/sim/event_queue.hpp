@@ -249,7 +249,7 @@ class EventQueue
         // events per tick, and a warmup that tops out exactly at the
         // buffer's capacity would leave zero margin for steady-state
         // bursts one event larger. Growth past the floor doubles.
-        batch_.reserve(2 * kEntriesPerChunk);
+        batch_.reserve(128);
     }
 
     EventQueue(const EventQueue &) = delete;
@@ -635,14 +635,16 @@ class EventQueue
      * other tick warmed, keeping steady state allocation-free the way
      * the old single heap array was (per-bucket vectors would ratchet
      * 4096 independent capacities and realloc on every new local
-     * maximum).
+     * maximum). Every occupied tick holds at least one chunk and most
+     * hold one or two events, so a chunk is small: 15 entries and a
+     * link, 368 B.
      */
+    static constexpr std::uint32_t kEntriesPerChunk = 15;
     struct EntryChunk
     {
-        HeapEntry e[63];
+        HeapEntry e[kEntriesPerChunk];
         EntryChunk *next;
     };
-    static constexpr std::uint32_t kEntriesPerChunk = 63;
     static constexpr std::uint32_t kEntryChunkBlock = 8;
 
     /**
@@ -806,14 +808,20 @@ class EventQueue
     /** Run one drained entry; false if it was a dropped timer's. */
     bool execute(std::uintptr_t ref);
 
-    /** Pop an entry chunk from the free pool, growing it if dry. */
+    /** Pop an entry chunk from the free pool, or carve a fresh one
+     *  from the newest block when the pool is dry. */
     EntryChunk *
     takeChunk()
     {
-        if (!freeChunks_)
-            addEntryChunks();
         EntryChunk *c = freeChunks_;
-        freeChunks_ = c->next;
+        if (c) {
+            freeChunks_ = c->next;
+        } else {
+            if (carveLeft_ == 0)
+                addEntryChunks();
+            --carveLeft_;
+            c = carve_++;
+        }
         c->next = nullptr;
         return c;
     }
@@ -900,6 +908,8 @@ class EventQueue
     Tick batchTick_ = 0;           ///< tick of the live batch
     std::size_t entryCount_ = 0;   ///< wheel + far + batch remainder
     EntryChunk *freeChunks_ = nullptr; ///< bucket-storage free pool
+    EntryChunk *carve_ = nullptr;      ///< newest block's unused tail
+    std::uint32_t carveLeft_ = 0;      ///< chunks left at carve_
     std::vector<void *> entryBlocks_;  ///< heap-owned chunk blocks
     std::uint32_t entryChunksAllocated_ = 0;
     std::uint32_t slotCount_ = 0;

@@ -145,7 +145,8 @@ TEST(AllocCount, EventKernelSteadyStateIsAllocationFree)
 {
     sim::EventQueue eq;
     for (int i = 0; i < 96; ++i)
-        eq.schedule(1 + i % 5, Timer{&eq, 2 + i % 7});
+        eq.schedule(1 + i % 5,
+                    Timer{&eq, static_cast<sim::Tick>(2 + i % 7)});
     // Warmup: slab chunks, heap array, and free lists reach their
     // high-water marks.
     eq.runUntil(4096);
@@ -154,6 +155,25 @@ TEST(AllocCount, EventKernelSteadyStateIsAllocationFree)
     eq.runUntil(65536);
     EXPECT_EQ(gAllocCount.load() - before, 0u)
         << "steady-state event scheduling allocated";
+}
+
+TEST(AllocCount, SparseWheelCostsUnderOneKiBPerOccupiedTick)
+{
+    // One event on each of 4,000 distinct ticks inside the wheel
+    // window: every occupied tick draws a bucket chunk from the pool
+    // and every event a slab node. All the queue allocates for them,
+    // the queue itself included, must stay under 1 KiB a tick.
+    constexpr std::uint64_t kTicks = 4000;
+    const std::uint64_t before = gAllocBytes.load();
+    sim::EventQueue eq;
+    std::uint64_t ran = 0;
+    for (sim::Tick t = 1; t <= kTicks; ++t)
+        eq.schedule(t, [&ran] { ++ran; });
+    const std::uint64_t bytes = gAllocBytes.load() - before;
+    EXPECT_LT(bytes, kTicks * 1024)
+        << bytes / kTicks << " B per occupied tick";
+    eq.runUntil(kTicks);
+    EXPECT_EQ(ran, kTicks);
 }
 
 /**

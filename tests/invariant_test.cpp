@@ -100,8 +100,9 @@ TEST(Invariant, MeshLedgerConservedCappedNonNegativeAtEverySnapshot)
         std::size_t rows = 0;
         reg.onSample = [&](const trace::Snapshot &s) {
             ++rows;
-            if (lastTick)
+            if (lastTick) {
                 ASSERT_GT(s.tick, *lastTick) << "trial " << trial;
+            }
             lastTick = s.tick;
             ASSERT_EQ(s.values[totalCol], static_cast<double>(total))
                 << "conservation broke at tick " << s.tick << ", trial "

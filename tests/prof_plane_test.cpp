@@ -107,8 +107,9 @@ TEST(ProfPlane, CountersMatchKernelGroundTruthAtEveryShardCount)
                 const std::uint64_t c =
                     p.mailbox[static_cast<std::size_t>(src) * shards +
                               dst];
-                if (src == dst)
+                if (src == dst) {
                     EXPECT_EQ(c, 0u) << "diagonal " << src;
+                }
                 crossed += c;
             }
         EXPECT_EQ(crossed, m.group.crossEvents()) << "shards=" << shards;

@@ -10,9 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "coin/exchange.hpp"
 #include "lossy_cluster.hpp"
+#include "sim/rng.hpp"
 #include "soc/pm_impl.hpp"
 #include "soc/scenarios.hpp"
 #include "soc/soc.hpp"
@@ -559,51 +565,63 @@ TEST(Recovery, FrozenTileKeepsItsCoins)
 // ------------------------------------------------------- served log
 
 /**
- * Two units on a 1x2 mesh, neither started. Tile 0's unit is
- * unplugged from the NoC so the test speaks for it: it sends forged
- * CoinStatus/CoinRecover packets to tile 1 and reads tile 1's
- * CoinUpdate replies, which exercises the partner's served log in
- * isolation.
+ * A mesh of units, none started. The last tile's unit is the partner
+ * under test; every other tile is unplugged from the NoC so the test
+ * speaks for it: it sends forged CoinStatus/CoinRecover packets to the
+ * partner and reads the partner's CoinUpdate replies, which exercises
+ * the partner's served log in isolation. The default is a 1x2 mesh,
+ * tile 0 speaking to tile 1.
  */
 struct ServedLogProbe
 {
     fault::ChaosCluster c;
+    noc::NodeId partner;
     std::vector<noc::Packet> replies;
 
-    explicit ServedLogProbe(std::size_t depth = 8) : c(config(depth))
+    explicit ServedLogProbe(std::size_t depth = 8, int width = 2,
+                            int height = 1)
+        : c(config(depth, width, height)),
+          partner(static_cast<noc::NodeId>(width * height - 1))
     {
-        c.net().setHandler(0, [this](const noc::Packet &p) {
-            replies.push_back(p);
-        });
-        c.unit(1).setMax(8);
+        for (noc::NodeId t = 0; t < partner; ++t)
+            c.net().setHandler(t, [this](const noc::Packet &p) {
+                replies.push_back(p);
+            });
+        c.unit(partner).setMax(8);
     }
 
     static fault::ChaosConfig
-    config(std::size_t depth)
+    config(std::size_t depth, int width, int height)
     {
-        auto cfg = lossyConfig(2, 0.0);
-        cfg.height = 1;
+        auto cfg = lossyConfig(width, 0.0);
+        cfg.height = height;
         cfg.unit.servedLogDepth = depth;
         return cfg;
     }
 
-    /** Deliver @p pkt from tile 0 and return tile 1's one reply. */
+    /** Deliver @p pkt from tile @p from and return the one reply. */
     noc::Packet
-    exchange(noc::Packet pkt)
+    exchange(noc::Packet pkt, noc::NodeId from)
     {
-        pkt.src = 0;
-        pkt.dst = 1;
+        pkt.src = from;
+        pkt.dst = partner;
         pkt.plane = noc::Plane::Service;
         const std::size_t before = replies.size();
         c.net().send(pkt);
         c.eq().runUntil(c.eq().now() + 200);
-        EXPECT_EQ(replies.size(), before + 1) << "expected one reply";
+        if (replies.size() != before + 1) {
+            ADD_FAILURE() << "expected one reply, got "
+                          << replies.size() - before;
+            return noc::Packet{};
+        }
+        EXPECT_EQ(replies.back().dst, from);
         return replies.back();
     }
 
-    /** 1-way opening from tile 0 advertising (has, max). */
+    /** 1-way opening from tile @p from advertising (has, max). */
     noc::Packet
-    status(std::uint64_t xid, coin::Coins has, coin::Coins max)
+    status(std::uint64_t xid, coin::Coins has, coin::Coins max,
+           noc::NodeId from = 0)
     {
         noc::Packet pkt;
         pkt.type = noc::MsgType::CoinStatus;
@@ -612,17 +630,17 @@ struct ServedLogProbe
         pkt.payload[2] = coin::uncapped;
         pkt.payload[3] =
             blitzcoin::wire::packTag(xid, blitzcoin::wire::FlagOneWay);
-        return exchange(pkt);
+        return exchange(pkt, from);
     }
 
-    /** Reconciliation probe for exchange @p xid. */
+    /** Reconciliation probe from tile @p from for exchange @p xid. */
     noc::Packet
-    recover(std::uint64_t xid)
+    recover(std::uint64_t xid, noc::NodeId from = 0)
     {
         noc::Packet pkt;
         pkt.type = noc::MsgType::CoinRecover;
         pkt.payload[0] = static_cast<std::int64_t>(xid);
-        return exchange(pkt);
+        return exchange(pkt, from);
     }
 };
 
@@ -705,6 +723,227 @@ TEST(ServedLog, CrashEmptiesTheLog)
     // And a duplicate opening is served as a fresh exchange.
     expectUpdate(p.status(4, 16, 8), 4, -8, FlagOneWay);
     EXPECT_EQ(p.c.unit(1).has(), 8);
+}
+
+/**
+ * The served log as one sorted vector of 24-byte {initiator, xid,
+ * delta} entries searched by binary search: the layout the unit kept
+ * before its initiator keys and records were split. The split log must
+ * answer every probe exactly as this one does.
+ */
+class ReferenceServedLog
+{
+  private:
+    struct Entry
+    {
+        noc::NodeId initiator = 0;
+        std::uint64_t xid = 0;
+        coin::Coins delta = 0;
+    };
+    static_assert(sizeof(Entry) == 24);
+
+    /** @p initiator's entries in @p log, oldest first. */
+    template <typename Log>
+    static auto
+    run(Log &log, noc::NodeId initiator)
+    {
+        const auto byInitiator = [](const Entry &e, noc::NodeId id) {
+            return e.initiator < id;
+        };
+        const auto first = std::lower_bound(log.begin(), log.end(),
+                                            initiator, byInitiator);
+        auto last = first;
+        while (last != log.end() && last->initiator == initiator)
+            ++last;
+        return std::pair{first, last};
+    }
+
+  public:
+    explicit ReferenceServedLog(std::size_t depth) : depth_(depth) {}
+
+    /** The delta recorded for (@p initiator, @p xid), if still held. */
+    std::optional<coin::Coins>
+    find(noc::NodeId initiator, std::uint64_t xid) const
+    {
+        const auto [first, last] = run(log_, initiator);
+        for (auto e = first; e != last; ++e)
+            if (e->xid == xid)
+                return e->delta;
+        return std::nullopt;
+    }
+
+    /** The (delta, flag) a CoinRecover for @p xid must be answered with. */
+    std::pair<coin::Coins, int>
+    recover(noc::NodeId initiator, std::uint64_t xid) const
+    {
+        if (const auto d = find(initiator, xid))
+            return {*d, blitzcoin::wire::FlagOneWay};
+        const auto [first, last] = run(log_, initiator);
+        if (first != last && xid < std::prev(last)->xid)
+            return {0, blitzcoin::wire::FlagUnknown};
+        return {0, blitzcoin::wire::FlagOneWay};
+    }
+
+    /** Append to the initiator's run, dropping its oldest past depth. */
+    void
+    record(noc::NodeId initiator, std::uint64_t xid, coin::Coins delta)
+    {
+        if (depth_ == 0)
+            return;
+        const auto [first, last] = run(log_, initiator);
+        const Entry e{initiator, xid, delta};
+        if (static_cast<std::size_t>(last - first) == depth_) {
+            std::move(std::next(first), last, first);
+            *std::prev(last) = e;
+            return;
+        }
+        log_.insert(last, e);
+    }
+
+    void clear() { log_.clear(); }
+
+    /** Initiators with at least one entry held. */
+    std::size_t
+    initiators() const
+    {
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < log_.size(); ++i)
+            n += i == 0 || log_[i].initiator != log_[i - 1].initiator;
+        return n;
+    }
+
+  private:
+    std::size_t depth_;
+    std::vector<Entry> log_;
+};
+
+/**
+ * Drive one partner with a seeded mix of fresh statuses, duplicate
+ * statuses, recover probes (for an xid held in the run, older than the
+ * run, never served, and forged far off) and crash wipes from 48
+ * initiators, and check every reply against ReferenceServedLog.
+ */
+void
+runServedLogDifferential(std::size_t depth, std::uint64_t seed)
+{
+    using blitzcoin::wire::FlagOneWay;
+    using blitzcoin::wire::tagFlag;
+    using blitzcoin::wire::tagValue;
+    constexpr int kSide = 7;
+    ServedLogProbe p(depth, kSide, kSide);
+    blitzcoin::BlitzCoinUnit &u = p.c.unit(p.partner);
+    const std::size_t initiators = p.partner;
+    ReferenceServedLog ref(depth);
+    sim::Rng rng(seed);
+    // Highest stamp each initiator has opened with so far.
+    std::vector<std::uint64_t> opened(initiators, 0);
+    constexpr std::uint64_t kMaxTag = (std::uint64_t{1} << 56) - 1;
+    std::size_t fresh = 0, dups = 0, held = 0, unknown = 0, nulls = 0;
+    std::size_t crashes = 0, heldInitiators = 0;
+
+    for (int step = 0; step < 1500; ++step) {
+        SCOPED_TRACE("depth " + std::to_string(depth) + " seed " +
+                     std::to_string(seed) + " step " +
+                     std::to_string(step));
+        // A skewed pick: a few initiators talk often enough to fill
+        // and cycle their runs, the rest now and then.
+        const auto from = static_cast<noc::NodeId>(
+            rng.below(2) == 0 ? rng.below(initiators) : rng.below(6));
+        std::uint64_t &top = opened[from];
+        if (rng.below(250) == 0) {
+            u.crash();
+            u.restart();
+            u.setMax(8);
+            ref.clear();
+            ++crashes;
+            continue;
+        }
+        const std::uint64_t roll = rng.below(100);
+        if (roll < 55) {
+            // An opening: usually the next stamp, sometimes a replay
+            // of a recent one (a duplicated packet, or one whose
+            // record was evicted), sometimes a forged stamp.
+            std::uint64_t xid = top + 1 + rng.below(3);
+            if (roll >= 40 && top > 0)
+                xid = top - std::min<std::uint64_t>(
+                                top - 1, rng.below(depth + 3));
+            else if (roll >= 37)
+                xid = rng.below(kMaxTag - 8) + 1;
+            top = std::max(top, xid);
+            const coin::Coins has = rng.range(0, 24);
+            const coin::Coins max = rng.range(0, 16);
+            const coin::TileCoins before{u.has(), u.max()};
+            const std::uint64_t dupsBefore = u.duplicatesIgnored();
+            const noc::Packet r = p.status(xid, has, max, from);
+            ASSERT_EQ(r.type, noc::MsgType::CoinUpdate);
+            ASSERT_EQ(tagValue(r.payload[3]), xid);
+            ASSERT_EQ(tagFlag(r.payload[3]), FlagOneWay);
+            if (const auto d = ref.find(from, xid)) {
+                // Replayed from the log: no coin moves again.
+                ASSERT_EQ(r.payload[0], *d);
+                ASSERT_EQ(u.has(), before.has);
+                ASSERT_EQ(u.duplicatesIgnored(), dupsBefore + 1);
+                ++dups;
+            } else {
+                const coin::Coins delta = coin::pairwiseDelta(
+                    coin::TileCoins{has, max}, before, coin::uncapped,
+                    coin::uncapped);
+                ASSERT_EQ(r.payload[0], -delta);
+                ASSERT_EQ(u.has(), before.has + delta);
+                ASSERT_EQ(u.duplicatesIgnored(), dupsBefore);
+                ref.record(from, xid, -delta);
+                ++fresh;
+            }
+        } else {
+            // A probe near the newest stamps (held, evicted or never
+            // served), anywhere below them, or forged far off.
+            std::uint64_t xid = top + 2 - std::min<std::uint64_t>(
+                                              top + 2, rng.below(depth + 5));
+            if (roll >= 95)
+                xid = rng.below(kMaxTag) + 1;
+            else if (roll >= 80)
+                xid = rng.below(top + 2);
+            const noc::Packet r = p.recover(xid, from);
+            const auto [delta, flag] = ref.recover(from, xid);
+            ASSERT_EQ(r.type, noc::MsgType::CoinUpdate);
+            ASSERT_EQ(tagValue(r.payload[3]), xid);
+            ASSERT_EQ(tagFlag(r.payload[3]), flag);
+            ASSERT_EQ(r.payload[0], delta);
+            if (flag != FlagOneWay)
+                ++unknown;
+            else if (ref.find(from, xid))
+                ++held;
+            else
+                ++nulls;
+        }
+        heldInitiators = std::max(heldInitiators, ref.initiators());
+    }
+    // The mix reached every answer, and the log held many initiators.
+    EXPECT_GT(fresh, 0u);
+    EXPECT_GT(dups, 0u);
+    EXPECT_GT(held, 0u);
+    EXPECT_GT(nulls, 0u);
+    EXPECT_GT(crashes, 0u);
+    EXPECT_GT(unknown, 0u);
+    EXPECT_GE(heldInitiators, 40u);
+}
+
+TEST(ServedLog, MatchesSortedVectorReferenceDepth1)
+{
+    for (std::uint64_t seed : {1u, 2u})
+        runServedLogDifferential(1, seed);
+}
+
+TEST(ServedLog, MatchesSortedVectorReferenceDepth2)
+{
+    for (std::uint64_t seed : {1u, 2u})
+        runServedLogDifferential(2, seed);
+}
+
+TEST(ServedLog, MatchesSortedVectorReferenceDepth8)
+{
+    for (std::uint64_t seed : {1u, 2u})
+        runServedLogDifferential(8, seed);
 }
 
 } // namespace
