@@ -249,8 +249,6 @@ IntegrityGuardian::escalate(noc::NodeId id, TileState &st,
         }
         recordEvent(kGuardianThrottle, id, st.strikes, 0,
                     cfg_.throttleServeBudget);
-        if (onEscalate)
-            onEscalate(id, TileHealth::Throttled);
         return;
     }
     if (st.strikes >= cfg_.warnStrikes &&
@@ -258,8 +256,6 @@ IntegrityGuardian::escalate(noc::NodeId id, TileState &st,
         st.health = TileHealth::Warned;
         ++warnings_;
         recordEvent(kGuardianWarn, id, st.strikes, 0, 0);
-        if (onEscalate)
-            onEscalate(id, TileHealth::Warned);
     }
 }
 
@@ -278,8 +274,6 @@ IntegrityGuardian::quarantineTile(noc::NodeId id)
             ost.unit->shun(id);
     }
     recordEvent(kGuardianQuarantine, id, st.strikes, 0, fenced);
-    if (onEscalate)
-        onEscalate(id, TileHealth::Quarantined);
     // Amnesty: a convicted liar's testimony is stricken. Its forged
     // reports have been polluting its victims' books (a forged reply
     // inflates the victim's deviation as fast as a share of the

@@ -213,13 +213,6 @@ class IntegrityGuardian
     std::uint64_t throttles() const { return throttles_; }
     std::uint64_t quarantines() const { return quarantines_; }
 
-    /**
-     * Escalation callback (tile, new health), fired from the serial
-     * lane after the transition is applied — the PM layer hooks the
-     * safe-frequency fallback here.
-     */
-    std::function<void(noc::NodeId, TileHealth)> onEscalate;
-
     /** Attach the flight recorder: every detection and escalation is
      *  journaled. */
     void setRecorder(record::FlightRecorder *rec) { recorder_ = rec; }

@@ -25,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "blitzcoin/guardian.hpp"
 #include "blitzcoin/unit.hpp"
 #include "coin/allocation.hpp"
 #include "config.hpp"
@@ -37,10 +36,6 @@
 namespace blitz::trace {
 class Registry;
 class Tracer;
-}
-
-namespace blitz::fault {
-class ByzantinePlan;
 }
 
 namespace blitz::soc {
@@ -76,31 +71,11 @@ struct PmConfig
     /** BC: mean coin error below which a change counts as settled. */
     double settleErr = 1.0;
     /**
-     * BC: cadence of the audit/remint sweep armed after the first tile
-     * restart (ticks). The periodic re-run self-corrects a sweep that
-     * misread in-flight deltas as destroyed coins.
-     */
-    sim::Tick auditPeriod = 8192;
-    /**
      * Static baseline: tiles sharing the fixed split. A real static
      * configuration is provisioned for the workload it will run, so
      * benches pass the DAG's tile set; empty means all managed tiles.
      */
     std::vector<noc::NodeId> staticParticipants;
-    /**
-     * BC: arm the runtime integrity guardian over the managed cluster
-     * (shadow books + warn/throttle/quarantine ladder, swept on the
-     * audit cadence). Ignored by the centralized schemes.
-     */
-    bool guardianEnabled = false;
-    blitzcoin::GuardianConfig guardian{};
-    /**
-     * BC: fixed safe operating point a quarantined tile is parked at
-     * (MHz) — graceful degradation: the tile keeps computing at a
-     * budget-safe frequency while its coins are reclaimed and its
-     * neighbors re-form the exchange neighborhood around it.
-     */
-    double quarantineSafeFreqMhz = 200.0;
 };
 
 /** Everything a manager needs from the SoC; references stay owned
@@ -142,36 +117,12 @@ class PowerManager
     /** The task on a managed tile finished. */
     virtual void onTaskEnd(noc::NodeId tile) = 0;
 
-    /**
-     * Fault-plane notifications (see Soc::installFaultPlane). A crash
-     * destroys the tile's PM state — for BlitzCoin that includes the
-     * coins in its registers; a restart brings the tile back with
-     * cleared registers; freeze/thaw is a clock-gated stall with state
-     * retained. Managers that keep no per-tile hardware state (the
-     * centralized schemes re-poll every round) can ignore them.
-     */
-    virtual void onNodeCrash(noc::NodeId tile) { (void)tile; }
-    virtual void onNodeRestart(noc::NodeId tile) { (void)tile; }
-    virtual void onNodeFrozen(noc::NodeId tile) { (void)tile; }
-    virtual void onNodeThawed(noc::NodeId tile) { (void)tile; }
-
     /** Service-plane packet delivered at @p at. */
     virtual void
     handlePacket(noc::NodeId at, const noc::Packet &pkt)
     {
         (void)at;
         (void)pkt;
-    }
-
-    /**
-     * Compromise the scheme's per-tile state with @p plan (see
-     * Soc::installByzantinePlan). Only BlitzCoin has per-tile protocol
-     * state to corrupt; the centralized schemes ignore the plan.
-     */
-    virtual void
-    installByzantine(fault::ByzantinePlan &plan)
-    {
-        (void)plan;
     }
 
     /**

@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 
-#include "fault/byzantine.hpp"
 #include "pm_impl.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
@@ -42,33 +41,6 @@ BlitzCoinPm::BlitzCoinPm(const PmContext &ctx, const PmConfig &cfg)
     }
     for (auto &[id, pt] : units_)
         audit_.track(*pt.unit);
-    if (cfg_.guardianEnabled) {
-        guardian_ = std::make_unique<blitzcoin::IntegrityGuardian>(
-            cfg_.guardian);
-        for (auto &[id, pt] : units_)
-            guardian_->track(*pt.unit);
-        guardian_->setClock([this] { return ctx_.eq.now(); });
-        audit_.setGuardian(guardian_.get());
-        guardian_->onEscalate = [this](noc::NodeId tile,
-                                       blitzcoin::TileHealth h) {
-            // Graceful degradation: a quarantined tile is parked at a
-            // fixed budget-safe operating point — it keeps computing,
-            // but no longer participates in the coin economy (its
-            // neighbors shun it and re-form the neighborhood; the
-            // audit remints its share to the honest tiles).
-            if (h == blitzcoin::TileHealth::Quarantined)
-                ctx_.tiles[tile]->setFreqTargetMhz(
-                    cfg_.quarantineSafeFreqMhz);
-        };
-    }
-}
-
-void
-BlitzCoinPm::installByzantine(fault::ByzantinePlan &plan)
-{
-    for (auto &[id, pt] : units_)
-        plan.corrupt(*pt.unit);
-    plan.arm(ctx_.eq, ctx_.net);
 }
 
 void
@@ -77,8 +49,6 @@ BlitzCoinPm::setTrace(trace::Tracer *t)
     PowerManager::setTrace(t);
     for (auto &[id, pt] : units_)
         pt.unit->setTrace(t);
-    if (guardian_)
-        guardian_->setTrace(t);
 }
 
 void
@@ -98,14 +68,6 @@ BlitzCoinPm::registerMetrics(trace::Registry &reg)
             return unit->crashed()
                        ? 0.0
                        : static_cast<double>(unit->has());
-        });
-    }
-    if (guardian_) {
-        reg.sampled("guardian.detections", [this] {
-            return static_cast<double>(guardian_->detections());
-        });
-        reg.sampled("guardian.quarantines", [this] {
-            return static_cast<double>(guardian_->quarantines());
         });
     }
     reg.sampled("audit.gaps_closed", [this] {
@@ -140,18 +102,9 @@ BlitzCoinPm::start()
         coin::Coins grant = base + (leftover > 0 ? 1 : 0);
         if (leftover > 0)
             --leftover;
-        // The initial spread is a legitimate grant; without this the
-        // guardian's shadow books would read it as counterfeit.
-        if (guardian_)
-            guardian_->noteGrant(id, grant);
         pt.unit->setHas(grant);
         pt.unit->start();
     }
-    // The audit sweep arms lazily on the first crash recovery — unless
-    // the guardian is on, whose sweeps ride the same cadence and must
-    // run from tick one regardless of crashes.
-    if (guardian_)
-        armAuditSweep();
 }
 
 void
@@ -234,73 +187,6 @@ BlitzCoinPm::clusterCoins() const
     // The audit tracks every unit; its census skips crashed and
     // quarantined tiles, exactly the coins still in the economy.
     return audit_.audit().counted;
-}
-
-void
-BlitzCoinPm::onNodeCrash(noc::NodeId tile)
-{
-    auto it = units_.find(tile);
-    if (it == units_.end())
-        return; // outage on an unmanaged node: packets drop, no PM state
-    it->second.unit->crash();
-}
-
-void
-BlitzCoinPm::onNodeRestart(noc::NodeId tile)
-{
-    auto it = units_.find(tile);
-    if (it == units_.end())
-        return;
-    blitzcoin::BlitzCoinUnit &u = *it->second.unit;
-    u.restart();
-    // The max target is architectural configuration re-applied by the
-    // scheduler side at power-up; the coins the tile held are gone and
-    // only the audit sweep can remint them.
-    u.setMax(active_[tile] ? maxCoins()[tile] : 0);
-    u.start();
-    armAuditSweep();
-}
-
-void
-BlitzCoinPm::onNodeFrozen(noc::NodeId tile)
-{
-    auto it = units_.find(tile);
-    if (it != units_.end())
-        it->second.unit->stop();
-}
-
-void
-BlitzCoinPm::onNodeThawed(noc::NodeId tile)
-{
-    auto it = units_.find(tile);
-    if (it != units_.end())
-        it->second.unit->start();
-}
-
-void
-BlitzCoinPm::armAuditSweep()
-{
-    if (auditArmed_)
-        return;
-    auditArmed_ = true;
-    auditTick();
-}
-
-void
-BlitzCoinPm::auditTick()
-{
-    // Recurring for the rest of the run: one sweep can misattribute
-    // in-flight deltas to the crash and over-mint, but the next sweep
-    // observes the landed coins and burns the excess back.
-    ctx_.eq.scheduleIn(cfg_.auditPeriod, [this] {
-        // Guardian verdicts land before the census so a quarantine
-        // decided this sweep is reclaimed by the same reconcile.
-        if (guardian_)
-            guardian_->sweep();
-        audit_.reconcile();
-        coinsMoved();
-        auditTick();
-    }, sim::Priority::Stats);
 }
 
 void

@@ -13,7 +13,6 @@
 
 #include "blitzcoin/audit.hpp"
 #include "blitzcoin/coin_lut.hpp"
-#include "blitzcoin/guardian.hpp"
 #include "blitzcoin/unit.hpp"
 #include "coin/neighborhood.hpp"
 #include "pm.hpp"
@@ -36,19 +35,14 @@ class BlitzCoinPm : public PowerManager
     void onTaskStart(noc::NodeId tile) override;
     void onTaskEnd(noc::NodeId tile) override;
     void handlePacket(noc::NodeId at, const noc::Packet &pkt) override;
-    void onNodeCrash(noc::NodeId tile) override;
-    void onNodeRestart(noc::NodeId tile) override;
-    void onNodeFrozen(noc::NodeId tile) override;
-    void onNodeThawed(noc::NodeId tile) override;
-    void installByzantine(fault::ByzantinePlan &plan) override;
 
     /** The unit on a managed tile (test access). */
     blitzcoin::BlitzCoinUnit &unit(noc::NodeId tile);
 
-    /** The integrity guardian, or nullptr when disabled. */
-    blitzcoin::IntegrityGuardian *guardian() { return guardian_.get(); }
+    /** No SoC run arms a guardian; kept for benchmark/adapters.hpp. */
+    blitzcoin::IntegrityGuardian *guardian() { return nullptr; }
 
-    /** The audit watchdog restoring the pool after crashes. */
+    /** The coin census behind clusterCoins(). */
     blitzcoin::ClusterAudit &audit() { return audit_; }
 
     /** Mean coin error over the managed cluster (the Err metric). */
@@ -69,10 +63,6 @@ class BlitzCoinPm : public PowerManager
   private:
     void coinsMoved();
 
-    /** Start (once) the periodic audit sweep after a crash recovery. */
-    void armAuditSweep();
-    void auditTick();
-
     struct PerTile
     {
         std::unique_ptr<blitzcoin::BlitzCoinUnit> unit;
@@ -81,8 +71,6 @@ class BlitzCoinPm : public PowerManager
 
     std::map<noc::NodeId, PerTile> units_;
     blitzcoin::ClusterAudit audit_{0};
-    std::unique_ptr<blitzcoin::IntegrityGuardian> guardian_;
-    bool auditArmed_ = false;
 };
 
 /**

@@ -57,39 +57,11 @@ Soc::Soc(SocConfig config, const PmConfig &pmCfg, std::uint64_t seed)
 
     // Route every node's service-plane deliveries into the manager
     // (BlitzCoin units, controller, and tile CSRs all live there).
-    // Flits the fault plane damaged fail the endpoint CRC and are
-    // discarded here, before any manager sees the garbled payload.
     for (noc::NodeId id = 0; id < config_.size(); ++id) {
         net_->setHandler(id, [this, id](const noc::Packet &pkt) {
-            if (pkt.corrupted)
-                return;
             pm_->handlePacket(id, pkt);
         });
     }
-}
-
-void
-Soc::installFaultPlane(fault::FaultPlane &plane)
-{
-    BLITZ_ASSERT(fault_ == nullptr, "a fault plane is already installed");
-    fault_ = &plane;
-    plane.attach(*net_);
-    plane.onNodeDown = [this](noc::NodeId n) { pm_->onNodeCrash(n); };
-    plane.onNodeUp = [this](noc::NodeId n) { pm_->onNodeRestart(n); };
-    plane.onNodeFrozen = [this](noc::NodeId n) { pm_->onNodeFrozen(n); };
-    plane.onNodeThawed = [this](noc::NodeId n) { pm_->onNodeThawed(n); };
-    plane.armOutageSchedule(eq_);
-    rewire();
-}
-
-void
-Soc::installByzantinePlan(fault::ByzantinePlan &plan)
-{
-    BLITZ_ASSERT(byz_ == nullptr,
-                 "a byzantine plan is already installed");
-    byz_ = &plan;
-    pm_->installByzantine(plan);
-    rewire();
 }
 
 void
@@ -176,14 +148,6 @@ Soc::rewire()
     net_->setRecorder(recorder_);
     for (auto &t : tileStore_)
         t->setRecorder(recorder_);
-    if (fault_) {
-        fault_->setTrace(tracer_);
-        fault_->setRecorder(recorder_);
-    }
-    if (byz_) {
-        byz_->setTrace(tracer_);
-        byz_->setRecorder(recorder_);
-    }
     if (physics_)
         physics_->setRecorder(recorder_);
 }
@@ -213,8 +177,6 @@ Soc::fillHealth(trace::HealthReport &report) const
     report.bumpDet("soc.tasks_completed",
                    static_cast<double>(tasksCompleted_));
     net_->fillHealth(report);
-    if (fault_)
-        fault_->fillHealth(report);
     if (physics_)
         physics_->fillHealth(report);
     trace::fillQueueHealth(report, eq_);

@@ -18,8 +18,6 @@
 #include <vector>
 
 #include "config.hpp"
-#include "fault/byzantine.hpp"
-#include "fault/fault_plane.hpp"
 #include "noc/network.hpp"
 #include "pm.hpp"
 #include "power/power_trace.hpp"
@@ -108,26 +106,6 @@ class Soc
     AcceleratorTile &tile(noc::NodeId id);
 
     /**
-     * Attach a fault plane to the instance: NoC traffic filters
-     * through it, outage windows crash/freeze and restart the managed
-     * PM state through the PowerManager::onNode* notifications, and
-     * corrupted flits are discarded at the endpoint demux (the
-     * link-CRC model). Call before run(); the plane must outlive this
-     * Soc, and at most one plane may be installed.
-     */
-    void installFaultPlane(fault::FaultPlane &plane);
-
-    /**
-     * Attach a Byzantine attack plan: the PM's per-tile protocol state
-     * is compromised per the plan's specs and the active drivers are
-     * armed on the event queue. Call before run(); the plan must
-     * outlive this Soc, and at most one plan may be installed. Only
-     * the BlitzCoin scheme has per-tile state to corrupt — the
-     * centralized schemes ignore the plan.
-     */
-    void installByzantinePlan(fault::ByzantinePlan &plan);
-
-    /**
      * Attach the physics plane: the RC thermal network, shared
      * regulator rails, and throttler arbiter step on the run's power
      * sampling cadence and clamp tile frequencies through the
@@ -152,16 +130,14 @@ class Soc
 
     /**
      * Wire an event tracer into the power manager (and, for BC, every
-     * coin unit), the fault plane and the Byzantine plan, whether they
-     * are installed before or after this call. Nullptr detaches.
+     * coin unit). Nullptr detaches.
      */
     void attachTrace(trace::Tracer *t);
 
     /**
      * Wire the flight recorder into the NoC (deliveries), every
      * accelerator tile (PM actuations via the setFreqTargetMhz
-     * funnel), the fault plane (injection decisions), the Byzantine
-     * plan and the physics plane, in any attach order. Call before
+     * funnel) and the physics plane, in any attach order. Call before
      * run(); nullptr detaches.
      */
     void attachRecorder(record::FlightRecorder *rec);
@@ -175,9 +151,8 @@ class Soc
 
     /**
      * Sum the instance's deterministic outcome counters into
-     * @p report: NoC totals, event-kernel gauges, fault totals when a
-     * plane is installed, and throttle residency when a physics plane
-     * is attached. Call after run().
+     * @p report: NoC totals, event-kernel gauges, and throttle
+     * residency when a physics plane is attached. Call after run().
      */
     void fillHealth(trace::HealthReport &report) const;
 
@@ -187,8 +162,8 @@ class Soc
     void registerPhysicsMetrics(trace::Registry &reg);
     /**
      * The one place that says which component sees the tracer and
-     * the recorder. Every attach/install method stores its pointer
-     * and calls this; it only re-stores pointers, so it is idempotent.
+     * the recorder. Every attach method stores its pointer and calls
+     * this; it only re-stores pointers, so it is idempotent.
      */
     void rewire();
 
@@ -198,8 +173,6 @@ class Soc
     std::vector<std::unique_ptr<AcceleratorTile>> tileStore_;
     std::vector<AcceleratorTile *> tilesByNode_;
     std::unique_ptr<PowerManager> pm_;
-    fault::FaultPlane *fault_ = nullptr; ///< not owned; may be null
-    fault::ByzantinePlan *byz_ = nullptr; ///< not owned; may be null
     PhysicsPlane *physics_ = nullptr;    ///< not owned; may be null
     trace::Registry *metrics_ = nullptr; ///< not owned; may be null
     sim::Tick metricsEvery_ = 0;

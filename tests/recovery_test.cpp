@@ -288,47 +288,6 @@ TEST(Recovery, SocClusterCoinsEqualPoolAfterRun)
     EXPECT_EQ(bc.audit().audit().gap, 0);
 }
 
-TEST(Recovery, SocSurvivesAcceleratorCrashMidWorkload)
-{
-    // Full-stack version: the NVDLA tile (node 4 of the 3x3 AV SoC)
-    // power-fails during a parallel workload and recovers. The run
-    // must still complete, and the audit watchdog armed by the restart
-    // must remint the coins the crash destroyed.
-    soc::PmConfig pm;
-    pm.kind = soc::PmKind::BlitzCoin;
-    pm.budgetMw = 120.0;
-    soc::Soc s(soc::make3x3AvSoc(), pm, /*seed=*/11);
-
-    fault::FaultConfig fc;
-    fc.outages.push_back({4, 4000, 20000, /*freeze=*/false});
-    fault::FaultPlane plane(fc);
-    s.installFaultPlane(plane);
-
-    auto st = s.run(soc::avParallel(s.config()));
-    EXPECT_TRUE(st.completed);
-    EXPECT_GT(plane.stats().outageDrops, 0u)
-        << "the outage window never intercepted traffic";
-
-    // Make sure the restart edge (tick 20000) has fired even if the
-    // workload finished early, then let the audit sweeps run.
-    auto &eq = s.eventQueue();
-    eq.runUntil(std::max<sim::Tick>(eq.now(), 20000) + 50000);
-
-    auto &bc = dynamic_cast<soc::BlitzCoinPm &>(s.pm());
-    EXPECT_FALSE(bc.unit(4).crashed());
-    EXPECT_GE(bc.audit().gapsClosed(), 1u);
-    EXPECT_GT(bc.audit().coinsMinted(), 0);
-
-    // Quiesce the protocol (stop initiating, drain in-flight traffic
-    // and recovery probes), then a final sweep must close the books
-    // exactly against the provisioned pool.
-    for (noc::NodeId id : s.config().managedAccelerators())
-        bc.unit(id).stop();
-    eq.runUntil(eq.now() + 100000);
-    bc.audit().reconcile();
-    EXPECT_EQ(bc.clusterCoins(), bc.scale().poolCoins);
-}
-
 // ------------------------------------------------------------- storms
 //
 // Sustained reorder/duplicate/stale-sequence pressure, observed through

@@ -3,7 +3,8 @@
  * Unit tests of the observability plane itself: registry snapshotting,
  * series merging (the sweep-determinism contract), CSV export,
  * Chrome-trace emission, bit-identical merged metrics across sweep
- * thread counts, and the SoC's attach-order independence.
+ * thread counts, and the SoC's and ChaosCluster's attach-order
+ * independence.
  */
 
 #include <cctype>
@@ -15,8 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "coin/engine.hpp"
-#include "fault/byzantine.hpp"
-#include "fault/fault_plane.hpp"
+#include "fault/chaos.hpp"
 #include "record/recorder.hpp"
 #include "soc/scenarios.hpp"
 #include "soc/soc.hpp"
@@ -352,41 +352,34 @@ TEST(Metrics, MergedSweepSeriesBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(one, mergedSweepCsv(4));
 }
 
-// ------------------------------------------------ SoC attach order
+// ------------------------------------------------ attach order
 
-/** Tracer JSON and ring-recorder digest of one fully planed SoC run. */
+/** Tracer JSON and ring-recorder digest of one observed run. */
 struct AttachOrderRun
 {
     std::string traceJson;
     std::uint64_t ringDigest = 0;
 };
 
+/** A ring recorder small enough to wrap during a test run. */
+record::RecorderConfig
+ringConfig()
+{
+    record::RecorderConfig rc;
+    rc.chunkRecords = 256;
+    rc.maxChunks = 4;
+    return rc;
+}
+
 /**
- * The 3x3 AV SoC with a fault plane (one crash and one freeze
- * window), a Byzantine inflator and an enforcing physics plane, with
- * the tracer and a ring recorder attached before the planes are
- * installed (@p observersFirst) or after.
+ * The 3x3 AV SoC with an enforcing physics plane, with the tracer and
+ * a ring recorder attached before the plane (@p observersFirst) or
+ * after.
  */
 AttachOrderRun
 observedSocRun(bool observersFirst)
 {
-    const soc::SocConfig cfg = soc::make3x3AvSoc();
-    const auto accels = cfg.managedAccelerators();
-
-    // The planes and observers must outlive the Soc: declared first.
-    fault::FaultConfig fc;
-    fc.seed = 5;
-    fc.base.drop = 0.01;
-    fc.outages.push_back({accels[1], 2'000, 6'000, /*freeze=*/false});
-    fc.outages.push_back({accels[2], 3'000, 5'000, /*freeze=*/true});
-    fault::FaultPlane faults(fc);
-    fault::ByzantineConfig bc;
-    fault::ByzantineSpec inflator;
-    inflator.node = accels[0];
-    inflator.amount = 2;
-    inflator.period = 1'024;
-    bc.specs.push_back(inflator);
-    fault::ByzantinePlan byz(bc);
+    // The plane and observers must outlive the Soc: declared first.
     soc::PhysicsConfig phys;
     phys.thermal.node.cJPerC = 1e-6;
     phys.trip.tripC = 48.0;
@@ -394,28 +387,69 @@ observedSocRun(bool observersFirst)
     phys.trip.capFraction = 0.4;
     phys.enforce = true;
     soc::PhysicsPlane physics(phys);
-    record::RecorderConfig rc;
-    rc.chunkRecords = 256;
-    rc.maxChunks = 4;
-    record::FlightRecorder ring(rc);
+    record::FlightRecorder ring(ringConfig());
     trace::Tracer tracer;
 
     soc::PmConfig pm;
     pm.kind = soc::PmKind::BlitzCoin;
     pm.budgetMw = soc::budgets::av30Percent;
-    soc::Soc s(cfg, pm, 9);
+    soc::Soc s(soc::make3x3AvSoc(), pm, 9);
     auto observe = [&] {
         s.attachTrace(&tracer);
         s.attachRecorder(&ring);
     };
     if (observersFirst)
         observe();
-    s.installFaultPlane(faults);
-    s.installByzantinePlan(byz);
     s.attachPhysics(physics);
     if (!observersFirst)
         observe();
     s.run(soc::avParallel(s.config()));
+
+    std::ostringstream os;
+    tracer.writeJson(os);
+    return {os.str(), ring.digest()};
+}
+
+/**
+ * A lossy 3x3 ChaosCluster with one crash window, one freeze window
+ * and a Byzantine inflator, with the tracer attached before the ring
+ * recorder (@p tracerFirst) or after. Both attach before seeding, so
+ * the provisioning mints are on the log either way.
+ */
+AttachOrderRun
+observedChaosRun(bool tracerFirst)
+{
+    record::FlightRecorder ring(ringConfig());
+    trace::Tracer tracer;
+
+    fault::ChaosConfig cc;
+    cc.width = 3;
+    cc.height = 3;
+    cc.auditPeriod = 4'096;
+    cc.fault.seed = 5;
+    cc.fault.base.drop = 0.01;
+    cc.fault.outages.push_back({4, 2'000, 6'000, /*freeze=*/false});
+    cc.fault.outages.push_back({2, 3'000, 5'000, /*freeze=*/true});
+    fault::ByzantineSpec inflator;
+    inflator.node = 0;
+    inflator.amount = 2;
+    inflator.period = 1'024;
+    cc.byzantine.specs.push_back(inflator);
+    fault::ChaosCluster c(cc);
+    if (tracerFirst) {
+        c.attachTrace(&tracer);
+        c.attachRecorder(&ring);
+    } else {
+        c.attachRecorder(&ring);
+        c.attachTrace(&tracer);
+    }
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        c.setHas(i, static_cast<coin::Coins>(4 + i));
+        c.setMax(i, static_cast<coin::Coins>(2 + 3 * (i % 4)));
+    }
+    c.sealProvision();
+    c.startAll();
+    c.eq().runUntil(20'000);
 
     std::ostringstream os;
     tracer.writeJson(os);
@@ -438,11 +472,24 @@ TEST(AttachOrder, SocObservesTheSameRunInEitherOrder)
     const AttachOrderRun after = observedSocRun(false);
     EXPECT_EQ(before.traceJson, after.traceJson);
     EXPECT_EQ(before.ringDigest, after.ringDigest);
+    EXPECT_TRUE(JsonChecker(before.traceJson).valid());
+}
+
+TEST(AttachOrder, ChaosObservesTheSameRunInEitherOrder)
+{
+    const AttachOrderRun tracerFirst = observedChaosRun(true);
+    const AttachOrderRun recorderFirst = observedChaosRun(false);
+    EXPECT_EQ(tracerFirst.traceJson, recorderFirst.traceJson);
+    EXPECT_EQ(tracerFirst.ringDigest, recorderFirst.ringDigest);
     // Re-wiring re-stores pointers only: each scheduled outage window
     // is emitted exactly once however often the harness rewires.
-    EXPECT_EQ(countOf(before.traceJson, "\"crash_window\""), 1u);
-    EXPECT_EQ(countOf(before.traceJson, "\"freeze_window\""), 1u);
-    EXPECT_TRUE(JsonChecker(before.traceJson).valid());
+    for (const AttachOrderRun *run : {&tracerFirst, &recorderFirst}) {
+        EXPECT_EQ(countOf(run->traceJson, "\"crash_window\""), 1u);
+        EXPECT_EQ(countOf(run->traceJson, "\"freeze_window\""), 1u);
+    }
+    EXPECT_GT(countOf(tracerFirst.traceJson, "\"byzantine\""), 0u)
+        << "the inflator never fired inside the run";
+    EXPECT_TRUE(JsonChecker(tracerFirst.traceJson).valid());
 }
 
 } // namespace
