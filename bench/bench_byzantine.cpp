@@ -1,7 +1,7 @@
 /**
  * @file
  * Byzantine sweep: overdraw and starvation versus attacker count, with
- * and without the integrity guardian (DESIGN.md ch.8, EXPERIMENTS.md).
+ * and without the integrity guardian (DESIGN.md ch.7, EXPERIMENTS.md).
  *
  * A 6x6 mesh is seeded with the bench-standard heterogeneous demand
  * and half-provisioned pool, then the first k of three canned
@@ -19,7 +19,7 @@
  * within the configured leak bound (0 after the post-run reconcile).
  *
  * Output is bit-identical for any BLITZ_SWEEP_THREADS setting (ordered
- * fold over streamSeed-derived trials) and any BLITZ_SHARDS setting.
+ * fold over streamSeed-derived trials).
  *
  * `--metrics[=path]` / `--trace[=path]` / `--health[=path]` opt into
  * the observability plane (see bench_obs.hpp); without the flags the
@@ -31,7 +31,6 @@
 #include "bench_common.hpp"
 #include "bench_obs.hpp"
 #include "fault/chaos.hpp"
-#include "sim/env.hpp"
 #include "sweep/sweep.hpp"
 
 using namespace blitz;
@@ -105,8 +104,6 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     cc.seedBase = seed;
     cc.fault.seed = seed;
     cc.byzantine.seed = seed;
-    if (auto k = sim::envCount("BLITZ_SHARDS"))
-        cc.shards = *k;
     armAttackers(cc, sc.attackers);
     if (sc.guardian) {
         cc.guardianEnabled = true;

@@ -22,7 +22,6 @@
 #include "bench_common.hpp"
 #include "bench_obs.hpp"
 #include "fault/chaos.hpp"
-#include "sim/env.hpp"
 #include "sweep/sweep.hpp"
 
 using namespace blitz;
@@ -82,12 +81,6 @@ runTrial(const Scenario &sc, std::uint64_t seed,
     cc.arena = &sim::threadArena();
     cc.seedBase = seed;
     cc.fault.seed = seed;
-    // BLITZ_SHARDS=K runs every trial's event kernel BSP-sharded over
-    // K column bands (K=1 is the bit-identity baseline; results are
-    // identical for every K by the sharded golden pins). Unset or
-    // invalid keeps the legacy single-queue path.
-    if (auto k = sim::envCount("BLITZ_SHARDS"))
-        cc.shards = *k;
     cc.fault.coinTrafficOnly = true;
     cc.fault.base.drop = sc.drop;
     cc.fault.base.duplicate = sc.duplicate;

@@ -25,7 +25,7 @@
 #include "blitzcoin/unit.hpp"
 #include "coin/neighborhood.hpp"
 #include "sim/rng.hpp"
-#include "trace/prof.hpp"
+#include "trace/health.hpp"
 
 using namespace blitz;
 

@@ -27,11 +27,6 @@
  * ever-faster baseline, so it was widened from 5% when the mega-mesh
  * hot-path work cut the unrecorded packet cost roughly in half — the
  * absolute overhead shrank in the same change.
- *
- * A second paired gate covers the introspection plane: the
- * noc_shard_16x16_s4 config is re-measured with a SuperstepProfiler
- * attached (per-phase timing + mailbox matrix on every superstep) and
- * must stay within 3% of its detached twin from the same invocation.
  */
 
 #include <benchmark/benchmark.h>
@@ -49,9 +44,7 @@
 #include "power/thermal.hpp"
 #include "record/recorder.hpp"
 #include "sim/rng.hpp"
-#include "sim/shard.hpp"
 #include "soc/throttler.hpp"
-#include "trace/prof.hpp"
 
 using namespace blitz;
 
@@ -345,64 +338,6 @@ perfNocSteady(const char *name, int d, std::uint64_t targetPackets,
 }
 
 /**
- * Large-mesh NoC steady state under the BSP-sharded kernel: same
- * traffic shape as perfNocSteady, but the mesh is partitioned into
- * @p shards column bands run bulk-synchronously. Senders are pinned
- * to their node's shard; deliveries execute at the destination's
- * locus, so the per-node sink counters have one writing shard each.
- * With @p profiled the superstep profiler rides along, charging every
- * execute/drain/barrier phase and the mailbox matrix — the attached
- * side of the profiler_overhead gate.
- */
-Result
-perfNocSharded(const char *name, int d, std::uint32_t shards,
-               std::uint64_t targetPackets, bool profiled = false)
-{
-    sim::EventQueue eq;
-    sim::ShardGroup group(
-        eq, shards,
-        sim::columnBands(static_cast<std::uint32_t>(d),
-                         static_cast<std::uint32_t>(d), shards));
-    trace::SuperstepProfiler prof;
-    if (profiled)
-        prof.attach(group);
-    noc::Network net(eq, noc::Topology(d, d, false));
-    net.enableSharding(group);
-    const auto n = static_cast<std::uint32_t>(d * d);
-    std::vector<std::uint64_t> sunk(n, 0);
-    std::uint64_t *sp = sunk.data();
-    for (noc::NodeId id = 0; id < n; ++id)
-        net.setHandler(id,
-                       [sp, id](const noc::Packet &) { ++sp[id]; });
-    for (noc::NodeId id = 0; id < n; ++id) {
-        eq.scheduleAtNode(
-            id, 1 + (id % 29),
-            SenderEvent{&net, &eq, id, 0x9e3779b9u + id, n, 32});
-    }
-    eq.runUntil(4096);
-
-    Result best{name};
-    for (int rep = 0; rep < 3; ++rep) {
-        std::uint64_t executed = 0;
-        const std::uint64_t packets0 = net.packetsDelivered();
-        const auto t0 = std::chrono::steady_clock::now();
-        while (net.packetsDelivered() - packets0 < targetPackets)
-            executed += eq.runUntil(eq.now() + 8192);
-        const double secs = secondsSince(t0);
-        const std::uint64_t packets =
-            net.packetsDelivered() - packets0;
-        if (best.seconds == 0.0 ||
-            secs / static_cast<double>(packets) <
-                best.seconds / static_cast<double>(best.packets)) {
-            best.events = executed;
-            best.packets = packets;
-            best.seconds = secs;
-        }
-    }
-    return best;
-}
-
-/**
  * Steady-state physics-plane step cost: RC integration with a chain
  * of couplings, rail-current reconstruction with the hysteresis
  * latch, and arbiter engage/release churn over a 36-tile population —
@@ -520,21 +455,6 @@ perfMain(const char *jsonPath, const char *checkPath)
         perfNocSteady("noc_steady_4x4", 4, 200'000),
         perfNocSteady("noc_steady_6x6", 6, 200'000),
         perfNocSteady("noc_steady_6x6_recorded", 6, 200'000, &ringRec),
-        // Large-mesh shard scaling: the same 16x16 workload at 1 and 4
-        // shards. s1 takes the single-active-shard inline path — fully
-        // deterministic and single-threaded, so it IS gated like the
-        // unsharded configs. s4 runs real worker threads, so its
-        // wall-clock (and the s4-vs-s1 ratio printed below) is only
-        // meaningful on a machine with >= 4 idle cores — recorded for
-        // inspection, never gated.
-        perfNocSharded("noc_shard_16x16_s1", 16, 1, 200'000),
-        perfNocSharded("noc_shard_16x16_s4", 16, 4, 200'000),
-        // Same workload with the superstep profiler attached; recorded
-        // for inspection and compared against its detached twin by the
-        // paired profiler_overhead gate below, never gated on its own
-        // wall-clock (worker threads contend with the host).
-        perfNocSharded("noc_shard_16x16_s4_prof", 16, 4, 200'000,
-                       true),
         // Mega-mesh hot path (ISSUE 8): per-packet hop cost at 10^4
         // and 10^5 nodes, and raw kernel throughput at 10^6 timers.
         // Slower cadences / thinned senders keep the wall-clock
@@ -551,21 +471,6 @@ perfMain(const char *jsonPath, const char *checkPath)
         // "Events" are plane steps; gated on events_per_sec.
         perfPhysicsStep("physics_steady_36", 2'000'000),
     };
-
-    double shardS1 = 0.0, shardS4 = 0.0, shardS4Prof = 0.0;
-    for (const Result &r : results) {
-        if (std::strcmp(r.name, "noc_shard_16x16_s1") == 0)
-            shardS1 = r.packetsPerSec();
-        if (std::strcmp(r.name, "noc_shard_16x16_s4") == 0)
-            shardS4 = r.packetsPerSec();
-        if (std::strcmp(r.name, "noc_shard_16x16_s4_prof") == 0)
-            shardS4Prof = r.packetsPerSec();
-    }
-    if (shardS1 > 0.0) {
-        std::printf("shard-scaling     noc_shard_16x16 s4/s1 = %.2fx "
-                    "(threads contend with the host; see comment)\n",
-                    shardS4 / shardS1);
-    }
 
     // Gate before overwriting: each config's throughput must stay
     // within 3% of the recorded run. Failures are reported by NAME so
@@ -593,31 +498,7 @@ perfMain(const char *jsonPath, const char *checkPath)
             if (bad)
                 noteRegression("recording_overhead");
         }
-        // Paired profiler gate: the superstep profiler charges clocks
-        // and bumps counters on every superstep, and the introspection
-        // plane's budget is 3% on the sharded hot path. Attached and
-        // detached twins come from the same invocation, so the bound
-        // holds on any machine without a recorded baseline.
-        if (shardS4 > 0.0) {
-            const double ratio = shardS4Prof / shardS4;
-            const bool bad = ratio < 0.97;
-            std::printf("perf-check %-18s %12.3e vs %12.3e  %+.1f%%%s\n",
-                        "profiler_overhead", shardS4Prof, shardS4,
-                        (ratio - 1.0) * 100.0,
-                        bad ? "  REGRESSION (>3% overhead)" : "");
-            if (bad)
-                noteRegression("profiler_overhead");
-        }
         for (const Result &r : results) {
-            // Multi-threaded shard entries (s2/s4/...) measure
-            // thread-level parallelism; their wall-clock depends on
-            // host core count and load, so they are recorded for
-            // inspection but never gated. The single-shard row runs
-            // inline on one thread and is gated like the rest.
-            if (std::strncmp(r.name, "noc_shard_", 10) == 0 &&
-                std::strcmp(r.name + std::strlen(r.name) - 3, "_s1") !=
-                    0)
-                continue;
             const bool noc = r.packets > 0;
             const double recorded =
                 recordedThroughput(checkPath, r.name, noc);
@@ -629,14 +510,7 @@ perfMain(const char *jsonPath, const char *checkPath)
             const double cur =
                 noc ? r.packetsPerSec() : r.eventsPerSec();
             const double ratio = cur / recorded;
-            // The single-shard inline path shows ~5% run-to-run
-            // variance (drain-time run-merging is sensitive to bucket
-            // shape), so its gate is wider than the 3% default to
-            // stay meaningful without flapping.
-            const double floor =
-                std::strncmp(r.name, "noc_shard_", 10) == 0 ? 0.92
-                                                            : 0.97;
-            const bool bad = ratio < floor;
+            const bool bad = ratio < 0.97;
             std::printf("perf-check %-18s %12.3e vs %12.3e  %+.1f%%%s\n",
                         r.name, cur, recorded, (ratio - 1.0) * 100.0,
                         bad ? "  REGRESSION" : "");

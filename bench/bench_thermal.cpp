@@ -1,7 +1,7 @@
 /**
  * @file
  * Physics-plane sweep: thermal-emergency and brownout response with
- * the throttler enforced vs merely observed (DESIGN.md ch.10,
+ * the throttler enforced vs merely observed (DESIGN.md ch.9,
  * EXPERIMENTS.md).
  *
  * Thermal-emergency rows run a 3x3 AV SoC under BlitzCoin with a fast

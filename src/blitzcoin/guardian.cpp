@@ -39,13 +39,6 @@ IntegrityGuardian::health(noc::NodeId tile) const
                               : it->second.health;
 }
 
-coin::Coins
-IntegrityGuardian::shadow(noc::NodeId tile) const
-{
-    auto it = tiles_.find(tile);
-    return it == tiles_.end() ? 0 : it->second.shadow;
-}
-
 int
 IntegrityGuardian::strikes(noc::NodeId tile) const
 {

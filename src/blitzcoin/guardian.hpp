@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime integrity guardian: neighbor-local detection, escalation,
- * and quarantine of Byzantine tiles (DESIGN.md ch.8).
+ * and quarantine of Byzantine tiles (DESIGN.md ch.7).
  *
  * The paper's conservation and convergence claims assume every tile
  * runs the protocol honestly. The guardian removes that assumption at
@@ -18,7 +18,7 @@
  * counterfeits (local inflation, forged exchange replies) shows up as
  * a strictly growing deviation between its architectural counter and
  * its shadow. Hoarding, request spamming, and stale replays get their
- * own detectors (see the table in DESIGN.md ch.8).
+ * own detectors (see the table in DESIGN.md ch.7).
  *
  * Escalation is warn -> throttle -> quarantine, with one *conviction*
  * per sweep: of the tiles past the quarantine threshold, only the
@@ -37,12 +37,6 @@
  * within a bounded leak window. Every detection, escalation, and
  * amnesty is journaled to the flight recorder, so verdicts are
  * replay-auditable.
- *
- * Sharding: sentry writes happen at the owning unit's locus (single
- * writer inside a superstep); sweep() runs in the serial lane between
- * supersteps, where it is the only active context — the escalation
- * state it rewrites across units is race-free by the BSP contract,
- * and sweeps are bit-identical at any shard count.
  */
 
 #ifndef BLITZ_BLITZCOIN_GUARDIAN_HPP
@@ -129,7 +123,7 @@ enum class TileHealth : std::uint8_t
 /**
  * Detector thresholds and the escalation ladder. Defaults are tuned
  * against the honest protocol's worst case on the 4096-tick audit
- * cadence (see DESIGN.md ch.8 for the derivations):
+ * cadence (see DESIGN.md ch.7 for the derivations):
  *  - conservation: a discontent tile initiates at most every
  *    minInterval + RTT ~= 11 ticks; in-flight exchanges straddling a
  *    sweep skew the books by at most a few pairwise deltas, so the
@@ -177,9 +171,9 @@ struct GuardianConfig
  * the ones that later turn out to be compromised — the guardian has
  * no side channel), wire noteGrant() into every legitimate mint/burn
  * site (provisioning, audit corrections), and call sweep() on the
- * audit cadence from the serial lane, *before* ClusterAudit::
- * reconcile() so a quarantine decision is visible to the census that
- * reclaims the fenced coins in the same tick.
+ * audit cadence, *before* ClusterAudit::reconcile() so a quarantine
+ * decision is visible to the census that reclaims the fenced coins in
+ * the same tick.
  */
 class IntegrityGuardian
 {
@@ -199,12 +193,11 @@ class IntegrityGuardian
 
     /**
      * One detection pass: absorb every sentry window, update the
-     * shadow books, run the detectors, escalate. Serial-lane only.
+     * shadow books, run the detectors, escalate.
      */
     void sweep();
 
     TileHealth health(noc::NodeId tile) const;
-    coin::Coins shadow(noc::NodeId tile) const;
     int strikes(noc::NodeId tile) const;
 
     std::uint64_t sweepsRun() const { return sweeps_; }
@@ -219,7 +212,7 @@ class IntegrityGuardian
 
     void setTrace(trace::Tracer *t) { tracer_ = t; }
 
-    /** Clock for journaled event timestamps (the anchor queue's). */
+    /** Clock for journaled event timestamps (the cluster queue's). */
     void setClock(std::function<sim::Tick()> clock)
     {
         clock_ = std::move(clock);

@@ -103,7 +103,7 @@ tagValue(std::int64_t word)
  * cadence. The default implementations are the honest protocol, so a
  * hook overriding nothing is a no-op. Hooks must be pure (no RNG, no
  * scheduling): active behaviors (counterfeit pulses, stale replays)
- * belong in the ByzantinePlan's locus-pinned drivers.
+ * belong in the ByzantinePlan's event-queue drivers.
  */
 class AdversaryHook
 {
@@ -292,9 +292,7 @@ class BlitzCoinUnit
 
     /**
      * Attach the guardian's observation tap. Pure observer on the
-     * honest path: every write happens at this unit's locus, and the
-     * guardian reads/clears the window from the serial lane between
-     * supersteps, so sharded runs stay race-free and bit-identical.
+     * honest path: it never changes what the unit does.
      */
     void setSentry(GuardSentry *s) { sentry_ = s; }
 

@@ -11,9 +11,8 @@ namespace blitz::fault {
 /**
  * The per-tile compromise: the passive half of one spec. Installed as
  * the unit's AdversaryHook, so every method runs inside the unit's own
- * events (at its locus in sharded mode) — the counters are
- * single-writer and the lies are a pure function of protocol state,
- * never of RNG or wall ordering.
+ * events — the counters are single-writer and the lies are a pure
+ * function of protocol state, never of RNG or wall ordering.
  */
 struct ByzantinePlan::Agent final : blitzcoin::AdversaryHook
 {
@@ -106,8 +105,7 @@ struct ByzantinePlan::Agent final : blitzcoin::AdversaryHook
         if (!active() || spec.behavior != ByzantineBehavior::Spammer)
             return honest;
         // Ignore the backoff law entirely: a near-continuous request
-        // stream. The 2/3/4 rotation is a fixed cycle, not RNG, so
-        // the flood is bit-identical at any shard count.
+        // stream. The 2/3/4 rotation is a fixed cycle, not RNG.
         spamPhase = (spamPhase + 1) % 3;
         return static_cast<sim::Tick>(2 + spamPhase);
     }
@@ -115,7 +113,6 @@ struct ByzantinePlan::Agent final : blitzcoin::AdversaryHook
     ByzantinePlan *plan;
     ByzantineSpec spec;
     blitzcoin::BlitzCoinUnit *unit = nullptr;
-    /** Single-writer at this tile's locus. */
     ByzantineStats stats{};
     std::uint32_t spamPhase = 0;
     /** StaleReplayer capture of the last served reply. */
@@ -190,8 +187,7 @@ ByzantinePlan::pulse(Agent &a)
         record(a, a.spec.amount, u->has(), "counterfeit_pulse");
     }
     if (now + a.spec.period < a.spec.until) {
-        eq_->scheduleAtNode(a.spec.node, now + a.spec.period,
-                            [this, ap = &a] { pulse(*ap); });
+        eq_->schedule(now + a.spec.period, [this, ap = &a] { pulse(*ap); });
     }
 }
 
@@ -223,8 +219,7 @@ ByzantinePlan::replay(Agent &a)
                static_cast<std::int64_t>(a.capXid), "stale_replay");
     }
     if (now + a.spec.period < a.spec.until) {
-        eq_->scheduleAtNode(a.spec.node, now + a.spec.period,
-                            [this, ap = &a] { replay(*ap); });
+        eq_->schedule(now + a.spec.period, [this, ap = &a] { replay(*ap); });
     }
 }
 
@@ -239,14 +234,12 @@ ByzantinePlan::arm(sim::EventQueue &eq, noc::Network &net)
                      "arm() before corrupt() of node ", a->spec.node);
         switch (a->spec.behavior) {
         case ByzantineBehavior::Inflator:
-            eq.scheduleAtNode(a->spec.node,
-                              a->spec.from + a->spec.period,
-                              [this, ap = a.get()] { pulse(*ap); });
+            eq.schedule(a->spec.from + a->spec.period,
+                        [this, ap = a.get()] { pulse(*ap); });
             break;
         case ByzantineBehavior::StaleReplayer:
-            eq.scheduleAtNode(a->spec.node,
-                              a->spec.from + a->spec.period,
-                              [this, ap = a.get()] { replay(*ap); });
+            eq.schedule(a->spec.from + a->spec.period,
+                        [this, ap = a.get()] { replay(*ap); });
             break;
         case ByzantineBehavior::ReplyForger:
         case ByzantineBehavior::Spammer:

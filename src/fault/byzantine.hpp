@@ -17,9 +17,8 @@
  * (config, seed) pair fully determines the attack pattern. Passive
  * lies live in an AdversaryHook installed on the unit (consulted at
  * the three protocol seams; pure, no RNG); active behaviors (the
- * counterfeit pulse, the stale resend) are locus-pinned drivers on
- * the event queue, so sharded runs stay bit-identical at any shard
- * count. The guardian (blitzcoin/guardian.hpp) is the defense; the
+ * counterfeit pulse, the stale resend) are drivers on the event
+ * queue. The guardian (blitzcoin/guardian.hpp) is the defense; the
  * plan stops a driver permanently once its tile is quarantined.
  */
 
@@ -127,17 +126,12 @@ class ByzantinePlan
 
     /**
      * Schedule the active drivers (counterfeit pulses, stale resends)
-     * at each compromised node's locus. Call once, before running; on
-     * a sharded queue the drivers execute inside the owning shard, so
-     * the attack pattern is bit-identical at any shard count. A driver
+     * of the compromised nodes. Call once, before running. A driver
      * whose tile gets quarantined stops rescheduling permanently.
      */
     void arm(sim::EventQueue &eq, noc::Network &net);
 
-    /**
-     * Attack counters, summed over compromised tiles (each counter is
-     * single-writer at its tile's locus; the sum is fold-order free).
-     */
+    /** Attack counters, summed over compromised tiles. */
     ByzantineStats stats() const;
 
     /**

@@ -10,7 +10,6 @@
 #include "sim/logging.hpp"
 #include "trace/health.hpp"
 #include "trace/metrics.hpp"
-#include "trace/prof.hpp"
 #include "trace/tracer.hpp"
 
 namespace blitz::fault {
@@ -20,22 +19,6 @@ ChaosCluster::ChaosCluster(const ChaosConfig &cfg)
       net_(eq_, topo_, 1, cfg.arena), plane_(cfg.fault), audit_(0),
       maxAtCrash_(topo_.size(), 0)
 {
-    if (cfg_.shards >= 1) {
-        // Bind the shard group before anything schedules: the anchor
-        // must be empty, and the network/fault plane must flip to
-        // their partition-independent state layouts before the first
-        // packet. Column bands: more shards than columns would own no
-        // node.
-        const auto width = static_cast<std::uint32_t>(cfg.width);
-        const std::uint32_t shards = std::min(cfg_.shards, width);
-        group_ = std::make_unique<sim::ShardGroup>(
-            eq_, shards,
-            sim::columnBands(width,
-                             static_cast<std::uint32_t>(cfg.height),
-                             shards));
-        net_.enableSharding(*group_);
-        plane_.enableKeyedStreams(shards);
-    }
     plane_.attach(net_);
     std::vector<bool> managed(topo_.size(), true);
     auto hoods = coin::managedNeighborhoods(topo_, managed);
@@ -83,8 +66,6 @@ ChaosCluster::scheduleAudit()
         // Guardian first: a quarantine decided this sweep must be
         // visible to the census on the same tick, so the fenced coins
         // drop out of the count and the same reconcile remints them.
-        // Both run in the serial lane (exclusive context) in sharded
-        // mode, so the cross-unit writes are race-free.
         if (guardian_)
             guardian_->sweep();
         audit_.reconcile();
@@ -247,10 +228,6 @@ ChaosCluster::attachRecorder(record::FlightRecorder *rec,
 void
 ChaosCluster::rewire()
 {
-    // Sharded deliveries append from parallel phases; flip the
-    // recorder's mutex on before the first concurrent append.
-    if (recorder_ && group_)
-        recorder_->setConcurrent(true);
     net_.setRecorder(recorder_);
     plane_.setTrace(tracer_);
     plane_.setRecorder(recorder_);
@@ -325,9 +302,6 @@ ChaosCluster::setHas(std::size_t i, coin::Coins has)
 void
 ChaosCluster::setMax(std::size_t i, coin::Coins max)
 {
-    // setMax on a running unit fires an immediate exchange timer;
-    // scope it to the unit's locus like startAll().
-    sim::LocusScope scope(eq_, static_cast<noc::NodeId>(i));
     units_[i]->setMax(max);
 }
 
@@ -340,14 +314,8 @@ ChaosCluster::sealProvision()
 void
 ChaosCluster::startAll()
 {
-    // LocusScope pins each unit's initial timer to its own node's
-    // ordering locus (and shard leaf), so the schedule is a pure
-    // function of the node — identical for every shard count — and a
-    // no-op in legacy mode.
-    for (noc::NodeId id = 0; id < units_.size(); ++id) {
-        sim::LocusScope scope(eq_, id);
-        units_[id]->start();
-    }
+    for (auto &u : units_)
+        u->start();
 }
 
 coin::Coins
@@ -468,8 +436,6 @@ ChaosCluster::fillHealth(trace::HealthReport &report) const
     plane_.fillHealth(report);
     net_.fillHealth(report);
     trace::fillQueueHealth(report, eq_);
-    if (group_)
-        trace::fillShardHealth(report, *group_);
     if (cfg_.arena)
         trace::fillArenaHealth(report, *cfg_.arena);
 }

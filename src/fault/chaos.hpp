@@ -24,7 +24,6 @@
 #include "fault_plane.hpp"
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard.hpp"
 
 namespace blitz::trace {
 class HealthReport;
@@ -83,16 +82,6 @@ struct ChaosConfig
      * live entirely inside one replication).
      */
     sim::Arena *arena = nullptr;
-    /**
-     * BSP shard count. 0 (the default) keeps the legacy single-queue
-     * kernel — existing golden pins are untouched. >= 1 runs the
-     * cluster on a sim::ShardGroup with that many parallel column
-     * bands (clamped to the mesh width) plus the serial observer
-     * lane; 1 is the bit-identity baseline the 2- and 4-shard runs
-     * are pinned against. Pass sim::defaultShards() to honor the
-     * BLITZ_SHARDS environment knob.
-     */
-    std::uint32_t shards = 0;
 };
 
 /**
@@ -113,8 +102,6 @@ class ChaosCluster
     sim::EventQueue &eq() { return eq_; }
     noc::Network &net() { return net_; }
     FaultPlane &plane() { return plane_; }
-    /** The BSP shard group, or nullptr in legacy mode. */
-    sim::ShardGroup *shardGroup() { return group_.get(); }
     blitzcoin::ClusterAudit &audit() { return audit_; }
     /** The attack plan, or nullptr when every tile is honest. */
     ByzantinePlan *byzantinePlan() { return byzantine_.get(); }
@@ -189,8 +176,8 @@ class ChaosCluster
      * @p report's deterministic section: coin conservation (total vs
      * expected), audit remints/burns, per-ladder guardian counts,
      * fault-plane and NoC totals, unit exchange/recovery sums,
-     * crashed/quarantined populations, and the event-kernel and shard
-     * gauges. bump/max-folds, so one report can aggregate many trials.
+     * crashed/quarantined populations, and the event-kernel gauges.
+     * bump/max-folds, so one report can aggregate many trials.
      */
     void fillHealth(trace::HealthReport &report) const;
 
@@ -236,12 +223,6 @@ class ChaosCluster
     record::FlightRecorder *recorder_ = nullptr;
     sim::Tick snapshotEvery_ = 0;
     std::int64_t snapshotEpoch_ = 0;
-    /**
-     * Declared last on purpose: the group must unbind the anchor and
-     * join its workers before any component it routes events for is
-     * destroyed.
-     */
-    std::unique_ptr<sim::ShardGroup> group_;
 };
 
 } // namespace blitz::fault

@@ -36,42 +36,10 @@ FaultPlane::FaultPlane(FaultConfig cfg)
         checkRates(r);
 }
 
-FaultStats
-FaultPlane::stats() const
-{
-    FaultStats total = stats_;
-    for (const FaultStats &s : shardStats_) {
-        total.drops += s.drops;
-        total.delays += s.delays;
-        total.duplicates += s.duplicates;
-        total.corruptions += s.corruptions;
-        total.outageDrops += s.outageDrops;
-        total.partitionDrops += s.partitionDrops;
-    }
-    return total;
-}
-
-void
-FaultPlane::enableKeyedStreams(std::uint32_t shards)
-{
-    BLITZ_ASSERT(!keyed_, "keyed streams already enabled");
-    keyed_ = true;
-    shardStats_.assign(shards + 1, FaultStats{});
-}
-
-FaultStats &
-FaultPlane::statsSlot()
-{
-    if (!keyed_)
-        return stats_;
-    const sim::ShardContext *c = sim::tlsShardContext();
-    return shardStats_[c ? c->shard : shardStats_.size() - 1];
-}
-
 void
 FaultPlane::fillHealth(trace::HealthReport &report) const
 {
-    const FaultStats fs = stats();
+    const FaultStats &fs = stats_;
     report.bumpDet("fault.drops", static_cast<double>(fs.drops));
     report.bumpDet("fault.delays", static_cast<double>(fs.delays));
     report.bumpDet("fault.duplicates", static_cast<double>(fs.duplicates));
@@ -122,20 +90,15 @@ FaultPlane::armOutageSchedule(sim::EventQueue &eq)
     for (const auto &o : cfg_.outages) {
         auto down = o.freeze ? &onNodeFrozen : &onNodeDown;
         auto up = o.freeze ? &onNodeThawed : &onNodeUp;
-        // At the affected node's locus: in sharded mode the crash /
-        // restart callbacks mutate that tile's unit state, which its
-        // owning shard must do. Identical to plain scheduling when
-        // the queue is unsharded.
-        eq.scheduleAtNode(o.node, o.from, [this, node = o.node, down] {
+        eq.schedule(o.from, [this, node = o.node, down] {
             if (*down)
                 (*down)(node);
         });
         if (o.until < sim::maxTick) {
-            eq.scheduleAtNode(o.node, o.until,
-                              [this, node = o.node, up] {
-                                  if (*up)
-                                      (*up)(node);
-                              });
+            eq.schedule(o.until, [this, node = o.node, up] {
+                if (*up)
+                    (*up)(node);
+            });
         }
     }
 }
@@ -189,30 +152,13 @@ FaultPlane::ratesFor(const noc::Packet &pkt, noc::NodeId from,
 
 noc::FaultDecision
 FaultPlane::applyRates(noc::Packet &pkt, const FaultRates &r,
-                       bool deliveryStage, sim::Tick now,
-                       noc::NodeId siteFrom, noc::NodeId siteTo)
+                       bool deliveryStage, sim::Tick now)
 {
     noc::FaultDecision fd;
     if (r.quiet() || (cfg_.coinTrafficOnly && !coinMessage(pkt)))
         return fd;
-    // Keyed mode: a fresh stateless stream per (packet, site, stage)
-    // decision. The sequential stream would make verdict N depend on
-    // the N-1 draws before it — an ordering no parallel partition can
-    // reproduce. XY routing crosses each (from, to) link at most
-    // once, so the key is unique per decision.
-    sim::Rng keyedRng(0);
-    sim::Rng *rng = &rng_;
-    if (keyed_) {
-        std::uint64_t k = sim::hashCombine(cfg_.seed, pkt.seq);
-        k = sim::hashCombine(
-            k, (static_cast<std::uint64_t>(siteFrom) << 32) | siteTo);
-        k = sim::hashCombine(k, deliveryStage ? 1 : 2);
-        keyedRng.reseed(k);
-        rng = &keyedRng;
-    }
-    FaultStats &st = statsSlot();
-    if (r.drop > 0.0 && rng->chance(r.drop)) {
-        ++st.drops;
+    if (r.drop > 0.0 && rng_.chance(r.drop)) {
+        ++stats_.drops;
         fd.drop = true;
         if (tracer_)
             tracer_->instant("fault", "inject_drop", pkt.dst, now,
@@ -225,9 +171,9 @@ FaultPlane::applyRates(noc::Packet &pkt, const FaultRates &r,
                              pkt.dst, static_cast<std::int64_t>(pkt.seq));
         return fd;
     }
-    if (r.delay > 0.0 && rng->chance(r.delay)) {
-        ++st.delays;
-        fd.delay = rng->range(static_cast<std::int64_t>(r.delayMin),
+    if (r.delay > 0.0 && rng_.chance(r.delay)) {
+        ++stats_.delays;
+        fd.delay = rng_.range(static_cast<std::int64_t>(r.delayMin),
                               static_cast<std::int64_t>(r.delayMax));
         if (tracer_)
             tracer_->instant(
@@ -243,8 +189,8 @@ FaultPlane::applyRates(noc::Packet &pkt, const FaultRates &r,
     // Duplication is a delivery-stage artifact (endpoint retransmit);
     // duplicating mid-route would multiply copies at every hop.
     if (deliveryStage && r.duplicate > 0.0 &&
-        rng->chance(r.duplicate)) {
-        ++st.duplicates;
+        rng_.chance(r.duplicate)) {
+        ++stats_.duplicates;
         fd.duplicate = true;
         if (tracer_)
             tracer_->instant("fault", "inject_duplicate", pkt.dst, now);
@@ -254,10 +200,10 @@ FaultPlane::applyRates(noc::Packet &pkt, const FaultRates &r,
                              static_cast<int>(pkt.type), pkt.src,
                              pkt.dst, static_cast<std::int64_t>(pkt.seq));
     }
-    if (r.corrupt > 0.0 && rng->chance(r.corrupt)) {
-        ++st.corruptions;
-        const auto word = static_cast<std::size_t>(rng->below(4));
-        const auto bit = static_cast<int>(rng->below(63));
+    if (r.corrupt > 0.0 && rng_.chance(r.corrupt)) {
+        ++stats_.corruptions;
+        const auto word = static_cast<std::size_t>(rng_.below(4));
+        const auto bit = static_cast<int>(rng_.below(63));
         pkt.payload[word] ^= std::int64_t{1} << bit;
         pkt.corrupted = true; // the link CRC catches the damage
         if (tracer_)
@@ -278,7 +224,7 @@ FaultPlane::onLink(noc::Packet &pkt, noc::NodeId from, noc::NodeId to,
                    sim::Tick now)
 {
     if (nodeDown(pkt.src, now) || nodeDown(pkt.dst, now)) {
-        ++statsSlot().outageDrops;
+        ++stats_.outageDrops;
         if (recorder_)
             recorder_->fault(now, record::RecordKind::FaultDrop,
                              record::kSiteOutage,
@@ -287,7 +233,7 @@ FaultPlane::onLink(noc::Packet &pkt, noc::NodeId from, noc::NodeId to,
         return {.drop = true};
     }
     if (linkCut(from, to, now)) {
-        ++statsSlot().partitionDrops;
+        ++stats_.partitionDrops;
         if (recorder_)
             recorder_->fault(now, record::RecordKind::FaultDrop,
                              record::kSitePartition,
@@ -297,8 +243,7 @@ FaultPlane::onLink(noc::Packet &pkt, noc::NodeId from, noc::NodeId to,
     }
     if (cfg_.endpointOnly)
         return {};
-    return applyRates(pkt, ratesFor(pkt, from, to), false, now, from,
-                      to);
+    return applyRates(pkt, ratesFor(pkt, from, to), false, now);
 }
 
 bool
@@ -332,7 +277,7 @@ noc::FaultDecision
 FaultPlane::onDeliver(noc::Packet &pkt, noc::NodeId at, sim::Tick now)
 {
     if (nodeDown(pkt.src, now) || nodeDown(at, now)) {
-        ++statsSlot().outageDrops;
+        ++stats_.outageDrops;
         if (recorder_)
             recorder_->fault(now, record::RecordKind::FaultDrop,
                              record::kSiteOutage,
@@ -340,7 +285,7 @@ FaultPlane::onDeliver(noc::Packet &pkt, noc::NodeId at, sim::Tick now)
                              static_cast<std::int64_t>(pkt.seq));
         return {.drop = true};
     }
-    return applyRates(pkt, ratesFor(pkt, at, at), true, now, at, at);
+    return applyRates(pkt, ratesFor(pkt, at, at), true, now);
 }
 
 PartitionWindow

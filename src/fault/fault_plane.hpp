@@ -150,27 +150,11 @@ class FaultPlane : public noc::FaultHook
   public:
     explicit FaultPlane(FaultConfig cfg);
 
-    /**
-     * Injection counters. With keyed streams enabled the per-shard
-     * slots are merged on read (sum of integers — fold-order free),
-     * so the totals are identical for every shard count.
-     */
-    FaultStats stats() const;
+    /** Injection counters. */
+    const FaultStats &stats() const { return stats_; }
 
     /** Injection totals into @p report's deterministic section. */
     void fillHealth(trace::HealthReport &report) const;
-
-    /**
-     * Switch from the single sequential RNG stream to stateless keyed
-     * streams for sharded runs: every rate decision draws from a
-     * fresh generator seeded by hash(config seed, packet seq, site,
-     * stage) — a pure function of *what* is being decided, so the
-     * verdict cannot depend on how many draws other shards made
-     * first. Injection counters move to per-shard slots (indices
-     * 0..shards, last = serial lane). Call once, before any traffic,
-     * on a plane attached to a sharded network.
-     */
-    void enableKeyedStreams(std::uint32_t shards);
 
     /** Attach to a network (convenience for setFaultHook). */
     void
@@ -230,18 +214,9 @@ class FaultPlane : public noc::FaultHook
     const FaultRates &ratesFor(const noc::Packet &pkt, noc::NodeId from,
                                noc::NodeId to) const;
 
-    /**
-     * Rate-based faults shared by both stages. @p siteFrom/@p siteTo
-     * identify the decision site — they key the stateless stream when
-     * keyed mode is on and are ignored otherwise.
-     */
+    /** Rate-based faults shared by both stages. */
     noc::FaultDecision applyRates(noc::Packet &pkt, const FaultRates &r,
-                                  bool deliveryStage, sim::Tick now,
-                                  noc::NodeId siteFrom,
-                                  noc::NodeId siteTo);
-
-    /** The executing shard's counter slot (stats_ when unkeyed). */
-    FaultStats &statsSlot();
+                                  bool deliveryStage, sim::Tick now);
 
     bool coinMessage(const noc::Packet &pkt) const;
     bool linkCut(noc::NodeId a, noc::NodeId b, sim::Tick now) const;
@@ -249,9 +224,6 @@ class FaultPlane : public noc::FaultHook
     FaultConfig cfg_;
     sim::Rng rng_;
     FaultStats stats_;
-    bool keyed_ = false;
-    /** Per-shard counters (keyed mode); last slot = serial lane. */
-    std::vector<FaultStats> shardStats_;
     trace::Tracer *tracer_ = nullptr;
     record::FlightRecorder *recorder_ = nullptr;
 };

@@ -28,12 +28,10 @@ Topology::Topology(int width, int height, bool wrap)
     if (width < 1 || height < 1)
         sim::fatal("topology dimensions must be positive, got ",
                    width, "x", height);
-    // Index-width contract: node ids must fit the sharded event
-    // kernel's 20-bit locus key field (see sim::kMaxMeshNodes).
+    // Index-width contract (see sim::kMaxMeshNodes).
     if (size() > sim::kMaxMeshNodes)
         sim::fatal("mesh ", width, "x", height, " exceeds the ",
-                   sim::kMaxMeshNodes,
-                   "-node ceiling of the sharded ordering key");
+                   sim::kMaxMeshNodes, "-node ceiling");
     // The round-up reciprocal is provably exact for this shift once
     // id * width fits well under 2^kRowShift, but the routing layer
     // leans on it for every hop, so verify the full id range outright

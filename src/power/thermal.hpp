@@ -24,8 +24,8 @@
  *
  * Determinism contract: step() is pure double arithmetic over a fixed
  * iteration order, touches no RNG and no clock, and allocates nothing
- * — the instance is safe to drive from the BSP serial lane and keeps
- * golden digests bit-identical at every shard count.
+ * — the golden digests stay bit-identical at every sweep thread
+ * count.
  */
 
 #ifndef BLITZ_POWER_THERMAL_HPP

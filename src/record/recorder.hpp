@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,34 +68,14 @@ class FlightRecorder
     void
     append(Record r)
     {
-        if (mu_) {
-            std::lock_guard<std::mutex> lock(*mu_);
-            appendLocked(r);
-            return;
-        }
-        appendLocked(r);
+        r.lane = lane_;
+        if (writeCursor_ == cfg_.chunkRecords)
+            advanceChunk();
+        chunks_[writeChunk_][writeCursor_++] = r;
+        ++appended_;
+        if (ref_ != nullptr)
+            checkLockstep(r);
     }
-
-    /**
-     * Arm (or disarm) concurrent-append mode: append() takes a mutex,
-     * so hook sites running in parallel shard phases (sim/shard.hpp)
-     * may journal into one recorder without racing the chunks. Within
-     * one tick the interleaving across shards is arbitrary — record
-     * *counts* stay deterministic, record *order* does not — so
-     * sharded golden digests pin counts, never the stream digest, and
-     * lockstep replay (order-sensitive by design) stays unsharded.
-     * Off by default: the single-threaded path costs one null check.
-     */
-    void
-    setConcurrent(bool on)
-    {
-        if (on && !mu_)
-            mu_ = std::make_unique<std::mutex>();
-        else if (!on)
-            mu_.reset();
-    }
-
-    bool concurrent() const { return mu_ != nullptr; }
 
     // ---- convenience emitters (plain integers; see records.hpp) ----
 
@@ -368,18 +347,6 @@ class FlightRecorder
                          LogHeader *header = nullptr);
 
   private:
-    void
-    appendLocked(Record r)
-    {
-        r.lane = lane_;
-        if (writeCursor_ == cfg_.chunkRecords)
-            advanceChunk();
-        chunks_[writeChunk_][writeCursor_++] = r;
-        ++appended_;
-        if (ref_ != nullptr)
-            checkLockstep(r);
-    }
-
     void advanceChunk();
     void checkLockstep(const Record &r);
 
@@ -396,8 +363,6 @@ class FlightRecorder
     const FlightRecorder *ref_ = nullptr;
     bool diverged_ = false;
     std::uint64_t divergedAt_ = 0;
-    /** Present only in concurrent mode (unique_ptr keeps moves). */
-    std::unique_ptr<std::mutex> mu_;
 };
 
 } // namespace blitz::record

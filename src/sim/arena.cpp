@@ -36,16 +36,6 @@ Arena::allocate(std::size_t bytes, std::size_t align)
     }
 }
 
-void
-Arena::reserve(std::size_t bytes)
-{
-    if (reserved_ >= bytes)
-        return;
-    const std::size_t size = bytes - reserved_;
-    chunks_.push_back({std::make_unique<std::byte[]>(size), size});
-    reserved_ += size;
-}
-
 Arena &
 threadArena()
 {

@@ -73,13 +73,6 @@ class Arena
      */
     std::uint64_t epoch() const { return epoch_; }
 
-    /**
-     * Pre-size the arena to at least @p bytes of backing capacity in
-     * one allocation. Mega-mesh runs call this up front (sized from
-     * the topology) so slabs and pools never grow mid-simulation.
-     */
-    void reserve(std::size_t bytes);
-
     /** Total bytes of backing chunks held (capacity, not usage). */
     std::size_t
     bytesReserved() const

@@ -1,7 +1,7 @@
 /**
  * @file
- * Validated reads of numeric text: the environment knobs
- * (BLITZ_SHARDS, BLITZ_SWEEP_THREADS) and the tools' count flags.
+ * Validated reads of numeric text: the BLITZ_SWEEP_THREADS
+ * environment knob and the tools' count flags.
  */
 
 #ifndef BLITZ_SIM_ENV_HPP

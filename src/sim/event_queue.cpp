@@ -10,7 +10,7 @@ EventQueue::~EventQueue()
     // reach back into a dead queue.
     const auto detach = [](const HeapEntry &e) {
         if (isLiveTimerRef(e.ref))
-            timerOf(e.ref)->q_ = nullptr;
+            timerOf(e.ref)->armed_ = false;
     };
     std::for_each(batch_.begin() + static_cast<std::ptrdiff_t>(batchIdx_),
                   batch_.end(), detach);
@@ -217,19 +217,6 @@ EventQueue::wheelNext(std::uint32_t &idxOut) const
     return now_ + ((idx - start) & (kWheelTicks - 1));
 }
 
-Tick
-EventQueue::nextTick() const
-{
-    Tick t = batchIdx_ < batch_.size() ? batchTick_ : maxTick;
-    std::uint32_t idx = 0;
-    const Tick w = wheelNext(idx);
-    if (w < t)
-        t = w;
-    if (!far_.empty() && far_.front().when < t)
-        t = far_.front().when;
-    return t;
-}
-
 bool
 EventQueue::refillBatch(Tick limit)
 {
@@ -249,8 +236,7 @@ EventQueue::refillBatch(Tick limit)
         const Tick t = wheelNext(idx);
         if (t != maxTick) {
             // Test the horizon before touching the bucket: a probe past
-            // the limit (every superstep of a sharded run makes one)
-            // leaves it as it is.
+            // the limit leaves it as it is.
             if (t > limit)
                 return false;
             Bucket &b = wheel_[idx];
@@ -403,9 +389,7 @@ EventQueue::execute(std::uintptr_t ref)
         Timer *t = timerOf(ref);
         --entryCount_;
         ++executedTotal_;
-        t->q_ = nullptr; // disarmed first: the callback may re-arm it
-        if (ctx_)
-            ctx_->locus = t->locus_;
+        t->armed_ = false; // disarmed first: the callback may re-arm it
         t->invoke_(t->buf_);
         return true;
     }
@@ -419,8 +403,6 @@ EventQueue::execute(std::uintptr_t ref)
         ~SlotGuard() { eq->releaseSlot(slot); }
     } guard{this, slot};
     ++executedTotal_;
-    if (ctx_)
-        ctx_->locus = n->locus;
     n->invoke(n->buf);
     return true;
 }
@@ -428,9 +410,6 @@ EventQueue::execute(std::uintptr_t ref)
 bool
 EventQueue::runOne(Tick limit)
 {
-    BLITZ_ASSERT(!bind_.group,
-                 "runOne() is not supported on a sharded anchor — "
-                 "use runUntil()");
     for (;;) {
         while (batchIdx_ < batch_.size()) {
             if (batchTick_ > limit)
@@ -443,38 +422,9 @@ EventQueue::runOne(Tick limit)
     }
 }
 
-void
-EventQueue::scheduleRaw(Tick when, std::uint64_t ord,
-                        std::uint32_t locus, void (*invoke)(void *),
-                        const void *payload, std::size_t bytes)
-{
-    BLITZ_ASSERT(when >= now_, "scheduling event in the past (", when,
-                 " < ", now_, ")");
-    BLITZ_ASSERT(bytes <= kInlineCallback,
-                 "raw event payload exceeds the inline buffer");
-    const std::uint32_t slot = acquireSlot();
-    Node &n = *node(slot);
-    n.locus = locus;
-    n.invoke = invoke;
-    n.destroy = nullptr; // mailbox payloads are trivially copyable
-    std::memcpy(n.buf, payload, bytes);
-    enqueue({when, ord, slotRef(slot)});
-    ++scheduledTotal_;
-}
-
 std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
-    // A sharded anchor holds no events itself: delegate to the group's
-    // bulk-synchronous superstep loop, then mirror the leaves' clock.
-    if (bind_.group) {
-        const std::uint64_t executed = bind_.runUntil(bind_.group,
-                                                      limit);
-        for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            if (bind_.leaves[s]->now_ > now_)
-                now_ = bind_.leaves[s]->now_;
-        return executed;
-    }
     // Drain whole tick batches in a tight loop; refillBatch() enforces
     // the horizon.
     std::uint64_t executed = 0;
@@ -498,42 +448,27 @@ done:
 void
 Timer::arm(Tick when)
 {
-    // The leaf and key schedule() would give the same call.
-    const ShardBinding &b = eq_->bind_;
-    const ShardContext *c = b.group ? tlsShardContext() : nullptr;
-    const std::uint32_t locus = c ? c->locus : b.nodeCount;
-    EventQueue *leaf = !b.group ? eq_
-                       : c      ? c->queue
-                                : b.leaves[b.shardCount];
-    BLITZ_ASSERT(when >= leaf->now_, "arming a timer in the past (",
-                 when, " < ", leaf->now_, ")");
+    BLITZ_ASSERT(when >= q_->now_, "arming a timer in the past (", when,
+                 " < ", q_->now_, ")");
     disarm();
-    ord_ = b.group ? EventQueue::packOrdSharded(
-                         prio_, locus, b.locusCounters[locus]++)
-                   : EventQueue::packOrd(prio_, eq_->nextSeq_++);
-    locus_ = locus;
-    q_ = leaf;
-    leaf->enqueue<true>({when, ord_, ref()});
-    ++leaf->scheduledTotal_;
+    // The key schedule() would give the same call.
+    ord_ = EventQueue::packOrd(prio_, q_->nextSeq_++);
+    armed_ = true;
+    q_->enqueue<true>({when, ord_, ref()});
+    ++q_->scheduledTotal_;
 }
 
 void
 Timer::armIn(Tick delta)
 {
-    arm(eq_->now() + delta);
+    arm(q_->now() + delta);
 }
 
 void
 Timer::detach()
 {
     EventQueue &q = *q_;
-    q_ = nullptr;
-    // The entry's leaf must be parked or driven by this thread (DESIGN
-    // §7): inside a parallel phase that is the thread's own leaf only.
-    const ShardContext *c = eq_->bind_.group ? tlsShardContext() : nullptr;
-    BLITZ_ASSERT(!c || c->serial || &q == c->queue, "timer moved by shard ",
-                 c->shard, " out of a leaf it does not drive: a parallel "
-                 "phase may move only its own leaf's timers");
+    armed_ = false;
     switch (where_) {
       case Where::Batch:
         q.batchLowerBound(ord_)->ref = EventQueue::kDeadRef;

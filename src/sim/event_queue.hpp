@@ -9,7 +9,7 @@
  * pattern. The behavioral coin-exchange engine does not use this kernel;
  * it steps a global clock directly for Monte-Carlo speed.
  *
- * Internals (see DESIGN.md "Scheduler internals" and ch. 9 "Mega-mesh
+ * Internals (see DESIGN.md "Scheduler internals" and ch. 8 "Mega-mesh
  * hot path"): events live in slab-allocated nodes.
  * Ordering uses a calendar structure instead of a global heap: ticks
  * within a kWheelTicks window of now() hash into per-tick wheel
@@ -29,14 +29,6 @@
  * first wheel revolution have warmed up. A scheduled event always
  * runs; a wakeup that may be retracted or moved is a sim::Timer, which
  * keeps at most one queued entry.
- *
- * Sharded mode (see DESIGN.md "BSP-sharded execution"): one queue can
- * act as the *anchor* of a sim::ShardGroup — existing call sites keep
- * scheduling through it, but events are routed to per-shard leaf
- * queues keyed by (tick, priority, origin locus, per-locus counter),
- * an ordering that is independent of how the mesh is partitioned. The
- * anchor itself then holds no events; runUntil() delegates to the
- * group's bulk-synchronous superstep loop.
  */
 
 #ifndef BLITZ_SIM_EVENT_QUEUE_HPP
@@ -72,69 +64,6 @@ enum class Priority : int
 };
 
 class EventQueue;
-class ShardGroup;
-
-/**
- * Thread-local execution context of a sharded run: which leaf queue
- * the current thread is driving, which shard it is, and the *locus* —
- * the mesh node in whose context the executing event runs. Events
- * scheduled while a context is active inherit its locus as the origin
- * component of their sort key, so per-locus insertion counters stay
- * owned by exactly one thread at a time.
- */
-struct ShardContext
-{
-    EventQueue *queue = nullptr;
-    std::uint32_t shard = 0;
-    std::uint32_t locus = 0;
-    /**
-     * True when every shard is parked (setup code, the serial lane of
-     * a superstep): scheduling may then insert directly into any leaf
-     * instead of going through a mailbox.
-     */
-    bool serial = false;
-};
-
-/**
- * The calling thread's active shard context (null outside a phase).
- * Inline on purpose: the sharded hot path consults it several times
- * per event (scheduling, pool selection, now()), and an out-of-line
- * definition would turn each of those into a function call instead of
- * a single TLS-relative load. The pointee is trivially destructible,
- * so the thread_local needs no init guard.
- */
-inline ShardContext *&
-tlsShardContext()
-{
-    thread_local ShardContext *ctx = nullptr;
-    return ctx;
-}
-
-/**
- * Everything an anchor queue needs to route scheduling calls into a
- * ShardGroup, expressed as plain pointers so the hot templates in this
- * header never need the group's definition (see sim/shard.hpp).
- */
-struct ShardBinding
-{
-    ShardGroup *group = nullptr;
-    /** shardCount leaf queues followed by the serial (global) lane. */
-    EventQueue *const *leaves = nullptr;
-    std::uint32_t shardCount = 0;
-    /** Owning shard of each mesh node (size nodeCount). */
-    const std::uint32_t *shardOfNode = nullptr;
-    std::uint32_t nodeCount = 0;
-    /** Per-locus insertion counters; index nodeCount = the serial lane. */
-    std::uint64_t *locusCounters = nullptr;
-    /** Park a cross-shard event in the (src, dst) mailbox. */
-    void (*crossPush)(ShardGroup *, std::uint32_t srcShard,
-                      std::uint32_t dstShard, Tick when,
-                      std::uint64_t ord, std::uint32_t locus,
-                      void (*invoke)(void *), const void *payload,
-                      std::size_t bytes) = nullptr;
-    /** The group's bulk-synchronous superstep loop. */
-    std::uint64_t (*runUntil)(ShardGroup *, Tick limit) = nullptr;
-};
 
 /**
  * Queue entry: the complete (when, priority, insertion-seq) sort key
@@ -155,11 +84,11 @@ struct HeapEntry
  * A re-armable wakeup with at most one queued entry: the model of a
  * hardware counter register that is reloaded, not queued again.
  * arm()/armIn() key the entry exactly as schedule()/scheduleIn() would
- * (same leaf, same insertion counter) and drop the previous one;
- * disarm() drops it and consumes no key. A firing disarms the timer
- * before the callback runs, so the callback may re-arm it. The
- * callback lives in the timer and the entry points back at it, so a
- * re-arm creates no callable (DESIGN.md §4d, §7).
+ * (same insertion counter) and drop the previous one; disarm() drops
+ * it and consumes no key. A firing disarms the timer before the
+ * callback runs, so the callback may re-arm it. The callback lives in
+ * the timer and the entry points back at it, so a re-arm creates no
+ * callable (DESIGN.md §4d).
  */
 class Timer
 {
@@ -167,7 +96,7 @@ class Timer
     /** @p fn: small trivially copyable callable, typically [this]. */
     template <typename Fn>
     Timer(EventQueue &eq, Fn fn, Priority prio = Priority::Default)
-        : eq_(&eq), prio_(prio)
+        : q_(&eq), prio_(prio)
     {
         static_assert(std::is_invocable_v<Fn &> &&
                           std::is_trivially_copyable_v<Fn> &&
@@ -190,10 +119,10 @@ class Timer
     void
     disarm()
     {
-        if (q_)
+        if (armed_)
             detach();
     }
-    bool armed() const { return q_ != nullptr; }
+    bool armed() const { return armed_; }
 
   private:
     friend class EventQueue;
@@ -214,15 +143,14 @@ class Timer
         return reinterpret_cast<std::uintptr_t>(this) | 1;
     }
 
-    EventQueue *eq_;          ///< queue or sharded anchor armed on
-    EventQueue *q_ = nullptr; ///< queue/leaf holding the entry
-    std::uint64_t ord_ = 0;   ///< the entry's key
+    EventQueue *q_;         ///< queue armed on
+    std::uint64_t ord_ = 0; ///< the entry's key
     HeapEntry *cell_ = nullptr;
     std::size_t pos_ = 0;
     void (*invoke_)(void *) = nullptr;
-    std::uint32_t locus_ = 0; ///< execution locus (sharded only)
     Priority prio_;
     Where where_ = Where::Batch;
+    bool armed_ = false; ///< an entry is queued
     alignas(std::max_align_t) unsigned char buf_[16];
 };
 
@@ -256,20 +184,8 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
     ~EventQueue();
 
-    /**
-     * Current simulated time. On a sharded anchor this is the driving
-     * leaf's clock inside a phase and the group's high-water mark
-     * between supersteps.
-     */
-    Tick
-    now() const
-    {
-        if (bind_.group) {
-            if (const ShardContext *c = tlsShardContext())
-                return c->queue->now_;
-        }
-        return now_;
-    }
+    /** Current simulated time. */
+    Tick now() const { return now_; }
 
     /**
      * Schedule a callable at an absolute tick.
@@ -282,8 +198,6 @@ class EventQueue
     void
     schedule(Tick when, Fn &&fn, Priority prio = Priority::Default)
     {
-        if (bind_.group)
-            return routeSchedule(when, std::forward<Fn>(fn), prio);
         BLITZ_ASSERT(when >= now_, "scheduling event in the past (",
                      when, " < ", now_, ")");
         const std::uint32_t slot = acquireSlot();
@@ -300,81 +214,8 @@ class EventQueue
         return schedule(now() + delta, std::forward<Fn>(fn), prio);
     }
 
-    /**
-     * Schedule a callable that executes *in the context of* mesh node
-     * @p node — identical to schedule() on a plain queue, but on a
-     * sharded anchor the event is placed in the node's owning shard
-     * (through the epoch mailbox when the target is another shard mid-
-     * phase) and runs with its locus set to @p node. All NoC hop and
-     * delivery events route through here; a cross-shard @p when must
-     * respect the group's lookahead horizon (strictly after the
-     * current epoch tick).
-     */
-    template <typename Fn>
-    void
-    scheduleAtNode(std::uint32_t node, Tick when, Fn &&fn,
-                   Priority prio = Priority::Default)
-    {
-        if (!bind_.group)
-            return schedule(when, std::forward<Fn>(fn), prio);
-        ShardContext *c = tlsShardContext();
-        BLITZ_ASSERT(node < bind_.nodeCount,
-                     "scheduleAtNode target out of range");
-        // Origin = the executing locus; setup-time calls charge the
-        // target node's own counter (there is no executing event).
-        const std::uint32_t origin = c ? c->locus : node;
-        const std::uint64_t ord = packOrdSharded(
-            prio, origin, bind_.locusCounters[origin]++);
-        const std::uint32_t target = bind_.shardOfNode[node];
-        if (!c || c->serial || target == c->shard)
-            return bind_.leaves[target]->scheduleKeyed(
-                when, ord, node, std::forward<Fn>(fn));
-        using F = std::decay_t<Fn>;
-        static_assert(std::is_trivially_copyable_v<F> &&
-                          sizeof(F) <= kInlineCallback &&
-                          alignof(F) <= alignof(std::max_align_t),
-                      "cross-shard events must be small trivially "
-                      "copyable callables");
-        F f(std::forward<Fn>(fn));
-        bind_.crossPush(
-            bind_.group, c->shard, target, when, ord, node,
-            [](void *p) {
-                (*std::launder(reinterpret_cast<F *>(p)))();
-            },
-            &f, sizeof f);
-    }
-
-    /**
-     * Leaf-queue insertion with a precomputed sharded sort key; used
-     * by the anchor's routing and the group's mailbox drain. The
-     * locus is stamped on the node so execution can restore it.
-     */
-    template <typename Fn>
-    void
-    scheduleKeyed(Tick when, std::uint64_t ord, std::uint32_t locus,
-                  Fn &&fn)
-    {
-        BLITZ_ASSERT(when >= now_, "scheduling event in the past (",
-                     when, " < ", now_, ")");
-        const std::uint32_t slot = acquireSlot();
-        Node &n = *node(slot);
-        n.locus = locus;
-        emplaceCallback(n, std::forward<Fn>(fn));
-        enqueue({when, ord, slotRef(slot)});
-        ++scheduledTotal_;
-    }
-
     /** Number of events (armed timers included) still scheduled. */
-    std::size_t
-    pending() const
-    {
-        if (!bind_.group)
-            return entryCount_;
-        std::size_t total = 0;
-        for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            total += bind_.leaves[s]->entryCount_;
-        return total;
-    }
+    std::size_t pending() const { return entryCount_; }
 
     /** True when no runnable events remain. */
     bool empty() const { return pending() == 0; }
@@ -384,78 +225,22 @@ class EventQueue
      * always-on observability counters (a plain increment on paths
      * that already write the slab, so they cost nothing measurable).
      * Each Timer::arm() counts as scheduled, so scheduled - executed =
-     * pending + entries a disarm or re-arm dropped. Summed over the
-     * leaves on a sharded anchor (read only between phases or from the
-     * serial lane).
+     * pending + entries a disarm or re-arm dropped.
      */
-    std::uint64_t
-    totalScheduled() const
-    {
-        if (!bind_.group)
-            return scheduledTotal_;
-        std::uint64_t total = 0;
-        for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            total += bind_.leaves[s]->scheduledTotal_;
-        return total;
-    }
-    std::uint64_t
-    totalExecuted() const
-    {
-        if (!bind_.group)
-            return executedTotal_;
-        std::uint64_t total = 0;
-        for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            total += bind_.leaves[s]->executedTotal_;
-        return total;
-    }
+    std::uint64_t totalScheduled() const { return scheduledTotal_; }
+    std::uint64_t totalExecuted() const { return executedTotal_; }
 
     /**
      * Pending-entry high-water mark, sampled at batch refill (tick
      * granularity — a within-tick burst that drains before the next
      * refill is invisible, which is exactly the resolution the
      * introspection plane needs). Deterministic: a pure function of
-     * the schedule, never of wall-clock. Max over leaves on a sharded
-     * anchor.
+     * the schedule, never of wall-clock.
      */
-    std::size_t
-    depthHighWater() const
-    {
-        if (!bind_.group)
-            return depthHighWater_;
-        std::size_t hw = 0;
-        for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            hw = std::max(hw, bind_.leaves[s]->depthHighWater_);
-        return hw;
-    }
+    std::size_t depthHighWater() const { return depthHighWater_; }
 
-    /** Largest same-tick batch ever drained (max over leaves). */
-    std::size_t
-    batchHighWater() const
-    {
-        if (!bind_.group)
-            return batchHighWater_;
-        std::size_t hw = 0;
-        for (std::uint32_t s = 0; s <= bind_.shardCount; ++s)
-            hw = std::max(hw, bind_.leaves[s]->batchHighWater_);
-        return hw;
-    }
-
-    /**
-     * Turn this queue into the anchor of a shard group (or detach it
-     * again when @p b.group is null). The anchor must be empty: its
-     * own heap never holds events while bound — every scheduling call
-     * routes into the group's leaf queues.
-     */
-    void
-    bindShardGroup(const ShardBinding &b)
-    {
-        BLITZ_ASSERT(entryCount_ == 0,
-                     "anchor queue must be empty when (un)binding");
-        bind_ = b;
-    }
-
-    /** The active shard binding (group is null on a plain queue). */
-    const ShardBinding &binding() const { return bind_; }
+    /** Largest same-tick batch ever drained. */
+    std::size_t batchHighWater() const { return batchHighWater_; }
 
     /**
      * Run events until the queue drains or @p limit is passed. No
@@ -475,9 +260,7 @@ class EventQueue
     static constexpr std::size_t kInlineCallback = 96;
 
   private:
-    friend class ShardGroup; ///< drives the leaf queues directly
-    friend class LocusScope; ///< installs setup-time shard contexts
-    friend class Timer;      ///< keys and places its entry
+    friend class Timer; ///< keys and places its entry
 
     /**
      * One slab slot. Trivial on purpose: the slab never runs
@@ -485,15 +268,13 @@ class EventQueue
      * managed explicitly through invoke/destroy function pointers.
      * The sort key lives in the heap entry, not here, so the hot
      * sift loops never dereference the slab; with the 96-byte inline
-     * callback buffer a node is exactly two cache lines (the locus
-     * stamp rides in what used to be padding before the buffer).
+     * callback buffer a node is exactly two cache lines.
      */
     struct Node
     {
         void (*invoke)(void *);
         void (*destroy)(void *); ///< null when nothing to destroy
         std::uint32_t nextFree;
-        std::uint32_t locus; ///< execution locus (sharded mode only)
         alignas(std::max_align_t) unsigned char buf[kInlineCallback];
     };
 
@@ -527,86 +308,6 @@ class EventQueue
                      "insertion sequence overflow");
         return (static_cast<std::uint64_t>(p) << 48) | seq;
     }
-
-    /**
-     * Sharded same-tick sort key: (priority, origin locus, per-locus
-     * counter) packed into the same 64-bit ord word the legacy
-     * (priority, seq) key uses — 8 bits of priority over a 20-bit
-     * locus (1M mesh nodes + the serial lane) over a 36-bit counter.
-     * The key is a pure function of *which mesh node scheduled the
-     * event and how many events that node had scheduled before*, so
-     * it is identical for every shard count — the property the golden
-     * digests pin. Origin counters are only ever bumped by the thread
-     * executing at that locus, so they need no synchronization.
-     */
-    /// Bits of the sharded ord key spent on the scheduling locus.
-    static constexpr unsigned kLocusBits = 20;
-
-    // The mesh-size contract: every mesh node plus the serial lane's
-    // locus (nodeCount, one past the mesh) must fit the locus field.
-    static_assert(kMaxMeshNodes + 1 <= (std::size_t{1} << kLocusBits),
-                  "kMaxMeshNodes no longer fits the sharded ord key's "
-                  "locus field");
-
-    static std::uint64_t
-    packOrdSharded(Priority prio, std::uint32_t locus,
-                   std::uint64_t counter)
-    {
-        const auto p = static_cast<std::int64_t>(prio);
-        BLITZ_ASSERT(p >= 0 && p < 0x100, "priority out of range");
-        BLITZ_ASSERT(locus < (1u << kLocusBits), "locus out of range");
-        BLITZ_ASSERT(counter < (std::uint64_t{1} << 36),
-                     "per-locus counter overflow");
-        return (static_cast<std::uint64_t>(p) << 56) |
-               (static_cast<std::uint64_t>(locus) << 36) | counter;
-    }
-
-    /**
-     * schedule() tail for a bound anchor: events from an executing
-     * shard context stay in that context's leaf at its locus; events
-     * from plain (setup / observer) code with no context go to the
-     * serial lane, which runs between supersteps in deterministic
-     * order — where periodic audits and stat samplers belong.
-     */
-    template <typename Fn>
-    void
-    routeSchedule(Tick when, Fn &&fn, Priority prio)
-    {
-        ShardContext *c = tlsShardContext();
-        const std::uint32_t locus = c ? c->locus : bind_.nodeCount;
-        EventQueue *leaf = c ? c->queue
-                             : bind_.leaves[bind_.shardCount];
-        return leaf->scheduleKeyed(
-            when,
-            packOrdSharded(prio, locus, bind_.locusCounters[locus]++),
-            locus, std::forward<Fn>(fn));
-    }
-
-    /**
-     * Type-erased variant of scheduleKeyed() for mailbox entries whose
-     * payload was captured as raw (trivially copyable) bytes.
-     */
-    void scheduleRaw(Tick when, std::uint64_t ord, std::uint32_t locus,
-                     void (*invoke)(void *), const void *payload,
-                     std::size_t bytes);
-
-    /** Earliest scheduled tick (maxTick when the leaf is empty). */
-    Tick nextTick() const;
-
-    /**
-     * Move a drained leaf's clock to the end of a phase so relative
-     * scheduling after the phase sees the same "time passed" semantics
-     * runUntil() provides on a plain queue.
-     */
-    void
-    advanceTo(Tick limit)
-    {
-        if (limit != maxTick && limit > now_)
-            now_ = limit;
-    }
-
-    /** Install the context runOne() stamps the executing locus into. */
-    void setContext(ShardContext *c) { ctx_ = c; }
 
     static bool
     entryBefore(const HeapEntry &a, const HeapEntry &b)
@@ -650,13 +351,11 @@ class EventQueue
     /**
      * One tick's pending events, appended in schedule order as a chunk
      * chain. `sorted` tracks whether appends arrived in ascending ord
-     * — true for steady-state legacy-key traffic (ord grows with
-     * insertion sequence), so the drain skips ordering work entirely.
-     * Sharded (prio, locus, counter) keys instead arrive as a few
-     * ascending *runs* (the locus component restarts once per
-     * scheduling pass within a tick, and ejection-overflow buckets
-     * collect one run per source tick); the drain handles those with
-     * a natural merge over the detected runs, not a general sort.
+     * — true for steady-state traffic (ord grows with insertion
+     * sequence), so the drain skips ordering work entirely. Otherwise
+     * (a cross-priority append) the bucket holds a few ascending runs,
+     * which the drain restores with a natural merge, not a general
+     * sort.
      */
     struct Bucket
     {
@@ -858,11 +557,9 @@ class EventQueue
 
     /**
      * Merge two ascending-ord runs into @p out, branch-free in the
-     * inner loop. The runs carry near-random ord interleavings
-     * (opposite-direction hop packets), so a branchy merge mispredicts
-     * about every other entry; selecting the source via arithmetic
-     * keeps the pipeline full and lets independent run-pair merges
-     * within one pass overlap.
+     * inner loop: selecting the source via arithmetic keeps the
+     * pipeline full on interleaved runs and lets independent run-pair
+     * merges within one pass overlap.
      */
     static void mergeRuns(const HeapEntry *a, const HeapEntry *aEnd,
                           const HeapEntry *b, const HeapEntry *bEnd,
@@ -870,14 +567,9 @@ class EventQueue
 
     /**
      * Restore ascending-ord order in batch_ by a natural bottom-up
-     * merge over the ascending runs the appends formed. Sharded-key
-     * buckets concatenate ~30 short runs in mesh steady state
-     * (same-tick hops execute in origin-locus order but append keyed
-     * by the next router, so opposite-direction packets interleave
-     * descents); log2(runs) branch-free passes beat both std::sort and
-     * a one-pass k-way tournament tree here, the latter because its
-     * per-entry replay is a serial chain of dependent loads while the
-     * pair merges within a pass pipeline independently.
+     * merge over the ascending runs the appends formed: log2(runs)
+     * branch-free passes, whose pair merges within a pass pipeline
+     * independently.
      */
     void sortBatchByOrd();
 
@@ -921,52 +613,6 @@ class EventQueue
     std::size_t depthHighWater_ = 0; ///< entryCount_ max, per refill
     std::size_t batchHighWater_ = 0; ///< largest same-tick batch
     std::uint64_t arenaEpoch_ = 0; ///< arena epoch at first chunk
-    ShardBinding bind_{};          ///< anchor routing (group == null
-                                   ///< on plain queues and leaves)
-    ShardContext *ctx_ = nullptr;  ///< leaf-side execution context
-};
-
-/**
- * RAII shard context for setup-time code that schedules *on behalf of*
- * a specific mesh node while no event is executing (startAll, audit
- * repair actions): within the scope, scheduling through the anchor
- * lands in @p node's owning leaf with @p node as the origin locus, so
- * the resulting sort keys match what the node itself would have
- * produced. No-op when the queue is not a sharded anchor.
- */
-class LocusScope
-{
-  public:
-    LocusScope(EventQueue &anchor, std::uint32_t node)
-        : saved_(tlsShardContext())
-    {
-        const ShardBinding &b = anchor.bind_;
-        if (!b.group)
-            return;
-        BLITZ_ASSERT(!saved_ || saved_->serial,
-                     "LocusScope inside a parallel phase");
-        ctx_.queue = b.leaves[b.shardOfNode[node]];
-        ctx_.shard = b.shardOfNode[node];
-        ctx_.locus = node;
-        ctx_.serial = true;
-        // The borrowed leaf may have idled for many supersteps, so its
-        // clock can lag the caller's present; lift it before lending
-        // the context out, or relative scheduling (hop latencies, timer
-        // periods) would be anchored at the leaf's last active tick and
-        // land in other leaves' past. Safe: an idle leaf has no pending
-        // event at or before the present — it would have run this
-        // superstep otherwise.
-        ctx_.queue->advanceTo(saved_ ? saved_->queue->now_
-                                     : anchor.now_);
-        tlsShardContext() = &ctx_;
-    }
-    ~LocusScope() { tlsShardContext() = saved_; }
-    LocusScope(const LocusScope &) = delete;
-    LocusScope &operator=(const LocusScope &) = delete;
-
-  private:
-    ShardContext *saved_;
-    ShardContext ctx_{};
 };
 
 } // namespace blitz::sim

@@ -20,29 +20,6 @@
 
 namespace blitz::sim {
 
-/** splitmix64 finalizer: a fast, high-quality 64-bit mixing step. */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/**
- * Fold @p v into @p h. Chains of hashCombine build stateless per-site
- * seeds — e.g. hash(seed, packet-seq, node, stage) — so a random
- * decision depends only on *what* is being decided, never on how many
- * draws other threads or shards made before it. That order
- * independence is what lets the fault plane stay deterministic when
- * one simulation is sharded across threads.
- */
-constexpr std::uint64_t
-hashCombine(std::uint64_t h, std::uint64_t v)
-{
-    return mix64(h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2)));
-}
-
 /**
  * Deterministic pseudo-random generator (xoshiro256**).
  *

@@ -26,13 +26,10 @@ inline constexpr Tick maxTick = std::numeric_limits<Tick>::max();
 /**
  * Ceiling on mesh nodes a single simulation may address: 2^20 - 1
  * (comfortably past a 1000x1000 mesh). This is an index-width
- * contract, not a tuning knob — the sharded event kernel packs the
- * scheduling locus into a 20-bit field of its 64-bit same-tick sort
- * key (see EventQueue::packOrdSharded) and spends one code point above
- * the mesh on the serial lane's locus, so a larger mesh would trip the
- * key-packing assert (or, without asserts, silently alias ordering
- * keys). Topology and ShardGroup check against it at construction;
- * event_queue.hpp static_asserts the key layout still covers it.
+ * contract, not a tuning knob: coin::FiringQueue packs the tile index
+ * into a fixed-width field of its sort key, and the .blzr replay
+ * header rejects larger meshes. Topology checks against it at
+ * construction.
  */
 inline constexpr std::size_t kMaxMeshNodes = (std::size_t{1} << 20) - 1;
 

@@ -150,15 +150,11 @@ BlitzCoinPm::clusterError() const
     // ascending id order and the double sum is reproducible.
     coin::Coins total_has = 0;
     coin::Coins total_max = 0;
-    std::size_t counted = 0;
     for (const auto &[id, pt] : units_) {
-        if (pt.unit->quarantined())
-            continue; // fenced coins are outside the economy
         total_has += pt.unit->has();
         total_max += pt.unit->max();
-        ++counted;
     }
-    if (total_max == 0 || counted == 0)
+    if (total_max == 0)
         return 0.0; // nothing active: no distribution to converge to
     const double alpha = static_cast<double>(total_has) /
                          static_cast<double>(total_max);
@@ -170,15 +166,13 @@ BlitzCoinPm::clusterError() const
     // for the surplus to reach exact proportionality.
     double sum = 0.0;
     for (const auto &[id, pt] : units_) {
-        if (pt.unit->quarantined())
-            continue;
         const double m = static_cast<double>(pt.unit->max());
         const double has_eff =
             std::clamp(static_cast<double>(pt.unit->has()), 0.0, m);
         const double want_eff = std::clamp(alpha * m, 0.0, m);
         sum += std::abs(has_eff - want_eff);
     }
-    return sum / static_cast<double>(counted);
+    return sum / static_cast<double>(units_.size());
 }
 
 coin::Coins

@@ -8,7 +8,6 @@
 #include "sim/logging.hpp"
 #include "trace/health.hpp"
 #include "trace/metrics.hpp"
-#include "trace/prof.hpp"
 #include "trace/tracer.hpp"
 
 namespace blitz::soc {

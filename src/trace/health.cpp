@@ -8,6 +8,9 @@
 #include <iterator>
 #include <ostream>
 
+#include "sim/arena.hpp"
+#include "sim/event_queue.hpp"
+
 namespace blitz::trace {
 
 namespace {
@@ -320,6 +323,32 @@ HealthReport::diff(const HealthReport &a, const HealthReport &b)
         out.push_back(std::move(d));
     }
     return out;
+}
+
+void
+fillQueueHealth(HealthReport &report, const sim::EventQueue &eq,
+                std::string_view prefix)
+{
+    const std::string p(prefix);
+    report.bumpDet(p + ".scheduled",
+                   static_cast<double>(eq.totalScheduled()));
+    report.bumpDet(p + ".executed",
+                   static_cast<double>(eq.totalExecuted()));
+    report.maxDet(p + ".depth_hwm",
+                  static_cast<double>(eq.depthHighWater()));
+    report.maxDet(p + ".batch_hwm",
+                  static_cast<double>(eq.batchHighWater()));
+}
+
+void
+fillArenaHealth(HealthReport &report, const sim::Arena &arena,
+                std::string_view prefix)
+{
+    const std::string p(prefix);
+    report.maxDet(p + ".reserved_bytes",
+                  static_cast<double>(arena.bytesReserved()));
+    report.maxDet(p + ".used_hwm_bytes",
+                  static_cast<double>(arena.bytesHighWater()));
 }
 
 } // namespace blitz::trace

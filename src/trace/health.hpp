@@ -10,19 +10,15 @@
  * The report is two strictly separated key/value sections:
  *
  *  - **deterministic**: outcome counters that are pure functions of
- *    (config, seed, partition) — coin conservation gaps, remints,
- *    quarantines, throttle residency, fault totals,
- *    event/superstep/mailbox counts, queue and arena high-water
- *    marks. Two runs of the same scenario produce byte-identical
- *    deterministic sections at any *thread* count; domain outcome
- *    keys (coin.*, exchanges.*, fault.*, noc.*, physics.*) are
- *    additionally shard-count-invariant, while the per-shard engine
- *    gauges (queue/shard*, prof/shard*) are deterministic per shard
- *    layout by construction. `blitz-top diff` compares exactly this
- *    section and treats any difference as a finding.
+ *    (config, seed) — coin conservation gaps, remints, quarantines,
+ *    throttle residency, fault totals, event counts, queue and arena
+ *    high-water marks. Two runs of the same scenario produce
+ *    byte-identical deterministic sections at any *thread* count.
+ *    `blitz-top diff` compares exactly this section and treats any
+ *    difference as a finding.
  *
- *  - **wallclock**: timings and utilization (phase nanoseconds,
- *    sweep-pool busy fractions). Expected to differ run to run;
+ *  - **wallclock**: timings and utilization (sweep-pool busy
+ *    fractions). Expected to differ run to run;
  *    diff only reports them side by side, never as a failure.
  *
  * The separation is load-bearing for the repo's determinism contract:
@@ -33,7 +29,8 @@
  *
  * The report depends only on sim (layering: blitz_trace -> blitz_sim),
  * so domain planes (fault, soc) fill their counters in from their own
- * side via the fillHealth() members / helpers.
+ * side via the fillHealth() members and the engine-gauge helpers at
+ * the end of this file.
  */
 
 #ifndef BLITZ_TRACE_HEALTH_HPP
@@ -44,6 +41,11 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+namespace blitz::sim {
+class Arena;
+class EventQueue;
+}
 
 namespace blitz::trace {
 
@@ -136,6 +138,18 @@ class HealthReport
     std::vector<char> detMode_;
     std::vector<char> wallMode_;
 };
+
+/**
+ * Engine gauges of one event queue into the deterministic section:
+ * executed/scheduled totals and depth/batch high-water marks, under
+ * "<prefix>.".
+ */
+void fillQueueHealth(HealthReport &report, const sim::EventQueue &eq,
+                     std::string_view prefix = "queue");
+
+/** Arena pressure gauges under "<prefix>." (deterministic). */
+void fillArenaHealth(HealthReport &report, const sim::Arena &arena,
+                     std::string_view prefix = "arena");
 
 } // namespace blitz::trace
 

@@ -15,11 +15,10 @@
  * counts them (droppedEvents()), never silently.
  *
  * Thread safety: the append path (push) takes a mutex, so hook sites
- * running in parallel shard phases (sim/shard.hpp) may share one
- * tracer without racing the event vector. Interleaving across shards
- * is arbitrary, so sharded golden digests must not pin event *order*
- * — only counts. Readers (eventCount, writeJson, absorb) are not
- * synchronized against concurrent appends; call them between runs.
+ * on different threads may share one tracer without racing the event
+ * vector; their interleaving is arbitrary. Readers (eventCount,
+ * writeJson, absorb) are not synchronized against concurrent appends;
+ * call them between runs.
  */
 
 #ifndef BLITZ_TRACE_TRACER_HPP
@@ -110,7 +109,7 @@ class Tracer
     std::size_t maxEvents_;
     std::uint64_t dropped_ = 0;
     std::vector<Event> events_;
-    /** Serializes push() across parallel shard phases. */
+    /** Serializes push() across threads. */
     std::mutex pushMu_;
 };
 

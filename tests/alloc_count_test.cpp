@@ -35,10 +35,8 @@
 #include "power/thermal.hpp"
 #include "record/recorder.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard.hpp"
 #include "soc/throttler.hpp"
 #include "trace/flush_guard.hpp"
-#include "trace/prof.hpp"
 
 namespace {
 
@@ -232,38 +230,19 @@ TEST(AllocCount, TimerRearmSteadyStateIsAllocationFree)
 {
     // Arm, re-arm and disarm reuse the timer's one queue entry and its
     // stored callback: once the wheel and far-heap reach their marks,
-    // neither a plain queue nor a sharded leaf allocates.
-    {
-        sim::EventQueue eq;
-        TimerChurn churn(eq, 36);
-        for (std::uint32_t n = 0; n < 36; ++n)
-            churn.nodes[n].beat->arm(1 + n);
-        eq.runUntil(16384);
-        const std::uint64_t before = gAllocCount.load();
-        const std::uint64_t beats = churn.total(&TimerChurn::Node::beats);
-        eq.runUntil(131072);
-        EXPECT_EQ(gAllocCount.load() - before, 0u)
-            << "steady-state timer churn allocated";
-        EXPECT_GT(churn.total(&TimerChurn::Node::beats) - beats, 500'000u);
-        EXPECT_GT(churn.total(&TimerChurn::Node::blips), 0u);
-    }
-    {
-        sim::EventQueue eq;
-        sim::ShardGroup group(eq, 4, sim::columnBands(6, 6, 4));
-        TimerChurn churn(eq, 36);
-        for (std::uint32_t n = 0; n < 36; ++n) {
-            // Armed at the node's locus: the chain lives in its leaf.
-            sim::LocusScope scope(eq, n);
-            churn.nodes[n].beat->arm(1 + n);
-        }
-        eq.runUntil(16384);
-        const std::uint64_t before = gAllocCount.load();
-        const std::uint64_t beats = churn.total(&TimerChurn::Node::beats);
-        eq.runUntil(131072);
-        EXPECT_EQ(gAllocCount.load() - before, 0u)
-            << "steady-state sharded timer churn allocated";
-        EXPECT_GT(churn.total(&TimerChurn::Node::beats) - beats, 500'000u);
-    }
+    // the queue allocates nothing.
+    sim::EventQueue eq;
+    TimerChurn churn(eq, 36);
+    for (std::uint32_t n = 0; n < 36; ++n)
+        churn.nodes[n].beat->arm(1 + n);
+    eq.runUntil(16384);
+    const std::uint64_t before = gAllocCount.load();
+    const std::uint64_t beats = churn.total(&TimerChurn::Node::beats);
+    eq.runUntil(131072);
+    EXPECT_EQ(gAllocCount.load() - before, 0u)
+        << "steady-state timer churn allocated";
+    EXPECT_GT(churn.total(&TimerChurn::Node::beats) - beats, 500'000u);
+    EXPECT_GT(churn.total(&TimerChurn::Node::blips), 0u);
 }
 
 /** Self-rescheduling sender: sustained cross-mesh traffic. */
@@ -344,85 +323,6 @@ TEST(AllocCount, MegaMeshNocSteadyStateIsAllocationFree)
         << "mega-mesh steady-state NoC traffic allocated";
     EXPECT_GT(net.packetsDelivered() - deliveredBefore, 100'000u);
     EXPECT_GT(sunk, 0u);
-}
-
-TEST(AllocCount, ShardedNocSteadyStateIsAllocationFree)
-{
-    // The sharded kernel must keep the zero-allocation property: leaf
-    // slabs/heaps, per-shard packet pools, and the cross-shard
-    // mailboxes all reach a high-water mark during warmup, after
-    // which supersteps, boundary handoffs, and barrier crossings
-    // allocate nothing. Workers are real threads here, so this also
-    // covers the condvar barrier path.
-    sim::EventQueue eq;
-    sim::ShardGroup group(eq, 4, sim::columnBands(6, 6, 4));
-    noc::Topology topo(6, 6, false);
-    noc::Network net(eq, topo);
-    net.enableSharding(group);
-    // Per-node sinks: deliveries execute at their destination's locus,
-    // so each element has exactly one writing shard.
-    std::vector<std::uint64_t> sunk(topo.size(), 0);
-    std::uint64_t *sp = sunk.data();
-    for (noc::NodeId id = 0; id < topo.size(); ++id)
-        net.setHandler(id, [sp, id](const noc::Packet &) {
-            ++sp[id];
-        });
-    for (noc::NodeId id = 0; id < topo.size(); ++id) {
-        Sender s{&net, &eq, 0x9e3779b9u + id, id};
-        // scheduleAtNode pins each sender to its own shard; its
-        // self-rescheduling then stays there.
-        eq.scheduleAtNode(id, 1 + id % 29, s);
-    }
-    eq.runUntil(16384);
-
-    const std::uint64_t before = gAllocCount.load();
-    const std::uint64_t deliveredBefore = net.packetsDelivered();
-    eq.runUntil(131072);
-    EXPECT_EQ(gAllocCount.load() - before, 0u)
-        << "steady-state sharded NoC traffic allocated";
-    EXPECT_GT(net.packetsDelivered() - deliveredBefore, 50'000u);
-    EXPECT_GT(group.crossEvents(), 0u) << "no boundary traffic";
-    std::uint64_t total = 0;
-    for (std::uint64_t s : sunk)
-        total += s;
-    EXPECT_GT(total, 0u);
-}
-
-TEST(AllocCount, ProfiledShardedNocSteadyStateIsAllocationFree)
-{
-    // The introspection plane must not cost the kernel its
-    // zero-allocation property: with the superstep profiler attached
-    // (per-phase clocks and the mailbox matrix) the same sharded
-    // steady state performs zero further heap allocations. The probe's
-    // slots are sized at attach(), before warmup.
-    sim::EventQueue eq;
-    sim::ShardGroup group(eq, 4, sim::columnBands(6, 6, 4));
-    noc::Topology topo(6, 6, false);
-    noc::Network net(eq, topo);
-    net.enableSharding(group);
-    std::vector<std::uint64_t> sunk(topo.size(), 0);
-    std::uint64_t *sp = sunk.data();
-    for (noc::NodeId id = 0; id < topo.size(); ++id)
-        net.setHandler(id, [sp, id](const noc::Packet &) {
-            ++sp[id];
-        });
-    trace::SuperstepProfiler prof;
-    prof.attach(group);
-    for (noc::NodeId id = 0; id < topo.size(); ++id) {
-        Sender s{&net, &eq, 0x9e3779b9u + id, id};
-        eq.scheduleAtNode(id, 1 + id % 29, s);
-    }
-    eq.runUntil(16384);
-
-    const std::uint64_t before = gAllocCount.load();
-    eq.runUntil(131072);
-    EXPECT_EQ(gAllocCount.load() - before, 0u)
-        << "profiled steady-state sharded NoC traffic allocated";
-    // Non-vacuity: the probe really measured barriers inside the
-    // audited window.
-    EXPECT_GT(prof.probe().supersteps, 0u);
-    EXPECT_GT(prof.probe().barriers, 0u);
-    EXPECT_GE(prof.imbalance(), 1.0);
 }
 
 TEST(AllocCount, PhysicsHotPathSteadyStateIsAllocationFree)

@@ -45,7 +45,6 @@
 #include "sweep/sweep.hpp"
 #include "trace/attach.hpp"
 #include "trace/metrics.hpp"
-#include "trace/prof.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -154,13 +153,11 @@ constexpr double convergedTol = 2.5;
 std::uint64_t
 chaosTrialDigest(const GoldenScenario &sc, std::uint64_t seed,
                  bool observed = false,
-                 record::FlightRecorder *rec = nullptr,
-                 std::uint32_t shards = 0, bool profiled = false)
+                 record::FlightRecorder *rec = nullptr)
 {
     fault::ChaosConfig cc;
     cc.width = sc.d;
     cc.height = sc.d;
-    cc.shards = shards;
     // Exercise the arena-backed slab path under the determinism pin
     // (backing store must never affect results).
     cc.arena = &sim::threadArena();
@@ -197,12 +194,6 @@ chaosTrialDigest(const GoldenScenario &sc, std::uint64_t seed,
     }
     if (rec)
         cluster.attachRecorder(rec);
-    // The superstep profiler reads clocks and bumps its own counters
-    // only; attaching it must leave the digest untouched (wall-clock
-    // never feeds back into simulation).
-    trace::SuperstepProfiler prof;
-    if (profiled && cluster.shardGroup())
-        prof.attach(*cluster.shardGroup());
     coin::Coins demand = 0;
     for (std::size_t i = 0; i < n; ++i) {
         coin::Coins m = bench::typeLevel(static_cast<int>(i) % 4);
@@ -240,18 +231,9 @@ chaosTrialDigest(const GoldenScenario &sc, std::uint64_t seed,
     dg.u64(net.packetsDelivered());
     dg.u64(net.packetsDropped());
     dg.u64(net.totalHops());
-    if (shards >= 1) {
-        // Sharded runs pin the exact integer latency aggregates; the
-        // Welford summary's fold order is partition-dependent and
-        // asserts if read.
-        dg.u64(net.latencyCount());
-        dg.u64(net.latencySumTicks());
-        dg.u64(net.latencyMaxTicks());
-    } else {
-        dg.u64(net.latency().count());
-        dg.f64(net.latency().mean());
-        dg.f64(net.latency().max());
-    }
+    dg.u64(net.latency().count());
+    dg.f64(net.latency().mean());
+    dg.f64(net.latency().max());
     const auto fs = cluster.plane().stats();
     dg.u64(fs.drops);
     dg.u64(fs.delays);
@@ -288,44 +270,20 @@ chaosDigest(std::size_t threads)
     return all.value();
 }
 
-/**
- * Sharded pin: the same scenario matrix on the BSP shard kernel.
- * Keyed fault streams and per-source sequence numbers make this a
- * *different* (equally valid) fault pattern than the legacy pin, so
- * it gets its own constant — what it freezes is that shard counts
- * 1, 2 and 4 reproduce it bit-for-bit.
- */
-std::uint64_t
-shardedChaosDigest(std::uint32_t shards, bool profiled = false)
-{
-    Digest all;
-    std::uint64_t scenarioIdx = 0;
-    for (const GoldenScenario &sc : kScenarios) {
-        for (std::uint64_t rep = 0; rep < 2; ++rep)
-            all.u64(chaosTrialDigest(
-                sc, sweep::streamSeed(2033, scenarioIdx * 16 + rep),
-                /*observed=*/false, /*rec=*/nullptr, shards, profiled));
-        ++scenarioIdx;
-    }
-    return all.value();
-}
-
 // --------------------------------------------- byzantine configuration
 // Guardian-armed trials under the canned attacker roster of
 // bench_byzantine.cpp (Inflator@18, Spammer@1, StuckGreedy@2). The pin
 // covers attack injection, the shadow-accounting sweeps, the
 // escalation ladder (including amnesty), quarantine shunning, and the
 // remint reclaim — the whole robustness plane must be bit-identical at
-// every sweep thread count and every shard count.
+// every sweep thread count.
 
 std::uint64_t
-byzantineTrialDigest(int attackers, std::uint64_t seed,
-                     std::uint32_t shards = 0, bool profiled = false)
+byzantineTrialDigest(int attackers, std::uint64_t seed)
 {
     fault::ChaosConfig cc;
     cc.width = 6;
     cc.height = 6;
-    cc.shards = shards;
     cc.arena = &sim::threadArena();
     cc.seedBase = seed;
     cc.fault.seed = seed;
@@ -352,9 +310,6 @@ byzantineTrialDigest(int attackers, std::uint64_t seed,
     }
 
     fault::ChaosCluster cluster(cc);
-    trace::SuperstepProfiler prof;
-    if (profiled && cluster.shardGroup())
-        prof.attach(*cluster.shardGroup());
     const auto n = static_cast<std::size_t>(cc.width * cc.height);
     coin::Coins demand = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -408,15 +363,9 @@ byzantineTrialDigest(int attackers, std::uint64_t seed,
     dg.u64(net.packetsDelivered());
     dg.u64(net.packetsDropped());
     dg.u64(net.totalHops());
-    if (shards >= 1) {
-        dg.u64(net.latencyCount());
-        dg.u64(net.latencySumTicks());
-        dg.u64(net.latencyMaxTicks());
-    } else {
-        dg.u64(net.latency().count());
-        dg.f64(net.latency().mean());
-        dg.f64(net.latency().max());
-    }
+    dg.u64(net.latency().count());
+    dg.f64(net.latency().mean());
+    dg.f64(net.latency().max());
     for (std::size_t i = 0; i < n; ++i) {
         const auto id = static_cast<noc::NodeId>(i);
         dg.i64(cluster.unit(i).has());
@@ -445,23 +394,6 @@ byzantineDigest(std::size_t threads)
             opts);
         for (std::uint64_t d : trials)
             all.u64(d);
-    }
-    return all.value();
-}
-
-/** Sharded byzantine pin; same caveat as shardedChaosDigest. */
-std::uint64_t
-shardedByzantineDigest(std::uint32_t shards, bool profiled = false)
-{
-    Digest all;
-    std::uint64_t scenarioIdx = 0;
-    for (int attackers : {1, 3}) {
-        for (std::uint64_t rep = 0; rep < 2; ++rep)
-            all.u64(byzantineTrialDigest(
-                attackers,
-                sweep::streamSeed(2047, scenarioIdx * 16 + rep),
-                shards, profiled));
-        ++scenarioIdx;
     }
     return all.value();
 }
@@ -712,13 +644,6 @@ TEST(GoldenTrace, ChaosTrialsMatchRecordedDigest)
             << "threads=" << threads;
 }
 
-TEST(GoldenTrace, ShardedChaosTrialsMatchRecordedDigestAtEveryShardCount)
-{
-    for (std::uint32_t shards : {1u, 2u, 4u})
-        EXPECT_EQ(shardedChaosDigest(shards), kGoldenChaosSharded)
-            << "shards=" << shards;
-}
-
 TEST(GoldenTrace, ByzantineTrialsMatchRecordedDigest)
 {
     for (std::size_t threads : {1u, 2u, 4u})
@@ -726,68 +651,11 @@ TEST(GoldenTrace, ByzantineTrialsMatchRecordedDigest)
             << "threads=" << threads;
 }
 
-TEST(GoldenTrace, ShardedByzantineTrialsMatchRecordedDigestAtEveryShardCount)
-{
-    for (std::uint32_t shards : {1u, 2u, 4u})
-        EXPECT_EQ(shardedByzantineDigest(shards), kGoldenByzantineSharded)
-            << "shards=" << shards;
-}
-
 TEST(GoldenTrace, ThermalTrialsMatchRecordedDigest)
 {
     for (std::size_t threads : {1u, 2u, 4u})
         EXPECT_EQ(thermalDigest(threads), kGoldenThermal)
             << "threads=" << threads;
-}
-
-// The introspection plane is an observer: attaching a SuperstepProfiler
-// must reproduce the *same* pinned constants as the detached runs, at
-// every shard count. Any drift here means wall-clock measurement leaked
-// into simulation outcomes.
-
-TEST(GoldenTrace, ProfiledShardedChaosMatchesDetachedPinAtEveryShardCount)
-{
-    for (std::uint32_t shards : {1u, 2u, 4u})
-        EXPECT_EQ(shardedChaosDigest(shards, /*profiled=*/true),
-                  kGoldenChaosSharded)
-            << "shards=" << shards;
-}
-
-TEST(GoldenTrace, ProfiledShardedByzantineMatchesDetachedPinAtEveryShardCount)
-{
-    for (std::uint32_t shards : {1u, 2u, 4u})
-        EXPECT_EQ(shardedByzantineDigest(shards, /*profiled=*/true),
-                  kGoldenByzantineSharded)
-            << "shards=" << shards;
-}
-
-TEST(GoldenTrace, ProfiledShardedSweepBitIdenticalAcrossThreadCounts)
-{
-    // Thread axis with the profiler attached: each trial is a sharded
-    // chaos run (one per scenario) with its own profiler, dispatched
-    // through runSweep at 1, 2 and 4 sweep threads. No pin — the
-    // contract is that the three thread counts agree bit-for-bit even
-    // while every worker is timing itself.
-    auto sweepDigest = [](std::size_t threads) {
-        sweep::SweepOptions opts;
-        opts.threads = threads;
-        auto trials = sweep::runSweep(
-            std::size(kScenarios), sweep::streamSeed(2068, 0),
-            [](std::size_t i, std::uint64_t seed) {
-                return chaosTrialDigest(kScenarios[i], seed,
-                                        /*observed=*/false,
-                                        /*rec=*/nullptr, /*shards=*/2,
-                                        /*profiled=*/true);
-            },
-            opts);
-        Digest all;
-        for (std::uint64_t d : trials)
-            all.u64(d);
-        return all.value();
-    };
-    const std::uint64_t base = sweepDigest(1);
-    for (std::size_t threads : {2u, 4u})
-        EXPECT_EQ(sweepDigest(threads), base) << "threads=" << threads;
 }
 
 TEST(GoldenTrace, ThermalGoldenScenarioActuallyThrottles)
@@ -863,9 +731,7 @@ regenDigests()
 {
     const std::uint64_t fig01 = fig01Digest(1);
     const std::uint64_t chaos = chaosDigest(1);
-    const std::uint64_t sharded = shardedChaosDigest(1);
     const std::uint64_t byz = byzantineDigest(1);
-    const std::uint64_t byzSharded = shardedByzantineDigest(1);
     const std::uint64_t thermal = thermalDigest(1);
     const std::uint64_t meshSim = meshSimDigest();
     const char *path = BLITZ_GOLDEN_DIGESTS_PATH;
@@ -883,35 +749,25 @@ regenDigests()
         "// with the intended-behavior change that moved them.\n"
         "constexpr std::uint64_t kGoldenFig01 = %lluull;\n"
         "constexpr std::uint64_t kGoldenChaos = %lluull;\n"
-        "constexpr std::uint64_t kGoldenChaosSharded = %lluull;\n"
         "constexpr std::uint64_t kGoldenByzantine = %lluull;\n"
-        "constexpr std::uint64_t kGoldenByzantineSharded = %lluull;\n"
         "constexpr std::uint64_t kGoldenThermal = %lluull;\n"
         "constexpr std::uint64_t kGoldenMeshSim = %lluull;\n",
         static_cast<unsigned long long>(fig01),
         static_cast<unsigned long long>(chaos),
-        static_cast<unsigned long long>(sharded),
         static_cast<unsigned long long>(byz),
-        static_cast<unsigned long long>(byzSharded),
         static_cast<unsigned long long>(thermal),
         static_cast<unsigned long long>(meshSim));
     std::fclose(f);
     std::printf("fig01: %llu (was %llu)\nchaos: %llu (was %llu)\n"
-                "chaos-sharded: %llu (was %llu)\n"
                 "byzantine: %llu (was %llu)\n"
-                "byzantine-sharded: %llu (was %llu)\n"
                 "thermal: %llu (was %llu)\n"
                 "mesh-sim: %llu (was %llu)\nwrote %s\n",
                 static_cast<unsigned long long>(fig01),
                 static_cast<unsigned long long>(kGoldenFig01),
                 static_cast<unsigned long long>(chaos),
                 static_cast<unsigned long long>(kGoldenChaos),
-                static_cast<unsigned long long>(sharded),
-                static_cast<unsigned long long>(kGoldenChaosSharded),
                 static_cast<unsigned long long>(byz),
                 static_cast<unsigned long long>(kGoldenByzantine),
-                static_cast<unsigned long long>(byzSharded),
-                static_cast<unsigned long long>(kGoldenByzantineSharded),
                 static_cast<unsigned long long>(thermal),
                 static_cast<unsigned long long>(kGoldenThermal),
                 static_cast<unsigned long long>(meshSim),

@@ -2,13 +2,9 @@
  * @file
  * End-to-end exercise of the installed `blitz-top` binary (path
  * injected at compile time via BLITZ_TOP_TOOL): record a skewed
- * sharded run's HealthReport, render its summary and per-shard
- * imbalance table, and check the diff verdict's exit-code contract —
- * identical deterministic sections exit 0, a different shard layout
- * exits 1 (per-shard engine gauges move), usage and I/O errors exit 2.
- *
- * The suite name starts with "Prof" so the tsan preset's name filter
- * covers the tool's sharded recording path too.
+ * run's HealthReport, render its summary, and check the diff verdict's
+ * exit-code contract — identical deterministic sections exit 0, a
+ * different seed exits 1, usage and I/O errors exit 2.
  */
 
 #include <cstdio>
@@ -48,33 +44,23 @@ runTool(const std::string &args, std::string *output = nullptr)
 }
 
 /** The small recording scenario every test below shares. */
-const char *kScenario = "--d 8 --shards 2 --ticks 20000 --seed 11";
+const char *kScenario = "--d 8 --ticks 20000 --seed 11";
 
-TEST(ProfTool, RecordThenSummaryAndImbalanceRender)
+TEST(ProfTool, RecordThenSummaryRender)
 {
-    const std::string rep = testing::TempDir() + "top_s2.json";
+    const std::string rep = testing::TempDir() + "top_record.json";
     std::string out;
     ASSERT_EQ(runTool("record " + rep + " " + kScenario, &out), 0)
         << out;
     EXPECT_NE(out.find("wrote"), std::string::npos);
 
-    // The written document is a parseable HealthReport with both
-    // sections populated.
+    // The written document is a parseable HealthReport whose summary
+    // prints both sections, the domain outcomes and the engine gauges.
     EXPECT_EQ(runTool("summary " + rep, &out), 0) << out;
     EXPECT_NE(out.find("deterministic"), std::string::npos);
     EXPECT_NE(out.find("wallclock"), std::string::npos);
     EXPECT_NE(out.find("coin.total"), std::string::npos);
-    EXPECT_NE(out.find("prof.supersteps"), std::string::npos);
-
-    // The imbalance table has one row per shard plus the ratio footer;
-    // the recorded scenario is column-skewed, so it is non-vacuous.
-    EXPECT_EQ(runTool("imbalance " + rep, &out), 0) << out;
-    EXPECT_NE(out.find("shard"), std::string::npos);
-    EXPECT_NE(out.find("exec_ms"), std::string::npos);
-    EXPECT_NE(out.find("barrier_ms"), std::string::npos);
-    EXPECT_NE(out.find("supersteps"), std::string::npos);
-    EXPECT_NE(out.find("imbalance (hottest/coldest exec)"),
-              std::string::npos);
+    EXPECT_NE(out.find("queue.executed"), std::string::npos);
     std::remove(rep.c_str());
 }
 
@@ -92,18 +78,16 @@ TEST(ProfTool, DiffIsCleanForARepeatAndFlagsALayoutChange)
     EXPECT_EQ(runTool("diff " + a + " " + b, &out), 0) << out;
     EXPECT_NE(out.find("identical"), std::string::npos);
 
-    // A different shard count keeps every domain outcome (coin totals,
-    // exchange counts, NoC counters) but moves the per-shard engine
-    // gauges, so diff exits 1 and names profiler keys.
-    ASSERT_EQ(runTool("record " + c +
-                          " --d 8 --shards 4 --ticks 20000 --seed 11",
+    // A different seed keeps the conserved coin total but moves the
+    // exchange counts, so diff exits 1 and names those keys.
+    ASSERT_EQ(runTool("record " + c + " --d 8 --ticks 20000 --seed 12",
                       &out),
               0)
         << out;
     EXPECT_EQ(runTool("diff " + a + " " + c, &out), 1) << out;
-    EXPECT_NE(out.find("prof"), std::string::npos);
+    EXPECT_NE(out.find("exchanges."), std::string::npos);
     EXPECT_EQ(out.find("coin.total"), std::string::npos)
-        << "domain outcomes moved across shard layouts:\n" << out;
+        << "the conserved coin total moved with the seed:\n" << out;
 
     std::remove(a.c_str());
     std::remove(b.c_str());
@@ -126,14 +110,14 @@ TEST(ProfTool, UsageAndIoErrorsExitTwo)
     // A truncated document is an I/O error, not a crash.
     const std::string broken = testing::TempDir() + "top_broken.json";
     std::ofstream(broken) << "{\"blitzHealth\":1,\"run\":\"x";
-    EXPECT_EQ(runTool("imbalance " + broken, &out), 2) << out;
+    EXPECT_EQ(runTool("summary " + broken, &out), 2) << out;
     std::remove(broken.c_str());
 }
 
 TEST(ProfTool, RecordRejectsOutOfRangeCountsNamingTheFlag)
 {
-    // A mesh past the node ceiling and a shard count past 32 bits
-    // must exit 2 before any cluster is built — not abort, and not
+    // A mesh past the node ceiling and a seed past 64 bits must exit
+    // 2 before any cluster is built — not abort, and not
     // wrap to a small count the report would then mislabel. A flag
     // the tool does not have (--stride) is refused the same way.
     const std::string rep = testing::TempDir() + "top_bad_flags.json";
@@ -143,7 +127,7 @@ TEST(ProfTool, RecordRejectsOutOfRangeCountsNamingTheFlag)
         const char *flag;
     };
     for (const Case &c : {Case{"--d 2000", "--d"},
-                          Case{"--shards 4294967297", "--shards"},
+                          Case{"--seed 18446744073709551616", "--seed"},
                           Case{"--ticks -5", "--ticks"},
                           Case{"--d 8x", "--d"},
                           Case{"--stride 4", "--stride"}}) {

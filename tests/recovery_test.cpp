@@ -475,7 +475,7 @@ TEST(Recovery, CrashInsidePartitionRemintedAfterHeal)
     // tile is back up (empty registers) but unreachable over the NoC.
     c.eq().runUntil(16000);
     EXPECT_FALSE(c.unit(4).crashed());
-    // The periodic audit sweep runs in the serial lane, not over the
+    // The periodic audit sweep reads the units directly, not over the
     // mesh, so it has already reminted the loss — conservation does
     // not wait for the heal.
     EXPECT_GT(c.c.audit().coinsMinted(), 0)

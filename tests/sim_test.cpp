@@ -357,9 +357,8 @@ TEST(Timer, OutlivedQueueDetachesIt)
 }
 
 /**
- * Run the differential workload (tests/timer_diff.hpp) over a plain
- * queue: runUntil() horizons interleaved with arms/disarms from
- * outside any event.
+ * Run the differential workload (tests/timer_diff.hpp): runUntil()
+ * horizons interleaved with arms/disarms from outside any event.
  */
 template <class Timers>
 blitz::testing::TimerLog
@@ -367,11 +366,11 @@ runTimerWorkload(std::uint64_t seed, std::vector<sim::Tick> &nows,
                  std::uint64_t *removedOut)
 {
     sim::EventQueue eq;
-    blitz::testing::TimerDrive<Timers> drive(eq, 1, seed, 4000);
+    blitz::testing::TimerDrive<Timers> drive(eq, seed, 4000);
     sim::Rng horizon(seed);
     for (int round = 0; round < 80; ++round) {
         for (int p = 0; p < 3; ++p)
-            drive.poke(0);
+            drive.poke();
         const sim::Tick step = round % 3 == 0 ? 1 + horizon.below(16)
                                : round % 3 == 1
                                    ? 100 + horizon.below(5000)
@@ -388,7 +387,7 @@ runTimerWorkload(std::uint64_t seed, std::vector<sim::Tick> &nows,
     eq.runUntil(eq.now() + 100'000);
     if constexpr (std::is_same_v<Timers, blitz::testing::RealTimers>)
         *removedOut = drive.timers().removed();
-    return drive.log(0);
+    return drive.log();
 }
 
 TEST(Timer, MatchesTheStampGuardedScheduleIdiom)

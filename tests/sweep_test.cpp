@@ -184,20 +184,6 @@ TEST(DefaultThreads, RejectsMalformedValuesWithAWarning)
     ASSERT_EQ(unsetenv("BLITZ_SWEEP_THREADS"), 0);
 }
 
-TEST(DefaultThreads, DividesOnlyByAValidShardCount)
-{
-    ASSERT_EQ(unsetenv("BLITZ_SWEEP_THREADS"), 0);
-    const std::size_t hw = sweep::defaultThreads();
-    ASSERT_EQ(setenv("BLITZ_SHARDS", "2", 1), 0);
-    EXPECT_EQ(sweep::defaultThreads(), std::max<std::size_t>(1, hw / 2));
-    // A malformed shard count falls back to 1: no division.
-    ASSERT_EQ(setenv("BLITZ_SHARDS", "2abc", 1), 0);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(sweep::defaultThreads(), hw);
-    (void)::testing::internal::GetCapturedStderr();
-    ASSERT_EQ(unsetenv("BLITZ_SHARDS"), 0);
-}
-
 // ------------------------------------------------ determinism guarantee
 
 /** Aggregate a small Monte-Carlo mesh sweep at a given thread count. */

@@ -9,15 +9,12 @@
  * consume one insertion key per arm, so the two runs must execute the
  * same (tick, id) sequence. The workload reaches the live batch
  * (same-tick arms), the wheel, the far-heap and runUntil() horizons.
- *
- * Every node owns kTimers timers and one Rng, and its callbacks touch
- * only that node's state, so on a sharded anchor a node's work never
- * races with another shard's. Plain queues use a single node.
  */
 
 #ifndef BLITZ_TESTS_TIMER_DIFF_HPP
 #define BLITZ_TESTS_TIMER_DIFF_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -28,7 +25,7 @@
 
 namespace blitz::testing {
 
-/** One executed callback: (tick, id); timer k of a node logs -1 - k. */
+/** One executed callback: (tick, id); timer k logs -1 - k. */
 using TimerLog = std::vector<std::pair<sim::Tick, int>>;
 
 inline constexpr std::uint32_t kTimers = 6;
@@ -43,10 +40,10 @@ timerPrio(std::uint32_t k)
     return prios[k % 3];
 }
 
-/** Where a backend reports that timer k of node n fired. */
+/** Where a backend reports that timer k fired. */
 struct FireSink
 {
-    void (*fire)(void *drive, std::uint32_t n, std::uint32_t k);
+    void (*fire)(void *drive, std::uint32_t k);
     void *drive;
 };
 
@@ -54,92 +51,70 @@ struct FireSink
 class RealTimers
 {
   public:
-    RealTimers(sim::EventQueue &eq, std::uint32_t nodes, FireSink sink)
-        : sink_(sink), removed_(nodes, 0)
+    RealTimers(sim::EventQueue &eq, FireSink sink) : sink_(sink)
     {
-        for (std::uint32_t n = 0; n < nodes; ++n)
-            for (std::uint32_t k = 0; k < kTimers; ++k)
-                t_.push_back(std::make_unique<sim::Timer>(
-                    eq, [this, n, k] { sink_.fire(sink_.drive, n, k); },
-                    timerPrio(k)));
+        for (std::uint32_t k = 0; k < kTimers; ++k)
+            t_.push_back(std::make_unique<sim::Timer>(
+                eq, [this, k] { sink_.fire(sink_.drive, k); },
+                timerPrio(k)));
     }
 
     void
-    arm(std::uint32_t n, std::uint32_t k, sim::Tick when)
+    arm(std::uint32_t k, sim::Tick when)
     {
-        removed_[n] += at(n, k).armed();
-        at(n, k).arm(when);
+        removed_ += t_[k]->armed();
+        t_[k]->arm(when);
     }
     void
-    disarm(std::uint32_t n, std::uint32_t k)
+    disarm(std::uint32_t k)
     {
-        removed_[n] += at(n, k).armed();
-        at(n, k).disarm();
+        removed_ += t_[k]->armed();
+        t_[k]->disarm();
     }
-    bool armed(std::uint32_t n, std::uint32_t k) { return at(n, k).armed(); }
+    bool armed(std::uint32_t k) { return t_[k]->armed(); }
 
     /** Armed entries that a disarm or re-arm took out of the queue. */
-    std::uint64_t
-    removed() const
-    {
-        std::uint64_t total = 0;
-        for (std::uint64_t r : removed_)
-            total += r;
-        return total;
-    }
+    std::uint64_t removed() const { return removed_; }
 
   private:
-    sim::Timer &
-    at(std::uint32_t n, std::uint32_t k)
-    {
-        return *t_[n * kTimers + k];
-    }
-
     FireSink sink_;
     std::vector<std::unique_ptr<sim::Timer>> t_;
-    std::vector<std::uint64_t> removed_; ///< per node (per-thread writes)
+    std::uint64_t removed_ = 0;
 };
 
 /** Reference: a schedule() per arm, dropped at fire time if stale. */
 class StampedTimers
 {
   public:
-    StampedTimers(sim::EventQueue &eq, std::uint32_t nodes, FireSink sink)
-        : eq_(eq), sink_(sink), stamp_(nodes * kTimers, 0),
-          armed_(nodes * kTimers, 0)
+    StampedTimers(sim::EventQueue &eq, FireSink sink) : eq_(eq), sink_(sink)
     {
     }
 
     void
-    arm(std::uint32_t n, std::uint32_t k, sim::Tick when)
+    arm(std::uint32_t k, sim::Tick when)
     {
-        const std::size_t i = n * kTimers + k;
-        const std::uint64_t stamp = ++stamp_[i];
-        armed_[i] = 1;
-        eq_.schedule(when, [this, i, n, k, stamp] {
-            if (stamp != stamp_[i])
+        const std::uint64_t stamp = ++stamp_[k];
+        armed_[k] = true;
+        eq_.schedule(when, [this, k, stamp] {
+            if (stamp != stamp_[k])
                 return;
-            armed_[i] = 0;
-            sink_.fire(sink_.drive, n, k);
+            armed_[k] = false;
+            sink_.fire(sink_.drive, k);
         }, timerPrio(k));
     }
     void
-    disarm(std::uint32_t n, std::uint32_t k)
+    disarm(std::uint32_t k)
     {
-        ++stamp_[n * kTimers + k];
-        armed_[n * kTimers + k] = 0;
+        ++stamp_[k];
+        armed_[k] = false;
     }
-    bool
-    armed(std::uint32_t n, std::uint32_t k)
-    {
-        return armed_[n * kTimers + k];
-    }
+    bool armed(std::uint32_t k) { return armed_[k]; }
 
   private:
     sim::EventQueue &eq_;
     FireSink sink_;
-    std::vector<std::uint64_t> stamp_;
-    std::vector<char> armed_;
+    std::array<std::uint64_t, kTimers> stamp_{};
+    std::array<bool, kTimers> armed_{};
 };
 
 /**
@@ -150,48 +125,37 @@ template <class Timers>
 class TimerDrive
 {
   public:
-    TimerDrive(sim::EventQueue &eq, std::uint32_t nodes,
-               std::uint64_t seed, std::uint32_t budget)
-        : eq_(eq), timers_(eq, nodes, FireSink{&fireHook, this}),
-          nodes_(nodes)
+    TimerDrive(sim::EventQueue &eq, std::uint64_t seed,
+               std::uint32_t budget)
+        : eq_(eq), timers_(eq, FireSink{&fireHook, this}),
+          rng_(seed * 1000), budget_(budget)
     {
-        for (std::uint32_t n = 0; n < nodes; ++n)
-            state_.push_back({sim::Rng(seed * 1000 + n), {}, budget});
     }
 
-    /** Callback of timer @p k at node @p n. */
+    /** Callback of timer @p k. */
     static void
-    fireHook(void *drive, std::uint32_t n, std::uint32_t k)
+    fireHook(void *drive, std::uint32_t k)
     {
         auto *d = static_cast<TimerDrive *>(drive);
-        d->state_[n].log.emplace_back(d->eq_.now(),
-                                      -1 - static_cast<int>(k));
-        d->act(n);
+        d->log_.emplace_back(d->eq_.now(), -1 - static_cast<int>(k));
+        d->act();
     }
 
-    /** Random operation on node @p n's timers from outside any run. */
+    /** Random operation on the timers from outside any run. */
     void
-    poke(std::uint32_t n)
+    poke()
     {
-        Node &s = state_[n];
-        const auto k = static_cast<std::uint32_t>(s.rng.below(kTimers));
-        if (s.rng.below(3) == 0)
-            timers_.disarm(n, k);
+        const auto k = static_cast<std::uint32_t>(rng_.below(kTimers));
+        if (rng_.below(3) == 0)
+            timers_.disarm(k);
         else
-            timers_.arm(n, k, eq_.now() + delta(s.rng));
+            timers_.arm(k, eq_.now() + delta(rng_));
     }
 
-    const TimerLog &log(std::uint32_t n) const { return state_[n].log; }
+    const TimerLog &log() const { return log_; }
     Timers &timers() { return timers_; }
 
   private:
-    struct Node
-    {
-        sim::Rng rng;
-        TimerLog log;
-        std::uint32_t budget; ///< callbacks left that may act
-    };
-
     /** Same tick, near, in-window or far-heap distance. */
     static sim::Tick
     delta(sim::Rng &rng)
@@ -212,45 +176,42 @@ class TimerDrive
     }
 
     void
-    plain(std::uint32_t n, int id)
+    plain(int id)
     {
-        state_[n].log.emplace_back(eq_.now(), id);
-        act(n);
+        log_.emplace_back(eq_.now(), id);
+        act();
     }
 
     void
-    act(std::uint32_t n)
+    act()
     {
-        Node &s = state_[n];
-        if (s.budget == 0)
+        if (budget_ == 0)
             return;
-        --s.budget;
+        --budget_;
         for (int draws = 0; draws < 3; ++draws) {
-            const std::uint64_t r = s.rng.below(16);
-            const auto k = static_cast<std::uint32_t>(s.rng.below(kTimers));
+            const std::uint64_t r = rng_.below(16);
+            const auto k = static_cast<std::uint32_t>(rng_.below(kTimers));
             if (r < 6) {
-                timers_.arm(n, k, eq_.now() + delta(s.rng));
+                timers_.arm(k, eq_.now() + delta(rng_));
             } else if (r < 8) {
-                timers_.disarm(n, k);
+                timers_.disarm(k);
             } else if (r < 11) {
-                const int id = static_cast<int>(s.rng.below(1000));
-                eq_.scheduleAtNode(n, eq_.now() + delta(s.rng),
-                                   [this, n, id] { plain(n, id); },
-                                   timerPrio(k));
+                const int id = static_cast<int>(rng_.below(1000));
+                eq_.schedule(eq_.now() + delta(rng_),
+                             [this, id] { plain(id); }, timerPrio(k));
             } else if (r < 12) {
-                // Another node, past the one-tick lookahead horizon.
-                const auto m = static_cast<std::uint32_t>(s.rng.below(nodes_));
-                const int id = static_cast<int>(s.rng.below(1000));
-                eq_.scheduleAtNode(m, eq_.now() + 1 + delta(s.rng),
-                                   [this, m, id] { plain(m, id); });
+                const int id = static_cast<int>(rng_.below(1000));
+                eq_.schedule(eq_.now() + 1 + delta(rng_),
+                             [this, id] { plain(id); });
             }
         }
     }
 
     sim::EventQueue &eq_;
     Timers timers_;
-    std::uint32_t nodes_;
-    std::vector<Node> state_;
+    sim::Rng rng_;
+    TimerLog log_;
+    std::uint32_t budget_; ///< callbacks left that may act
 };
 
 } // namespace blitz::testing

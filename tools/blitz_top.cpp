@@ -2,20 +2,17 @@
  * @file
  * blitz-top: render and compare run health reports.
  *
- *   blitz-top record <out.json> [--d N] [--shards K] [--ticks T]
- *                    [--seed S] [--uniform]
- *   blitz-top summary   <health.json>
- *   blitz-top imbalance <health.json>
- *   blitz-top diff      <a.json> <b.json>
+ *   blitz-top record <out.json> [--d N] [--ticks T] [--seed S]
+ *                    [--uniform]
+ *   blitz-top summary <health.json>
+ *   blitz-top diff    <a.json> <b.json>
  *
  * `record` runs a column-skewed d x d BlitzCoin mesh (all demand and
- * coins parked on the leftmost quarter of the columns, so BSP column
- * bands are deliberately unbalanced) with the superstep profiler
- * attached and writes the run's HealthReport. `summary` prints both
- * sections of a report; `imbalance` renders the per-shard
- * execute/barrier/event table plus the hottest/coldest ratio; `diff`
- * compares two reports' *deterministic* sections key by key — the
- * wallclock section is never part of the verdict.
+ * coins parked on the leftmost quarter of the columns, so the coins
+ * must diffuse across the mesh; --uniform spreads them) and writes
+ * the run's HealthReport. `summary` prints both sections of a report;
+ * `diff` compares two reports' *deterministic* sections key by key —
+ * the wallclock section is never part of the verdict.
  *
  * Exit codes: 0 = ok / identical deterministic sections; 1 = diff
  * found differences; 2 = usage or I/O error.
@@ -35,7 +32,6 @@
 #include "fault/chaos.hpp"
 #include "sim/env.hpp"
 #include "trace/health.hpp"
-#include "trace/prof.hpp"
 
 using namespace blitz;
 
@@ -47,11 +43,10 @@ usage()
     std::fprintf(
         stderr,
         "usage: blitz-top <command> ...\n"
-        "  record <out.json> [--d N] [--shards K] [--ticks T]\n"
-        "         [--seed S] [--uniform]\n"
-        "  summary   <health.json>\n"
-        "  imbalance <health.json>\n"
-        "  diff      <a.json> <b.json>\n");
+        "  record <out.json> [--d N] [--ticks T] [--seed S]\n"
+        "         [--uniform]\n"
+        "  summary <health.json>\n"
+        "  diff    <a.json> <b.json>\n");
     return 2;
 }
 
@@ -102,13 +97,11 @@ cmdRecord(int argc, char **argv)
         return usage();
     const char *out = argv[0];
     std::uint64_t d = 16;
-    std::uint64_t shards = 4;
     std::uint64_t ticks = 60'000;
     std::uint64_t seed = 7001;
     bool uniform = false;
     for (int i = 1; i < argc; ++i) {
         if (numArg(argc, argv, i, "--d", 2, kU32Max, d) ||
-            numArg(argc, argv, i, "--shards", 1, kU32Max, shards) ||
             numArg(argc, argv, i, "--ticks", 1, kU64Max, ticks) ||
             numArg(argc, argv, i, "--seed", 0, kU64Max, seed))
             continue;
@@ -131,17 +124,11 @@ cmdRecord(int argc, char **argv)
     cc.width = static_cast<int>(d);
     cc.height = static_cast<int>(d);
     cc.seedBase = seed;
-    cc.shards = static_cast<std::uint32_t>(shards);
     fault::ChaosCluster cluster(cc);
 
-    trace::SuperstepProfiler prof;
-    if (cluster.shardGroup())
-        prof.attach(*cluster.shardGroup());
-
-    // Demand profile: uniform spreads work over every column band;
-    // the default skew parks all demand (and the whole coin pool) on
-    // the leftmost quarter of the columns, so the left band's shard
-    // runs hot while the right bands mostly idle at the barrier.
+    // Demand profile: uniform spreads work over every column; the
+    // default skew parks all demand (and the whole coin pool) on the
+    // leftmost quarter of the columns.
     const auto n = static_cast<std::size_t>(d * d);
     const auto hotCols =
         std::max<std::size_t>(static_cast<std::size_t>(d) / 4, 1);
@@ -177,17 +164,13 @@ cmdRecord(int argc, char **argv)
     trace::HealthReport report;
     char label[96];
     std::snprintf(label, sizeof label,
-                  "blitz-top record d=%llu shards=%llu ticks=%llu "
-                  "seed=%llu%s",
+                  "blitz-top record d=%llu ticks=%llu seed=%llu%s",
                   static_cast<unsigned long long>(d),
-                  static_cast<unsigned long long>(shards),
                   static_cast<unsigned long long>(ticks),
                   static_cast<unsigned long long>(seed),
                   uniform ? " uniform" : "");
     report.setRun(label);
     cluster.fillHealth(report);
-    if (prof.attached())
-        prof.fillHealth(report);
 
     std::ofstream os(out);
     if (!os) {
@@ -227,50 +210,6 @@ cmdSummary(int argc, char **argv)
     std::printf("run: %s\n", report.run().c_str());
     printEntries("deterministic", report.deterministic());
     printEntries("wallclock", report.wallclock());
-    return 0;
-}
-
-int
-cmdImbalance(int argc, char **argv)
-{
-    if (argc < 1)
-        return usage();
-    trace::HealthReport report;
-    if (!loadReport(argv[0], report))
-        return 2;
-    const double *shards = report.findDet("prof.shards");
-    if (!shards || *shards < 1) {
-        std::fprintf(stderr,
-                     "blitz-top: no profiler data in '%s' (record "
-                     "with --shards >= 1)\n",
-                     argv[0]);
-        return 2;
-    }
-    std::printf("run: %s\n", report.run().c_str());
-    std::printf("%-8s %12s %12s %14s %12s\n", "shard", "exec_ms",
-                "barrier_ms", "events", "inbox");
-    const auto count = static_cast<std::uint32_t>(*shards);
-    for (std::uint32_t s = 0; s < count; ++s) {
-        char key[64];
-        std::snprintf(key, sizeof key, "prof/shard%u.exec_ms", s);
-        const double *exec = report.findWall(key);
-        std::snprintf(key, sizeof key, "prof/shard%u.barrier_ms", s);
-        const double *barrier = report.findWall(key);
-        std::snprintf(key, sizeof key, "prof/shard%u.events", s);
-        const double *events = report.findDet(key);
-        std::snprintf(key, sizeof key, "prof/shard%u.inbox", s);
-        const double *inbox = report.findDet(key);
-        std::printf("%-8u %12.3f %12.3f %14.0f %12.0f\n", s,
-                    exec ? *exec : 0.0, barrier ? *barrier : 0.0,
-                    events ? *events : 0.0, inbox ? *inbox : 0.0);
-    }
-    const double *imb = report.findWall("prof.imbalance");
-    const double *steps = report.findDet("prof.supersteps");
-    const double *cross = report.findDet("prof.cross.events");
-    std::printf("supersteps %.0f   cross events %.0f   "
-                "imbalance (hottest/coldest exec) %.2fx\n",
-                steps ? *steps : 0.0, cross ? *cross : 0.0,
-                imb ? *imb : 1.0);
     return 0;
 }
 
@@ -319,8 +258,6 @@ main(int argc, char **argv)
         return cmdRecord(argc, argv);
     if (std::strcmp(cmd, "summary") == 0)
         return cmdSummary(argc, argv);
-    if (std::strcmp(cmd, "imbalance") == 0)
-        return cmdImbalance(argc, argv);
     if (std::strcmp(cmd, "diff") == 0)
         return cmdDiff(argc, argv);
     return usage();

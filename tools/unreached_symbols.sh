@@ -38,11 +38,10 @@
 # production set, each binary in its own scratch directory, up to four
 # at a time: every bench/ binary but bench_ops and every example
 # flag-free; the observability-flagged ones again with --metrics
-# --trace --health; bench_chaos and bench_byzantine at BLITZ_SHARDS=2;
-# bench_ops both as a google-benchmark run and with --perf-json;
-# blitz-replay record (plain and --tamper), info, verify, diff and
-# bisect; blitz-top record --shards 2 (plain and --uniform), summary,
-# imbalance and diff; and bench_e2e --quick. `gcov -f -m -n` then
+# --trace --health; bench_ops both as a google-benchmark run and with
+# --perf-json; blitz-replay record (plain and --tamper), info, verify,
+# diff and bisect; blitz-top record (plain and --uniform), summary and
+# diff; and bench_e2e --quick. `gcov -f -m -n` then
 # summarises every object of both trees, and a function is zero-hit
 # when each copy of it (a header-inline one has one per object) ran 0%
 # of its lines. stderr also gets how many executable src/ lines no
@@ -185,9 +184,8 @@ replay() {
 }
 top() {
     local t="$bin/tools/blitz-top"
-    "$t" record a.json --shards 2 &&
-        "$t" record b.json --shards 2 --uniform &&
-        "$t" summary a.json && "$t" imbalance a.json &&
+    "$t" record a.json && "$t" record b.json --uniform &&
+        "$t" summary a.json &&
         { "$t" diff a.json b.json || [ $? -eq 1 ]; }
 }
 
@@ -198,9 +196,6 @@ queue ops "$bin/bench/bench_ops"
 queue replay replay
 queue top top
 queue e2e "$build/benchmark/bench_e2e" --quick
-for b in chaos byzantine; do
-    queue "$b-s2" env BLITZ_SHARDS=2 "$bin/bench/bench_$b"
-done
 for exe in "$bin"/bench/bench_* "$bin"/examples/*; do
     [ -f "$exe" ] && [ -x "$exe" ] || continue
     name=$(basename "$exe")
